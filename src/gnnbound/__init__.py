@@ -7,202 +7,29 @@ train/test risk gaps, functional-derivative and Rademacher generalization
 bounds, and width-sweep reporting (CSV/JSON/SVG).
 """
 
-from .bounds import (
-    BoundInputs,
-    BoundReport,
-    ModelStats,
-    bound_report,
-    extract_model_stats,
-    fd_bound,
-    gcn_fd_bound,
-    generic_fd_bound,
-    max_logistic_loss,
-    model_output_cap,
-    mpgnn_fd_bound,
-    rademacher_bound,
-    rademacher_terms,
-)
-from .data import (
-    DatasetFormatError,
-    DatasetStats,
-    GraphDataset,
-    GraphSample,
-    ValidationError,
-    dataset_stats,
-    degrees,
-    load_dataset,
-    permute_sample,
-    require_valid,
-    save_dataset,
-    split_dataset,
-    validate_sample,
-)
-from .filters import (
-    FilterKind,
-    FilterNormReport,
-    apply_filter,
-    filter_norm_report,
-    fro_norm,
-    inf_norm,
-    numerical_rank,
-    spectral_norm,
-    theoretical_fro_bound,
-    theoretical_inf_bound,
-)
-from .models import (
-    GcnParams,
-    ModelConfig,
-    ModelKind,
-    MpgnnParams,
-    Nonlinearity,
-    Params,
-    Readout,
-    forward_graph,
-    gcn_unit_output,
-    init_params,
-    load_params,
-    mpgnn_unit_output,
-    save_params,
-)
-from .report import (
-    SummaryRow,
-    aggregate,
-    emit_reports,
-    read_rows_csv,
-    recompute_bounds_from_record,
-    trend_svg,
-    write_report_json,
-    write_rows_csv,
-    write_summary_csv,
-    write_trend_svgs,
-)
-from .sweep import (
-    SweepConfig,
-    SweepRow,
-    coordinate_seeds,
-    resolve_dataset,
-    run_sweep,
-    run_sweep_on,
-)
-from .synth import (
-    ErSpec,
-    PRESET_NAMES,
-    SbmSpec,
-    SynthConfig,
-    generate_er,
-    generate_features,
-    generate_sbm,
-    make_dataset,
-    preset_config,
-)
-from .training import (
-    RunResult,
-    TrainConfig,
-    TrainingDivergenceError,
-    empirical_risk,
-    grad_empirical_risk,
-    grad_regularized_risk,
-    logistic_loss,
-    logistic_loss_grad,
-    measure_generalization,
-    penalty,
-    penalty_grads,
-    regularized_risk,
-    sgd_step,
-    train,
-    zeros_like_params,
-)
+from .bounds import bound_report
+from .data import dataset_stats, split_dataset
+from .filters import FilterKind
+from .models import ModelConfig, ModelKind, Readout, init_params
+from .synth import make_dataset, preset_config
+from .training import TrainConfig, measure_generalization, train
 
 __version__ = "0.1.0"
 
+# The names the README's library example imports; everything else is
+# imported from its submodule.
 __all__ = [
-    "BoundInputs",
-    "BoundReport",
-    "DatasetFormatError",
-    "DatasetStats",
-    "ErSpec",
     "FilterKind",
-    "FilterNormReport",
-    "GcnParams",
-    "GraphDataset",
-    "GraphSample",
     "ModelConfig",
     "ModelKind",
-    "ModelStats",
-    "MpgnnParams",
-    "Nonlinearity",
-    "PRESET_NAMES",
-    "Params",
     "Readout",
-    "RunResult",
-    "SbmSpec",
-    "SummaryRow",
-    "SweepConfig",
-    "SweepRow",
-    "SynthConfig",
     "TrainConfig",
-    "TrainingDivergenceError",
-    "ValidationError",
-    "aggregate",
-    "apply_filter",
     "bound_report",
-    "coordinate_seeds",
     "dataset_stats",
-    "degrees",
-    "emit_reports",
-    "empirical_risk",
-    "extract_model_stats",
-    "fd_bound",
-    "filter_norm_report",
-    "forward_graph",
-    "fro_norm",
-    "gcn_fd_bound",
-    "gcn_unit_output",
-    "generate_er",
-    "generate_features",
-    "generate_sbm",
-    "generic_fd_bound",
-    "grad_empirical_risk",
-    "grad_regularized_risk",
-    "inf_norm",
     "init_params",
-    "load_dataset",
-    "load_params",
-    "logistic_loss",
-    "logistic_loss_grad",
     "make_dataset",
-    "max_logistic_loss",
     "measure_generalization",
-    "model_output_cap",
-    "mpgnn_fd_bound",
-    "mpgnn_unit_output",
-    "numerical_rank",
-    "penalty",
-    "penalty_grads",
-    "permute_sample",
     "preset_config",
-    "rademacher_bound",
-    "rademacher_terms",
-    "read_rows_csv",
-    "recompute_bounds_from_record",
-    "regularized_risk",
-    "require_valid",
-    "resolve_dataset",
-    "run_sweep",
-    "run_sweep_on",
-    "save_dataset",
-    "save_params",
-    "sgd_step",
-    "spectral_norm",
     "split_dataset",
-    "theoretical_fro_bound",
-    "theoretical_inf_bound",
     "train",
-    "trend_svg",
-    "validate_sample",
-    "write_report_json",
-    "write_rows_csv",
-    "write_summary_csv",
-    "write_trend_svgs",
-    "zeros_like_params",
 ]

@@ -12,7 +12,7 @@ container plus a handful of dataset/filter statistics:
 Weight norms enter as the maximum unit-row norm (for w1, w3) and the maximum
 absolute entry (for w2). When the outer nonlinearity is bounded (tanh,
 centered sigmoid), the per-unit cap min(bound, Lipschitz-chain product) is
-used; setting bounded_activation=False keeps the pure Lipschitz product.
+used; setting bounded=False keeps the pure Lipschitz product.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelConfig, MpgnnParams, Params, Readout
+from .models import ModelConfig, ModelKind, MpgnnParams, Params, Readout
 
 DEFAULT_DELTA = 0.05
 # The logistic loss has |d loss / d yhat| <= 1 everywhere.
@@ -128,16 +128,17 @@ def max_logistic_loss(output_bound: float) -> float:
 def _unit_cap(config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool) -> float:
     """Cap on one hidden unit's pre-w2 output |f(z)|, via the Lipschitz chain
     through the filtered features (and optionally the nonlinearity's range)."""
-    if config.model_kind.value == "gcn":
-        chain = config.activation.lipschitz * stats.w1_row_norm_max * inputs.g_max * inputs.b_f
-        cap = config.activation.cap
+    outer = config.outer
+    if config.model_kind is ModelKind.GCN:
+        chain = outer.lipschitz * stats.w1_row_norm_max * inputs.g_max * inputs.b_f
     else:
+        if stats.w3_row_norm_max is None:
+            raise ValueError("MPGNN bound needs w3 statistics")
         aggregated = inputs.g_max * config.rho.lipschitz * config.zeta.lipschitz * stats.w1_row_norm_max
         core = stats.w3_row_norm_max + aggregated
-        chain = config.kappa.lipschitz * inputs.b_f * core
-        cap = config.kappa.cap
-    if bounded and cap is not None:
-        return min(cap, chain)
+        chain = outer.lipschitz * inputs.b_f * core
+    if bounded and outer.cap is not None:
+        return min(outer.cap, chain)
     return chain
 
 
@@ -149,42 +150,12 @@ def model_output_cap(
     return per_unit * inputs.readout_node_factor
 
 
-def generic_fd_bound(m_phi: float, inputs: BoundInputs) -> float:
-    """alpha * (|loss'| cap * per-unit output cap * readout node factor)^2 / n."""
-    scaled = LOGISTIC_GRAD_CAP * m_phi * inputs.readout_node_factor
-    return inputs.alpha * scaled * scaled / inputs.n_train
-
-
-def gcn_fd_bound(
-    config: ModelConfig,
-    stats: ModelStats,
-    inputs: BoundInputs,
-    bounded_activation: bool = True,
-) -> float:
-    """Functional-derivative bound specialised to the GCN unit structure."""
-    m_phi = stats.w2_abs_max * _unit_cap(config, stats, inputs, bounded_activation)
-    return generic_fd_bound(m_phi, inputs)
-
-
-def mpgnn_fd_bound(
-    config: ModelConfig,
-    stats: ModelStats,
-    inputs: BoundInputs,
-    bounded_kappa: bool = True,
-) -> float:
-    """Functional-derivative bound specialised to the MPGNN unit structure."""
-    if stats.w3_row_norm_max is None:
-        raise ValueError("MPGNN bound needs w3 statistics")
-    m_phi = stats.w2_abs_max * _unit_cap(config, stats, inputs, bounded_kappa)
-    return generic_fd_bound(m_phi, inputs)
-
-
 def fd_bound(
     config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
 ) -> float:
-    if config.model_kind.value == "gcn":
-        return gcn_fd_bound(config, stats, inputs, bounded_activation=bounded)
-    return mpgnn_fd_bound(config, stats, inputs, bounded_kappa=bounded)
+    """Functional-derivative bound alpha * (|loss'| cap * model-output cap)^2 / n."""
+    scaled = LOGISTIC_GRAD_CAP * model_output_cap(config, stats, inputs, bounded)
+    return inputs.alpha * scaled * scaled / inputs.n_train
 
 
 def rademacher_terms(

@@ -28,6 +28,7 @@ from .data import (
     ValidationError,
     dataset_stats,
     save_dataset,
+    train_size,
 )
 from .filters import FilterKind, filter_norm_report
 from .models import GcnParams, ModelConfig, ModelKind, Readout, load_params
@@ -365,9 +366,7 @@ def cmd_bounds(args) -> int:
     stats = dataset_stats(dataset)
     filter_kind = _enum_value(FilterKind, view.get_str("filter", "sym-norm"), "filter")
     readout = _enum_value(Readout, view.get_str("readout", "mean"), "readout")
-    beta = view.get_float("beta", 0.7)
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie strictly between 0 and 1, got {beta}")
+    n_train = train_size(len(dataset), view.get_float("beta", 0.7))
     filter_report = filter_norm_report(dataset, filter_kind)
     model_kind = ModelKind.GCN if isinstance(params, GcnParams) else ModelKind.MPGNN
     model_config = ModelConfig(
@@ -377,7 +376,7 @@ def cmd_bounds(args) -> int:
         readout=readout,
     )
     inputs = BoundInputs(
-        n_train=int(round(beta * len(dataset))),
+        n_train=n_train,
         alpha=view.get_float("alpha", 100.0),
         n_max=stats.n_max,
         b_f=stats.b_f,

@@ -185,16 +185,13 @@ def dataset_stats(dataset: GraphDataset) -> DatasetStats:
     )
 
 
-def split_dataset(
-    dataset: GraphDataset, beta_sup: float, seed: int
-) -> tuple[GraphDataset, GraphDataset]:
-    """Random train/test split: shuffle indices, take the first round(beta*n) as train.
+def train_size(n: int, beta_sup: float) -> int:
+    """Number of training samples, round(beta_sup * n), of a split of n samples.
 
-    Deterministic given the seed. The split must leave both sides nonempty.
+    Raises ValueError unless the split leaves both sides nonempty.
     """
     if not 0.0 < beta_sup < 1.0:
         raise ValueError(f"beta_sup must lie strictly between 0 and 1, got {beta_sup}")
-    n = len(dataset)
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     n_train = int(round(beta_sup * n))
@@ -202,6 +199,18 @@ def split_dataset(
         raise ValueError(
             f"beta_sup={beta_sup} with {n} samples leaves an empty train or test split"
         )
+    return n_train
+
+
+def split_dataset(
+    dataset: GraphDataset, beta_sup: float, seed: int
+) -> tuple[GraphDataset, GraphDataset]:
+    """Random train/test split: shuffle indices, take the first train_size as train.
+
+    Deterministic given the seed. The split must leave both sides nonempty.
+    """
+    n = len(dataset)
+    n_train = train_size(n, beta_sup)
     order = np.random.default_rng(seed).permutation(n)
     train = [dataset[i] for i in order[:n_train]]
     test = [dataset[i] for i in order[n_train:]]

@@ -29,8 +29,6 @@ import numpy as np
 
 from .data import GraphDataset, GraphSample, dataset_stats
 
-SPECTRAL_TOL = 1e-12
-SPECTRAL_MAX_ITER = 10_000
 RANK_REL_TOL = 1e-8
 
 
@@ -100,43 +98,6 @@ def fro_norm(matrix: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     matrix = np.asarray(matrix, dtype=np.float64)
     return float(np.sqrt((matrix * matrix).sum()))
-
-
-def spectral_norm(
-    matrix: np.ndarray,
-    tol: float = SPECTRAL_TOL,
-    max_iter: int = SPECTRAL_MAX_ITER,
-) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Iterates on the Gram matrix of the smaller side until the Rayleigh
-    quotient changes by at most tol (relative), capped at max_iter sweeps.
-    The deterministic pseudo-random start vector avoids starting orthogonal
-    to the dominant eigenspace for structured matrices.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.size == 0 or not matrix.any():
-        return 0.0
-    if matrix.shape[0] < matrix.shape[1]:
-        matrix = matrix.T
-    gram = matrix.T @ matrix
-    vec = np.random.default_rng(0x5EED).standard_normal(gram.shape[0])
-    vec /= np.linalg.norm(vec)
-    eigenvalue = 0.0
-    for _ in range(max_iter):
-        image = gram @ vec
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            return 0.0
-        new_eigenvalue = float(vec @ image)
-        vec = image / norm
-        if abs(new_eigenvalue - eigenvalue) <= tol * max(1.0, abs(new_eigenvalue)):
-            eigenvalue = new_eigenvalue
-            break
-        eigenvalue = new_eigenvalue
-    # One Rayleigh-quotient refinement on the final iterate.
-    eigenvalue = float(vec @ (gram @ vec))
-    return float(np.sqrt(max(eigenvalue, 0.0)))
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -55,14 +56,13 @@ class Nonlinearity(enum.Enum):
             return 0.5 * np.tanh(0.5 * x)
         return np.asarray(x, dtype=np.float64)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
+    def derivative_from_output(self, f: np.ndarray) -> np.ndarray:
+        """f'(x) written through the output f = apply(x), so x is not needed."""
         if self is Nonlinearity.TANH:
-            t = np.tanh(x)
-            return 1.0 - t * t
+            return 1.0 - f * f
         if self is Nonlinearity.SIGMOID_CENTERED:
-            t = np.tanh(0.5 * x)
-            return 0.25 * (1.0 - t * t)
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+            return 0.25 - f * f
+        return np.ones_like(f)
 
     @property
     def lipschitz(self) -> float:
@@ -94,6 +94,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
+
+    @property
+    def outer(self) -> Nonlinearity:
+        """The nonlinearity whose output w2 weighs: phi for GCN, kappa for MPGNN."""
+        return self.activation if self.model_kind is ModelKind.GCN else self.kappa
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -176,37 +181,9 @@ def init_params(config: ModelConfig, feature_dim: int, seed: int) -> Params:
     return MpgnnParams(w1=w1, w2=w2, w3=w3)
 
 
-def gcn_unit_output(
-    w1_row: np.ndarray,
-    w2_scalar: float,
-    filtered_row: np.ndarray,
-    activation: Nonlinearity = Nonlinearity.TANH,
-) -> float:
-    """w2 * phi(filtered_row . w1) for one unit at one node."""
-    return float(w2_scalar * activation.apply(float(np.dot(filtered_row, w1_row))))
-
-
-def mpgnn_unit_output(
-    w1_row: np.ndarray,
-    w2_scalar: float,
-    w3_row: np.ndarray,
-    feature_row: np.ndarray,
-    aggregated_row: np.ndarray,
-    rho: Nonlinearity = Nonlinearity.TANH,
-    kappa: Nonlinearity = Nonlinearity.TANH,
-) -> float:
-    """w2 * kappa(feature_row . w3 + rho(aggregated_row) . w1) for one unit.
-
-    aggregated_row is the precomputed G(A)[j,:] zeta(F) vector; rho is applied
-    entrywise here.
-    """
-    inner = float(np.dot(feature_row, w3_row)) + float(np.dot(rho.apply(aggregated_row), w1_row))
-    return float(w2_scalar * kappa.apply(inner))
-
-
 @dataclass(frozen=True)
 class PreparedGraph:
-    """Per-node input rows for fast forward/backward passes.
+    """Per-node input rows of one graph for the forward and backward passes.
 
     GCN uses a single matrix (the filtered features G F); MPGNN uses the raw
     features plus rho(G zeta(F)). Neither depends on trainable parameters, so
@@ -237,25 +214,48 @@ def prepare_sample(sample: GraphSample, config: ModelConfig) -> PreparedGraph:
     )
 
 
-def unit_preactivations(params: Params, prepared: PreparedGraph) -> np.ndarray:
-    """N x h matrix of per-node, per-unit arguments to the outer nonlinearity."""
+@dataclass(frozen=True)
+class Stacked:
+    """The node rows of several prepared graphs, concatenated in order."""
+
+    rows_a: np.ndarray
+    rows_b: np.ndarray | None
+    labels: np.ndarray
+    node_counts: np.ndarray
+    starts: np.ndarray
+
+
+def stack(prepared: Sequence[PreparedGraph]) -> Stacked:
+    counts = np.array([p.node_count for p in prepared], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    rows_a = np.concatenate([p.rows_a for p in prepared])
+    rows_b = None
+    if prepared[0].rows_b is not None:
+        rows_b = np.concatenate([p.rows_b for p in prepared])
+    labels = np.array([p.label for p in prepared], dtype=np.float64)
+    return Stacked(rows_a=rows_a, rows_b=rows_b, labels=labels, node_counts=counts, starts=starts)
+
+
+def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
+    """Per-graph factor d yhat / d (node sum): 1/N for mean readout, 1 for sum."""
+    if readout is Readout.MEAN:
+        return 1.0 / stacked.node_counts
+    return np.ones(len(stacked.node_counts))
+
+
+def forward(params: Params, stacked: Stacked, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs yhat, one per stacked graph, and the N x h outer-nonlinearity outputs f.
+
+    The caller checks that params match config (check_shapes).
+    """
     if isinstance(params, GcnParams):
-        return prepared.rows_a @ params.w1.T
-    return prepared.rows_a @ params.w3.T + prepared.rows_b @ params.w1.T
-
-
-def _outer_nonlinearity(params: Params, config: ModelConfig) -> Nonlinearity:
-    return config.activation if isinstance(params, GcnParams) else config.kappa
-
-
-def forward_prepared(params: Params, prepared: PreparedGraph, config: ModelConfig) -> float:
-    """Model output for one prepared graph."""
-    z = unit_preactivations(params, prepared)
-    node_values = _outer_nonlinearity(params, config).apply(z) @ params.w2 / params.width
-    total = float(node_values.sum())
-    if config.readout is Readout.MEAN:
-        return total / prepared.node_count
-    return total
+        z = stacked.rows_a @ params.w1.T
+    else:
+        z = stacked.rows_a @ params.w3.T + stacked.rows_b @ params.w1.T
+    f = config.outer.apply(z)
+    node_values = f @ params.w2 / params.width
+    sums = np.add.reduceat(node_values, stacked.starts)
+    return sums * readout_scale(stacked, config.readout), f
 
 
 def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:
@@ -276,7 +276,8 @@ def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:
 def forward_graph(params: Params, sample: GraphSample, config: ModelConfig) -> float:
     """Model output yhat for one sample (filter applied once per call)."""
     check_shapes(params, sample.feature_dim, config)
-    return forward_prepared(params, prepare_sample(sample, config), config)
+    yhat, _ = forward(params, stack([prepare_sample(sample, config)]), config)
+    return float(yhat[0])
 
 
 def save_params(params: Params, path) -> None:

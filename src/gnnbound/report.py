@@ -210,6 +210,17 @@ def _row_record(row: SweepRow) -> dict:
     return record
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_report_json(
     path,
     config: SweepConfig,
@@ -220,7 +231,8 @@ def write_report_json(
     """Full machine-readable echo: config, dataset stats, filter norms, rows.
 
     Every row embeds its bound report (trained-weight stats and bound inputs),
-    so both bounds can be recomputed from this file alone.
+    so both bounds can be recomputed from this file alone. Non-finite values,
+    such as the risks of a diverged run, are written as null.
     """
     path = Path(path)
     document = {
@@ -229,7 +241,8 @@ def write_report_json(
         "filters": {kind.value: report.to_dict() for kind, report in filter_reports.items()},
         "rows": [_row_record(row) for row in rows],
     }
-    path.write_text(json.dumps(document, indent=2) + "\n")
+    text = json.dumps(_finite_or_null(document), indent=2, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 
@@ -238,9 +251,15 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
 
     Uses only the echoed stats and inputs plus the row coordinates. Sweep runs
     use the default tanh nonlinearities, which is what the reconstruction
-    assumes.
+    assumes. A diverged row has no bounds and raises ValueError.
     """
     echo = record["bounds"]
+    if echo is None:
+        coordinate = ", ".join(
+            f"{key}={record[key]}"
+            for key in ("dataset", "beta", "model", "filter", "readout", "width", "seed")
+        )
+        raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
     inputs_echo = echo["inputs"]
     stats_echo = echo["stats"]
     inputs = BoundInputs(

@@ -29,10 +29,12 @@ from .models import (
     ModelConfig,
     Params,
     PreparedGraph,
-    Readout,
+    Stacked,
     check_shapes,
+    forward,
     prepare_sample,
-    unit_preactivations,
+    readout_scale,
+    stack,
 )
 
 
@@ -117,63 +119,19 @@ def penalty_grads(params: Params, alpha: float) -> Params:
     )
 
 
-@dataclass(frozen=True)
-class _Stacked:
-    """All node rows of a set of prepared graphs, concatenated."""
-
-    rows_a: np.ndarray
-    rows_b: np.ndarray | None
-    labels: np.ndarray
-    node_counts: np.ndarray
-    starts: np.ndarray
-
-
-def _stack(prepared: Sequence[PreparedGraph]) -> _Stacked:
-    counts = np.array([p.node_count for p in prepared], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rows_a = np.concatenate([p.rows_a for p in prepared])
-    rows_b = None
-    if prepared[0].rows_b is not None:
-        rows_b = np.concatenate([p.rows_b for p in prepared])
-    labels = np.array([p.label for p in prepared], dtype=np.float64)
-    return _Stacked(rows_a=rows_a, rows_b=rows_b, labels=labels, node_counts=counts, starts=starts)
-
-
-def _readout_scale(stacked: _Stacked, config: ModelConfig) -> np.ndarray:
-    if config.readout is Readout.MEAN:
-        return 1.0 / stacked.node_counts
-    return np.ones(len(stacked.node_counts))
-
-
-def _forward_stacked(params: Params, stacked: _Stacked, config: ModelConfig) -> np.ndarray:
-    prep = PreparedGraph(node_count=0, label=0, rows_a=stacked.rows_a, rows_b=stacked.rows_b)
-    z = unit_preactivations(params, prep)
-    outer = config.activation if isinstance(params, GcnParams) else config.kappa
-    node_values = outer.apply(z) @ params.w2 / params.width
-    sums = np.add.reduceat(node_values, stacked.starts)
-    return sums * _readout_scale(stacked, config)
-
-
 def _risk_and_loss_grads(
-    params: Params, stacked: _Stacked, config: ModelConfig
+    params: Params, stacked: Stacked, config: ModelConfig
 ) -> tuple[float, Params]:
     """Batch-average empirical risk and its gradient (no penalty term)."""
-    prep = PreparedGraph(node_count=0, label=0, rows_a=stacked.rows_a, rows_b=stacked.rows_b)
-    z = unit_preactivations(params, prep)
-    outer = config.activation if isinstance(params, GcnParams) else config.kappa
-    fz = outer.apply(z)
+    yhat, f = forward(params, stacked, config)
     h = params.width
-    node_values = fz @ params.w2 / h
-    sums = np.add.reduceat(node_values, stacked.starts)
-    scale = _readout_scale(stacked, config)
-    yhat = sums * scale
-    n_batch = len(stacked.labels)
     risk = float(logistic_loss(yhat, stacked.labels).mean())
 
-    per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / n_batch
+    scale = readout_scale(stacked, config.readout)
+    per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
     per_node = np.repeat(per_graph, stacked.node_counts)
-    grad_w2 = fz.T @ per_node / h
-    back = outer.derivative(z) * (per_node[:, None] * params.w2[None, :])
+    grad_w2 = f.T @ per_node / h
+    back = config.outer.derivative_from_output(f) * (per_node[:, None] * params.w2[None, :])
     if isinstance(params, GcnParams):
         grad_w1 = back.T @ stacked.rows_a / h
         return risk, GcnParams(w1=grad_w1, w2=grad_w2)
@@ -182,18 +140,23 @@ def _risk_and_loss_grads(
     return risk, dataclasses.replace(params, w1=grad_w1, w2=grad_w2, w3=grad_w3)
 
 
-def _prepare_all(samples: Sequence[GraphSample], config: ModelConfig) -> list[PreparedGraph]:
-    return [prepare_sample(sample, config) for sample in samples]
+def _prepare_all(
+    params: Params, samples, model_config: ModelConfig, empty_message: str
+) -> list[PreparedGraph]:
+    """Prepared rows of every sample, once params are known to fit the data."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError(empty_message)
+    check_shapes(params, samples[0].feature_dim, model_config)
+    return [prepare_sample(sample, model_config) for sample in samples]
 
 
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     """Mean logistic loss of the model over the samples (no penalty)."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empirical_risk needs at least one sample")
-    check_shapes(params, samples[0].feature_dim, model_config)
-    stacked = _stack(_prepare_all(samples, model_config))
-    yhat = _forward_stacked(params, stacked, model_config)
+    stacked = stack(
+        _prepare_all(params, samples, model_config, "empirical_risk needs at least one sample")
+    )
+    yhat, _ = forward(params, stacked, model_config)
     return float(logistic_loss(yhat, stacked.labels).mean())
 
 
@@ -204,12 +167,8 @@ def regularized_risk(params: Params, samples, model_config: ModelConfig, alpha: 
 
 def grad_empirical_risk(params: Params, batch, model_config: ModelConfig) -> Params:
     """Analytic gradient of the batch-average logistic loss."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError("gradient needs a nonempty batch")
-    check_shapes(params, batch[0].feature_dim, model_config)
-    stacked = _stack(_prepare_all(batch, model_config))
-    _, grads = _risk_and_loss_grads(params, stacked, model_config)
+    prepared = _prepare_all(params, batch, model_config, "gradient needs a nonempty batch")
+    _, grads = _risk_and_loss_grads(params, stack(prepared), model_config)
     return grads
 
 
@@ -242,11 +201,7 @@ def train(
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not finite.
     """
-    samples = list(train_set)
-    if not samples:
-        raise ValueError("training set is empty")
-    check_shapes(params, samples[0].feature_dim, model_config)
-    prepared = _prepare_all(samples, model_config)
+    prepared = _prepare_all(params, train_set, model_config, "training set is empty")
     n = len(prepared)
     rng = np.random.default_rng(config.seed)
     velocity = zeros_like_params(params)
@@ -256,7 +211,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
-            stacked = _stack([prepared[i] for i in chosen])
+            stacked = stack([prepared[i] for i in chosen])
             # Float overflow on a diverging run is reported via the explicit
             # non-finite check below, not as numpy warnings.
             with np.errstate(over="ignore", invalid="ignore"):

@@ -39,7 +39,6 @@ from gnnbound.filters import (
     fro_norm,
     inf_norm,
     numerical_rank,
-    spectral_norm,
 )
 from gnnbound.models import (
     GcnParams,
@@ -56,6 +55,7 @@ from gnnbound.report import emit_reports, recompute_bounds_from_record
 from gnnbound.sweep import SweepConfig, resolve_dataset, run_sweep_on
 from gnnbound.synth import SbmSpec, generate_er, generate_sbm, make_dataset, preset_config
 from gnnbound.training import TrainConfig, grad_regularized_risk
+from oracles import spectral_norm
 
 ALPHA = 100.0
 

@@ -13,11 +13,8 @@ from gnnbound.bounds import (
     bound_report,
     extract_model_stats,
     fd_bound,
-    gcn_fd_bound,
-    generic_fd_bound,
     max_logistic_loss,
     model_output_cap,
-    mpgnn_fd_bound,
     rademacher_bound,
     rademacher_terms,
 )
@@ -91,58 +88,66 @@ class TestReadoutFactor:
         assert inputs_for(n_max=7, readout=Readout.SUM).readout_node_factor == 7.0
 
 
+def stats_with_output_cap(m_phi):
+    """GCN stats whose unit chain is 1 under inputs_for()'s g_max = b_f = 1,
+    so the per-unit output cap is m_phi."""
+    return ModelStats(w1_row_norm_max=1.0, w2_abs_max=m_phi, w3_row_norm_max=None)
+
+
 class TestGenericFdBound:
     def test_hand_value(self):
-        bound = generic_fd_bound(1.0, inputs_for())
+        bound = fd_bound(GCN, stats_with_output_cap(1.0), inputs_for(), bounded=False)
         assert bound == pytest.approx(100.0 / 140.0, rel=1e-15)
         assert bound == pytest.approx(0.7142857142857143, rel=1e-15)
 
     def test_mean_readout_independent_of_n_max(self):
-        assert generic_fd_bound(0.37, inputs_for(n_max=5)) == generic_fd_bound(
-            0.37, inputs_for(n_max=500)
+        stats = stats_with_output_cap(0.37)
+        assert fd_bound(GCN, stats, inputs_for(n_max=5), bounded=False) == fd_bound(
+            GCN, stats, inputs_for(n_max=500), bounded=False
         )
 
     def test_doubling_n_halves_exactly(self):
+        stats = stats_with_output_cap(0.3)
         for n in (7, 50, 140, 999):
-            b1 = generic_fd_bound(0.3, inputs_for(n_train=n))
-            b2 = generic_fd_bound(0.3, inputs_for(n_train=2 * n))
+            b1 = fd_bound(GCN, stats, inputs_for(n_train=n), bounded=False)
+            b2 = fd_bound(GCN, stats, inputs_for(n_train=2 * n), bounded=False)
             assert b2 == b1 / 2
 
 
 class TestGcnFdBound:
     def test_lipschitz_hand_value(self):
         stats = ModelStats(w1_row_norm_max=0.4, w2_abs_max=0.5, w3_row_norm_max=None)
-        bound = gcn_fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded_activation=False)
+        bound = fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded=False)
         assert bound == pytest.approx(0.0642857142857143, rel=1e-12)
 
     def test_bounded_form_equals_lipschitz_when_chain_below_cap(self):
         # Chain 1*0.4*1.5*1 = 0.6 < tanh cap 1, so min() selects the chain.
         stats = ModelStats(w1_row_norm_max=0.4, w2_abs_max=0.5, w3_row_norm_max=None)
-        lip = gcn_fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded_activation=False)
-        capped = gcn_fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded_activation=True)
+        lip = fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded=False)
+        capped = fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded=True)
         assert capped == lip
 
     def test_bounded_form_caps_large_chains(self):
         stats = ModelStats(w1_row_norm_max=40.0, w2_abs_max=0.5, w3_row_norm_max=None)
-        lip = gcn_fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded_activation=False)
-        capped = gcn_fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded_activation=True)
+        lip = fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded=False)
+        capped = fd_bound(GCN, stats, inputs_for(g_max=1.5), bounded=True)
         assert capped < lip
         # Cap 1 makes the bound alpha*(w2*1)^2/n.
         assert capped == pytest.approx(100.0 * 0.25 / 140.0, rel=1e-12)
 
     def test_zero_outer_weights_give_zero(self):
         stats = ModelStats(w1_row_norm_max=9.0, w2_abs_max=0.0, w3_row_norm_max=None)
-        assert gcn_fd_bound(GCN, stats, inputs_for()) == 0.0
+        assert fd_bound(GCN, stats, inputs_for()) == 0.0
 
     def test_monotone_in_g_max(self):
         stats = ModelStats(w1_row_norm_max=0.4, w2_abs_max=0.5, w3_row_norm_max=None)
         lipschitz = [
-            gcn_fd_bound(GCN, stats, inputs_for(g_max=g), bounded_activation=False)
+            fd_bound(GCN, stats, inputs_for(g_max=g), bounded=False)
             for g in (0.5, 1.0, 1.5, 2.0, 4.0)
         ]
         assert all(a < b for a, b in zip(lipschitz, lipschitz[1:]))
         capped = [
-            gcn_fd_bound(GCN, stats, inputs_for(g_max=g), bounded_activation=True)
+            fd_bound(GCN, stats, inputs_for(g_max=g), bounded=True)
             for g in (0.5, 1.0, 1.5, 2.0, 4.0)
         ]
         assert all(a <= b for a, b in zip(capped, capped[1:]))
@@ -151,17 +156,17 @@ class TestGcnFdBound:
 class TestMpgnnFdBound:
     def test_hand_value(self):
         stats = ModelStats(w1_row_norm_max=0.1, w2_abs_max=0.3, w3_row_norm_max=0.2)
-        bound = mpgnn_fd_bound(MPGNN, stats, inputs_for(g_max=2.0), bounded_kappa=False)
+        bound = fd_bound(MPGNN, stats, inputs_for(g_max=2.0), bounded=False)
         assert bound == pytest.approx(0.010285714285714285, rel=1e-12)
 
     def test_all_zero_stats_give_zero(self):
         stats = ModelStats(w1_row_norm_max=0.0, w2_abs_max=0.0, w3_row_norm_max=0.0)
-        assert mpgnn_fd_bound(MPGNN, stats, inputs_for()) == 0.0
+        assert fd_bound(MPGNN, stats, inputs_for()) == 0.0
 
     def test_missing_w3_stats_rejected(self):
         stats = ModelStats(w1_row_norm_max=0.1, w2_abs_max=0.3, w3_row_norm_max=None)
         with pytest.raises(ValueError):
-            mpgnn_fd_bound(MPGNN, stats, inputs_for())
+            fd_bound(MPGNN, stats, inputs_for())
 
 
 class TestReadoutScaling:

@@ -16,10 +16,10 @@ from gnnbound.filters import (
     fro_norm,
     inf_norm,
     numerical_rank,
-    spectral_norm,
     theoretical_fro_bound,
     theoretical_inf_bound,
 )
+from oracles import spectral_norm
 
 ALL_KINDS = list(FilterKind)
 

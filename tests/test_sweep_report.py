@@ -299,6 +299,28 @@ class TestEmitReports:
             assert fd == record["fd_bound"]
             assert rad == record["rademacher_bound"]
 
+    def test_diverged_row_is_null_in_report_json(self, tmp_path):
+        config = tiny_config(widths=(2,), seeds=(0,),
+                             train=TrainConfig(learning_rate=1e200, epochs=5, batch_size=8))
+        dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs,
+                                  config.feature_dim)
+        stats = dataset_stats(dataset)
+        filter_reports = {kind: filter_norm_report(dataset, kind) for kind in config.filters}
+        rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+        assert rows[0].diverged
+        paths = emit_reports(rows, tmp_path, config=config, stats=stats,
+                             filter_reports=filter_reports)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        record = json.loads(paths["report"].read_text(), parse_constant=reject)["rows"][0]
+        for column in ("train_risk", "test_risk", "abs_gen_error", "fd_bound",
+                       "rademacher_bound", "bounds"):
+            assert record[column] is None, column
+        with pytest.raises(ValueError, match="width=2, seed=0 diverged"):
+            recompute_bounds_from_record(record)
+
     def test_svg_well_formed_with_series(self, emitted):
         _, paths = emitted
         svg_path = next(p for name, p in paths.items() if name.endswith(".svg"))
@@ -433,6 +455,19 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["fd_bound"] == 0.0
         assert report["variant"].startswith("gcn-")
+
+    def test_bounds_command_rejects_beta_that_empties_the_test_split(self, tmp_path, capsys):
+        # 4 graphs at beta 0.9 round to 4 training graphs, as split_dataset refuses.
+        dataset_path = tmp_path / "ds.json"
+        assert main(["gen-data", "er5", "--out", str(dataset_path), "--n-graphs", "4",
+                     "--feature-dim", "2"]) == 0
+        params_path = tmp_path / "params.json"
+        save_params(GcnParams(w1=np.zeros((3, 2)), w2=np.zeros(3)), params_path)
+        config = self._write(tmp_path / "bounds.cfg", "beta = 0.9\n")
+        capsys.readouterr()
+        assert main(["bounds", "--params", str(params_path), "--dataset", str(dataset_path),
+                     "--config", config]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_preset_fails_cleanly(self, tmp_path, capsys):
         assert main(["gen-data", "not-a-preset", "--out", str(tmp_path / "x.json")]) == 1
