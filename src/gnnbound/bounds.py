@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import to_json_value
 from .models import ModelConfig, ModelKind, MpgnnParams, Params, Readout
 
 DEFAULT_DELTA = 0.05
@@ -36,13 +37,6 @@ class ModelStats:
     w1_row_norm_max: float
     w2_abs_max: float
     w3_row_norm_max: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "w1_row_norm_max": self.w1_row_norm_max,
-            "w2_abs_max": self.w2_abs_max,
-            "w3_row_norm_max": self.w3_row_norm_max,
-        }
 
 
 @dataclass(frozen=True)
@@ -82,17 +76,6 @@ class BoundInputs:
         if self.readout is Readout.MEAN:
             return 1.0
         return float(self.n_max)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "alpha": self.alpha,
-            "n_max": self.n_max,
-            "b_f": self.b_f,
-            "g_max": self.g_max,
-            "readout": self.readout.value,
-            "delta": self.delta,
-        }
 
 
 def extract_model_stats(params: Params) -> ModelStats:
@@ -201,16 +184,8 @@ class BoundReport:
     inputs: BoundInputs
 
     def to_dict(self) -> dict:
-        return {
-            "fd_bound": self.fd_bound,
-            "rademacher_bound": self.rademacher_bound,
-            "rademacher_complexity_term": self.rademacher_complexity_term,
-            "rademacher_confidence_term": self.rademacher_confidence_term,
-            "model_output_cap": self.model_output_cap,
-            "variant": self.variant,
-            "stats": self.stats.to_dict(),
-            "inputs": self.inputs.to_dict(),
-        }
+        """The report as JSON data, as report.json echoes it."""
+        return to_json_value(self)
 
 
 def bound_report(

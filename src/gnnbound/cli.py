@@ -21,13 +21,15 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .bounds import DEFAULT_DELTA, BoundInputs, bound_report
+from .bounds import BoundInputs, bound_report
 from .data import (
     DatasetFormatError,
     ValidationError,
     dataset_stats,
     save_dataset,
+    to_json_value,
     train_size,
 )
 from .filters import FilterKind, filter_norm_report
@@ -38,14 +40,7 @@ from .report import (
     emit_reports,
     read_rows_csv,
 )
-from .sweep import (
-    DEFAULT_BETAS,
-    DEFAULT_SEEDS,
-    DEFAULT_WIDTHS,
-    SweepConfig,
-    resolve_dataset,
-    run_sweep_on,
-)
+from .sweep import SweepConfig, resolve_dataset, run_sweep_on
 from .synth import (
     PRESET_NAMES,
     ErSpec,
@@ -84,192 +79,180 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(path.read_text(), source=str(path))
 
 
-class ConfigView:
-    """Typed access to parsed key=value pairs with unknown-key rejection."""
+class Parser(NamedTuple):
+    """Turns a config value's text into a field value; what names the
+    expected form in the error for text that convert rejects (ValueError)."""
 
-    def __init__(self, values: dict[str, str], allowed: set[str], source: str):
-        unknown = sorted(set(values) - allowed)
-        if unknown:
-            raise ConfigError(
-                f"{source}: unknown keys {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(allowed))})"
-            )
-        self._values = values
-        self._source = source
-
-    def _raw(self, key: str, default):
-        if key in self._values:
-            return self._values[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self._source}: missing required key {key!r}")
-        return default
-
-    def get_str(self, key: str, default=None) -> str | None:
-        value = self._raw(key, default)
-        return value
-
-    def get_float(self, key: str, default=None) -> float | None:
-        value = self._raw(key, default)
-        if value is None or isinstance(value, float):
-            return value
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{self._source}: {key} must be a number, got {value!r}") from exc
-
-    def get_int(self, key: str, default=None) -> int | None:
-        value = self._raw(key, default)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{self._source}: {key} must be an integer, got {value!r}") from exc
-
-    def get_bool(self, key: str, default=None) -> bool | None:
-        value = self._raw(key, default)
-        if value is None or isinstance(value, bool):
-            return value
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self._source}: {key} must be true/false, got {value!r}")
-
-    def _split(self, key: str) -> list[str]:
-        return [part.strip() for part in self._values[key].split(",") if part.strip()]
-
-    def get_floats(self, key: str, default: tuple) -> tuple[float, ...]:
-        if key not in self._values:
-            return default
-        try:
-            return tuple(float(part) for part in self._split(key))
-        except ValueError as exc:
-            raise ConfigError(f"{self._source}: {key} must be comma-separated numbers") from exc
-
-    def get_ints(self, key: str, default: tuple) -> tuple[int, ...]:
-        if key not in self._values:
-            return default
-        try:
-            return tuple(int(part) for part in self._split(key))
-        except ValueError as exc:
-            raise ConfigError(f"{self._source}: {key} must be comma-separated integers") from exc
-
-    def get_enums(self, key: str, enum_cls, default: tuple) -> tuple:
-        if key not in self._values:
-            return default
-        return tuple(_enum_value(enum_cls, part, key) for part in self._split(key))
+    what: str
+    convert: Callable[[str], object]
 
 
-_REQUIRED = object()
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
 
 
-def _enum_value(enum_cls, text: str, what: str):
-    try:
-        return enum_cls(text)
-    except ValueError as exc:
-        choices = ", ".join(member.value for member in enum_cls)
-        raise ConfigError(f"{what} must be one of: {choices} (got {text!r})") from exc
+def _enum(enum_cls) -> Parser:
+    return Parser(f"one of: {', '.join(member.value for member in enum_cls)}", enum_cls)
 
 
-_DATA_KEYS = {"dataset", "data_seed", "n_graphs", "feature_dim"}
-_HYPER_KEYS = {"lr", "momentum", "alpha", "batch_size", "epochs"}
-_BOUND_KEYS = {"delta", "bounded"}
-_TRAIN_CMD_KEYS = _DATA_KEYS | _HYPER_KEYS | _BOUND_KEYS | {
-    "beta",
-    "model",
-    "filter",
-    "readout",
-    "width",
-    "seed",
+def _one(parser: Parser) -> Parser:
+    """A single value for a field that holds a tuple."""
+    return Parser(parser.what, lambda text: (parser.convert(text),))
+
+
+def _many(parser: Parser) -> Parser:
+    def convert(text: str) -> tuple:
+        return tuple(parser.convert(part.strip()) for part in text.split(",") if part.strip())
+
+    return Parser(f"comma-separated, each {parser.what}", convert)
+
+
+def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(p) for p in row.replace(",", " ").split()) for row in text.split(";"))
+
+
+_TEXT = Parser("text", str)
+_FLOAT = Parser("a number", float)
+_INT = Parser("an integer", int)
+_BOOL = Parser("true/false", _bool)
+
+# A key table maps each config key to the (dataclass field, parser) it sets; a
+# key missing from the file leaves the field at its dataclass default.
+KeyTable = dict[str, tuple[str, Parser]]
+
+# Keys that train and sweep share: SweepConfig fields, or TrainConfig fields
+# of its train config.
+_SHARED_TABLE: KeyTable = {
+    "dataset": ("dataset", _TEXT),
+    "lr": ("learning_rate", _FLOAT),
+    "momentum": ("momentum", _FLOAT),
+    "alpha": ("alpha", _FLOAT),
+    "batch_size": ("batch_size", _INT),
+    "epochs": ("epochs", _INT),
+    "delta": ("delta", _FLOAT),
+    "bounded": ("bounded_nonlinearity", _BOOL),
+    "data_seed": ("data_seed", _INT),
+    "n_graphs": ("n_graphs", _INT),
+    "feature_dim": ("feature_dim", _INT),
 }
-_SWEEP_CMD_KEYS = _DATA_KEYS | _HYPER_KEYS | _BOUND_KEYS | {
-    "betas",
-    "widths",
-    "seeds",
-    "models",
-    "filters",
-    "readouts",
-    "workers",
+TRAIN_TABLE: KeyTable = {
+    **_SHARED_TABLE,
+    "beta": ("betas", _one(_FLOAT)),
+    "model": ("models", _one(_enum(ModelKind))),
+    "filter": ("filters", _one(_enum(FilterKind))),
+    "readout": ("readouts", _one(_enum(Readout))),
+    "width": ("widths", _one(_INT)),
+    "seed": ("seeds", _one(_INT)),
 }
-_BOUNDS_CMD_KEYS = _BOUND_KEYS | {
-    "beta",
-    "filter",
-    "readout",
-    "alpha",
-    "data_seed",
-    "n_graphs",
-    "feature_dim",
+SWEEP_TABLE: KeyTable = {
+    **_SHARED_TABLE,
+    "betas": ("betas", _many(_FLOAT)),
+    "models": ("models", _many(_enum(ModelKind))),
+    "filters": ("filters", _many(_enum(FilterKind))),
+    "readouts": ("readouts", _many(_enum(Readout))),
+    "widths": ("widths", _many(_INT)),
+    "seeds": ("seeds", _many(_INT)),
+    "workers": ("workers", _INT),
 }
-_GEN_DATA_KEYS = {
-    "model",
-    "block_sizes",
-    "edge_prob",
-    "nodes",
-    "n_graphs",
-    "feature_dim",
-    "name",
-    "seed",
-}
-
-
-def _train_config(view: ConfigView) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=view.get_float("lr", 0.005),
-        momentum=view.get_float("momentum", 0.9),
-        alpha=view.get_float("alpha", 100.0),
-        batch_size=view.get_int("batch_size", 128),
-        epochs=view.get_int("epochs", 200),
+BOUNDS_TABLE: KeyTable = {
+    key: TRAIN_TABLE[key]
+    for key in (
+        "beta", "filter", "readout", "alpha", "delta", "bounded", "data_seed", "n_graphs",
+        "feature_dim",
     )
+}
+# The one-point grid of train and bounds, where SweepConfig's defaults span
+# several values.
+_TRAIN_DEFAULTS = {"betas": (0.7,), "widths": (64,), "seeds": (0,)}
+
+# gen-data spec files: the model key picks the table and the spec dataclass;
+# the other keys set SynthConfig fields.
+_SYNTH_TABLE: KeyTable = {
+    "n_graphs": ("n_graphs", _INT),
+    "feature_dim": ("feature_dim", _INT),
+    "name": ("name", _TEXT),
+    "seed": ("seed", _INT),
+}
+SPEC_TABLES: dict[str, KeyTable] = {
+    "sbm": {
+        **_SYNTH_TABLE,
+        "block_sizes": ("block_sizes", _many(_INT)),
+        "edge_prob": ("edge_prob", Parser("rows of numbers separated by ';'", _matrix)),
+    },
+    "er": {**_SYNTH_TABLE, "nodes": ("node_count", _INT), "edge_prob": ("edge_prob", _FLOAT)},
+}
+_SPEC_CLASSES = {"sbm": SbmSpec, "er": ErSpec}
 
 
-def _data_settings(view: ConfigView) -> dict:
-    return {
-        "data_seed": view.get_int("data_seed", 0),
-        "n_graphs": view.get_int("n_graphs", 200),
-        "feature_dim": view.get_int("feature_dim", 16),
-    }
+def read_config(values: dict[str, str], table: KeyTable, source: str) -> dict[str, object]:
+    """Field values for the keys in values, parsed as table says.
+
+    Raises ConfigError naming the key for an unknown key or unparseable text.
+    """
+    unknown = sorted(set(values) - set(table))
+    if unknown:
+        raise ConfigError(
+            f"{source}: unknown keys {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(table))})"
+        )
+    fields = {}
+    for key, text in values.items():
+        field, parser = table[key]
+        try:
+            fields[field] = parser.convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {key} must be {parser.what}, got {text!r}") from exc
+    return fields
+
+
+def _build(cls, fields: dict, table: KeyTable, source: str):
+    """cls from the entries of fields that are its own; every other field of
+    cls keeps its default, and one without a default is a missing key."""
+    own = {}
+    for field in dataclasses.fields(cls):
+        if field.name in fields:
+            own[field.name] = fields[field.name]
+        elif field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+            key = next(key for key, (name, _) in table.items() if name == field.name)
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    return cls(**own)
+
+
+def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
+    """SweepConfig from the config file at path (None: no keys), read with
+    table; preset fields hold where the file sets no key for them."""
+    source = str(path or "defaults")
+    fields = {**preset, **read_config(parse_config_file(path) if path else {}, table, source)}
+    train = _build(TrainConfig, fields, table, source)
+    return _build(SweepConfig, {**fields, "train": train}, table, source)
 
 
 def _synth_config_from_file(path: Path, seed_override: int | None) -> SynthConfig:
-    view = ConfigView(parse_config_file(path), _GEN_DATA_KEYS, str(path))
-    kind = view.get_str("model", _REQUIRED)
-    if kind == "sbm":
-        sizes = view.get_ints("block_sizes", ())
-        if not sizes:
-            raise ConfigError(f"{path}: sbm spec needs block_sizes")
-        prob_text = view.get_str("edge_prob", _REQUIRED)
-        rows = []
-        for row_text in prob_text.split(";"):
-            parts = [p for p in row_text.replace(",", " ").split() if p]
-            try:
-                rows.append(tuple(float(p) for p in parts))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: edge_prob must be numeric rows") from exc
-        model = SbmSpec(block_sizes=sizes, edge_prob=tuple(rows))
-    elif kind == "er":
-        model = ErSpec(
-            node_count=view.get_int("nodes", _REQUIRED),
-            edge_prob=view.get_float("edge_prob", _REQUIRED),
-        )
-    else:
-        raise ConfigError(f"{path}: model must be 'sbm' or 'er', got {kind!r}")
-    seed = seed_override if seed_override is not None else view.get_int("seed", 0)
-    return SynthConfig(
-        model=model,
-        n_graphs=view.get_int("n_graphs", 200),
-        feature_dim=view.get_int("feature_dim", 16),
-        seed=seed,
-        name=view.get_str("name", Path(path).stem),
-    )
+    source = str(path)
+    values = parse_config_file(path)
+    kind = values.pop("model", None)
+    if kind is None:
+        raise ConfigError(f"{source}: missing required key 'model'")
+    if kind not in SPEC_TABLES:
+        raise ConfigError(f"{source}: model must be one of: sbm, er, got {kind!r}")
+    table = SPEC_TABLES[kind]
+    fields = {"name": path.stem, **read_config(values, table, source)}
+    if seed_override is not None:
+        fields["seed"] = seed_override
+    fields["model"] = _build(_SPEC_CLASSES[kind], fields, table, source)
+    return _build(SynthConfig, fields, table, source)
 
 
 def cmd_gen_data(args) -> int:
     if args.source in PRESET_NAMES:
         config = preset_config(
             args.source,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed if args.seed is not None else SynthConfig.seed,
             n_graphs=args.n_graphs,
             feature_dim=args.feature_dim,
         )
@@ -295,54 +278,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _sweep_config_from_view(view: ConfigView, workers: int) -> SweepConfig:
-    return SweepConfig(
-        dataset=view.get_str("dataset", _REQUIRED),
-        betas=view.get_floats("betas", DEFAULT_BETAS),
-        widths=view.get_ints("widths", DEFAULT_WIDTHS),
-        seeds=view.get_ints("seeds", DEFAULT_SEEDS),
-        models=view.get_enums("models", ModelKind, (ModelKind.GCN,)),
-        filters=view.get_enums("filters", FilterKind, (FilterKind.SYM_NORM,)),
-        readouts=view.get_enums("readouts", Readout, (Readout.MEAN,)),
-        train=_train_config(view),
-        delta=view.get_float("delta", DEFAULT_DELTA),
-        bounded_nonlinearity=view.get_bool("bounded", True),
-        workers=workers,
-        **_data_settings(view),
-    )
+def _resolve(config: SweepConfig):
+    return resolve_dataset(config.dataset, config.data_seed, config.n_graphs, config.feature_dim)
 
 
 def cmd_train(args) -> int:
-    view = ConfigView(parse_config_file(args.config), _TRAIN_CMD_KEYS, str(args.config))
-    config = SweepConfig(
-        dataset=view.get_str("dataset", _REQUIRED),
-        betas=(view.get_float("beta", 0.7),),
-        widths=(view.get_int("width", 64),),
-        seeds=(view.get_int("seed", 0),),
-        models=(_enum_value(ModelKind, view.get_str("model", "gcn"), "model"),),
-        filters=(_enum_value(FilterKind, view.get_str("filter", "sym-norm"), "filter"),),
-        readouts=(_enum_value(Readout, view.get_str("readout", "mean"), "readout"),),
-        train=_train_config(view),
-        delta=view.get_float("delta", DEFAULT_DELTA),
-        bounded_nonlinearity=view.get_bool("bounded", True),
-        **_data_settings(view),
-    )
-    dataset = resolve_dataset(
-        config.dataset, config.data_seed, config.n_graphs, config.feature_dim
-    )
-    row = run_sweep_on(dataset, config)[0]
+    config = _sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS)
+    row = run_sweep_on(_resolve(config), config)[0]
     for column in ROW_COLUMNS:
         print(f"{column} = {getattr(row, column)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    view = ConfigView(parse_config_file(args.config), _SWEEP_CMD_KEYS, str(args.config))
-    workers = args.workers if args.workers is not None else view.get_int("workers", 1)
-    config = _sweep_config_from_view(view, workers)
-    dataset = resolve_dataset(
-        config.dataset, config.data_seed, config.n_graphs, config.feature_dim
-    )
+    config = _sweep_config(args.config, SWEEP_TABLE)
+    if args.workers is not None:
+        config = dataclasses.replace(config, workers=args.workers)
+    dataset = _resolve(config)
     stats = dataset_stats(dataset)
     filter_reports = {
         kind: filter_norm_report(dataset, kind) for kind in dict.fromkeys(config.filters)
@@ -351,60 +303,59 @@ def cmd_sweep(args) -> int:
     written = emit_reports(
         rows, args.out, config=config, stats=stats, filter_reports=filter_reports
     )
-    print(f"{len(rows)} rows -> {args.out}")
-    for name in sorted(written):
-        print(f"  {written[name]}")
+    _print_written(rows, args.out, written)
     return 0
 
 
+def _print_written(rows, out, written) -> None:
+    print(f"{len(rows)} rows -> {out}")
+    for name in sorted(written):
+        print(f"  {written[name]}")
+
+
+def _print_json(value) -> None:
+    print(json.dumps(to_json_value(value), indent=2, allow_nan=False))
+
+
 def cmd_bounds(args) -> int:
-    values = parse_config_file(args.config) if args.config else {}
-    view = ConfigView(values, _BOUNDS_CMD_KEYS, str(args.config or "defaults"))
+    config = _sweep_config(args.config, BOUNDS_TABLE, **_TRAIN_DEFAULTS, dataset=args.dataset)
     params = load_params(args.params)
-    data_settings = _data_settings(view)
-    dataset = resolve_dataset(args.dataset, **data_settings)
+    dataset = _resolve(config)
     stats = dataset_stats(dataset)
-    filter_kind = _enum_value(FilterKind, view.get_str("filter", "sym-norm"), "filter")
-    readout = _enum_value(Readout, view.get_str("readout", "mean"), "readout")
-    n_train = train_size(len(dataset), view.get_float("beta", 0.7))
-    filter_report = filter_norm_report(dataset, filter_kind)
-    model_kind = ModelKind.GCN if isinstance(params, GcnParams) else ModelKind.MPGNN
+    filter_kind, readout = config.filters[0], config.readouts[0]
     model_config = ModelConfig(
-        model_kind=model_kind,
+        model_kind=ModelKind.GCN if isinstance(params, GcnParams) else ModelKind.MPGNN,
         filter_kind=filter_kind,
         width=params.width,
         readout=readout,
     )
     inputs = BoundInputs(
-        n_train=n_train,
-        alpha=view.get_float("alpha", 100.0),
+        n_train=train_size(len(dataset), config.betas[0]),
+        alpha=config.train.alpha,
         n_max=stats.n_max,
         b_f=stats.b_f,
-        g_max=filter_report.g_max,
+        g_max=filter_norm_report(dataset, filter_kind).g_max,
         readout=readout,
-        delta=view.get_float("delta", DEFAULT_DELTA),
+        delta=config.delta,
     )
-    report = bound_report(params, model_config, inputs, view.get_bool("bounded", True))
-    print(json.dumps(report.to_dict(), indent=2))
+    _print_json(bound_report(params, model_config, inputs, config.bounded_nonlinearity))
     return 0
 
 
 def cmd_filters(args) -> int:
-    dataset = resolve_dataset(
-        args.dataset, args.seed if args.seed is not None else 0, args.n_graphs, args.feature_dim
-    )
-    kind = _enum_value(FilterKind, args.kind, "--kind")
-    report = filter_norm_report(dataset, kind)
-    print(json.dumps(report.to_dict(), indent=2))
+    parser = _enum(FilterKind)
+    try:
+        kind = parser.convert(args.kind)
+    except ValueError as exc:
+        raise ConfigError(f"--kind must be {parser.what}, got {args.kind!r}") from exc
+    dataset = resolve_dataset(args.dataset, args.seed, args.n_graphs, args.feature_dim)
+    _print_json(filter_norm_report(dataset, kind))
     return 0
 
 
 def cmd_report(args) -> int:
     rows = read_rows_csv(args.rows)
-    written = emit_reports(rows, args.out)
-    print(f"{len(rows)} rows -> {args.out}")
-    for name in sorted(written):
-        print(f"  {written[name]}")
+    _print_written(rows, args.out, emit_reports(rows, args.out))
     return 0
 
 
@@ -419,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("source", help=f"preset ({', '.join(PRESET_NAMES)}) or generator spec file")
     gen.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
     gen.add_argument("--out", required=True, help="output dataset JSON path")
-    gen.add_argument("--n-graphs", type=int, default=200, dest="n_graphs")
-    gen.add_argument("--feature-dim", type=int, default=16, dest="feature_dim")
+    gen.add_argument("--n-graphs", type=int, default=SynthConfig.n_graphs, dest="n_graphs")
+    gen.add_argument("--feature-dim", type=int, default=SynthConfig.feature_dim, dest="feature_dim")
     gen.add_argument(
         "--override-size",
         action="store_true",
@@ -447,9 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     fi = sub.add_parser("filters", help="filter norm report for a dataset")
     fi.add_argument("--dataset", required=True, help="preset name or dataset JSON path")
     fi.add_argument("--kind", required=True, help="sym-norm | random-walk | mean-agg | sum-agg")
-    fi.add_argument("--seed", type=int, default=None, help="preset generation seed (default 0)")
-    fi.add_argument("--n-graphs", type=int, default=200, dest="n_graphs")
-    fi.add_argument("--feature-dim", type=int, default=16, dest="feature_dim")
+    fi.add_argument(
+        "--seed",
+        type=int,
+        default=SweepConfig.data_seed,
+        help="preset generation seed (default %(default)s)",
+    )
+    fi.add_argument("--n-graphs", type=int, default=SweepConfig.n_graphs, dest="n_graphs")
+    fi.add_argument("--feature-dim", type=int, default=SweepConfig.feature_dim, dest="feature_dim")
     fi.set_defaults(handler=cmd_filters)
 
     rep = sub.add_parser("report", help="re-aggregate and re-plot a rows.csv")

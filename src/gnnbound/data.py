@@ -14,11 +14,17 @@ Datasets persist as a single JSON document:
 
 with 0-based edge pairs i < j. Floats are written with shortest round-trip
 formatting, so save -> load reproduces feature values bit-identically.
+
+`to_json_value` is the package's one JSON codec for its result dataclasses
+(report.json, the bounds and filters command output).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -218,6 +224,25 @@ def split_dataset(
         GraphDataset.from_samples(train, name=dataset.name),
         GraphDataset.from_samples(test, name=dataset.name),
     )
+
+
+def to_json_value(value):
+    """value as plain JSON data: dataclasses become objects in field order,
+    enums their values, tuples lists, and non-finite floats null."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            field.name: to_json_value(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: to_json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _sample_to_record(sample: GraphSample) -> dict:

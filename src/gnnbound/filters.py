@@ -51,17 +51,6 @@ class FilterNormReport:
     inf_bound: float | None
     fro_bound: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "inf_norm_max": self.inf_norm_max,
-            "fro_norm_max": self.fro_norm_max,
-            "g_max": self.g_max,
-            "rank_max": self.rank_max,
-            "inf_bound": self.inf_bound,
-            "fro_bound": self.fro_bound,
-        }
-
 
 def apply_filter(kind: FilterKind, sample: GraphSample) -> np.ndarray:
     """Dense N x N filter matrix for the sample's adjacency.

@@ -17,49 +17,18 @@ import csv
 import dataclasses
 import json
 import math
+import re
+import typing
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import Sequence
 
 from .bounds import BoundInputs, ModelStats, fd_bound, rademacher_bound
-from .data import DatasetStats
+from .data import DatasetStats, to_json_value
 from .filters import FilterKind, FilterNormReport
 from .models import ModelConfig, ModelKind, Readout
 from .sweep import SweepConfig, SweepRow
-
-ROW_COLUMNS = (
-    "dataset",
-    "beta",
-    "model",
-    "filter",
-    "readout",
-    "width",
-    "seed",
-    "train_risk",
-    "test_risk",
-    "abs_gen_error",
-    "fd_bound",
-    "rademacher_bound",
-    "wall_time_s",
-)
-
-SUMMARY_COLUMNS = (
-    "dataset",
-    "beta",
-    "model",
-    "filter",
-    "readout",
-    "width",
-    "n_seeds",
-    "mean_train_risk",
-    "mean_test_risk",
-    "mean_abs_gen_error",
-    "std_abs_gen_error",
-    "mean_fd_bound",
-    "std_fd_bound",
-    "mean_rademacher_bound",
-    "std_rademacher_bound",
-)
 
 
 class ReportFormatError(ValueError):
@@ -68,7 +37,11 @@ class ReportFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Per-coordinate aggregate over seeds (sample std, n-1 denominator)."""
+    """Per-coordinate aggregate over seeds (sample std, n-1 denominator).
+
+    Means and stds are taken over the n_seeds - n_diverged seeds that did not
+    diverge; a group in which every seed diverged has NaN means and stds.
+    """
 
     dataset: str
     beta: float
@@ -77,6 +50,7 @@ class SummaryRow:
     readout: str
     width: int
     n_seeds: int
+    n_diverged: int
     mean_train_risk: float
     mean_test_risk: float
     mean_abs_gen_error: float
@@ -87,17 +61,22 @@ class SummaryRow:
     std_rademacher_bound: float
 
 
+ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow) if field.name != "bounds")
+SUMMARY_COLUMNS = tuple(field.name for field in dataclasses.fields(SummaryRow))
+_ROW_TYPES = typing.get_type_hints(SweepRow)
+
+
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
 
 
 def _mean(values: Sequence[float]) -> float:
+    if not values:
+        return math.nan
     ordered = sorted(values)
     return sum(ordered) / len(ordered)
 
@@ -105,20 +84,38 @@ def _mean(values: Sequence[float]) -> float:
 def _sample_std(values: Sequence[float]) -> float:
     """Sample standard deviation (n-1 denominator); 0 for a single value."""
     if len(values) < 2:
-        return 0.0
+        return 0.0 if values else math.nan
     ordered = sorted(values)
     center = sum(ordered) / len(ordered)
     return math.sqrt(sum((v - center) ** 2 for v in ordered) / (len(ordered) - 1))
 
 
-def write_rows_csv(rows: Sequence[SweepRow], path) -> Path:
+def _csv_line(cells) -> str:
+    """One CSV line. A cell with a comma, a quote or a line break is quoted:
+    csv.writer with "\n" line ends leaves a lone "\r" bare, which splits the
+    row when it is read back."""
+    quoted = (
+        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
+        for cell in cells
+    )
+    return ",".join(quoted) + "\n"
+
+
+def _write_csv(rows, columns: tuple[str, ...], path) -> Path:
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ROW_COLUMNS)
+        handle.write(_csv_line(columns))
         for row in rows:
-            writer.writerow([_format_cell(getattr(row, column)) for column in ROW_COLUMNS])
+            handle.write(_csv_line(_format_cell(getattr(row, column)) for column in columns))
     return path
+
+
+def write_rows_csv(rows: Sequence[SweepRow], path) -> Path:
+    return _write_csv(rows, ROW_COLUMNS, path)
+
+
+def write_summary_csv(summary: Sequence[SummaryRow], path) -> Path:
+    return _write_csv(summary, SUMMARY_COLUMNS, path)
 
 
 def read_rows_csv(path) -> list[SweepRow]:
@@ -135,23 +132,9 @@ def read_rows_csv(path) -> list[SweepRow]:
             if len(record) != len(ROW_COLUMNS):
                 raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
             try:
-                rows.append(
-                    SweepRow(
-                        dataset=record[0],
-                        beta=float(record[1]),
-                        model=record[2],
-                        filter=record[3],
-                        readout=record[4],
-                        width=int(record[5]),
-                        seed=int(record[6]),
-                        train_risk=float(record[7]),
-                        test_risk=float(record[8]),
-                        abs_gen_error=float(record[9]),
-                        fd_bound=float(record[10]),
-                        rademacher_bound=float(record[11]),
-                        wall_time_s=float(record[12]),
-                    )
-                )
+                rows.append(SweepRow(**{
+                    column: _ROW_TYPES[column](cell) for column, cell in zip(ROW_COLUMNS, record)
+                }))
             except ValueError as exc:
                 raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
     return rows
@@ -162,6 +145,7 @@ def aggregate(rows: Sequence[SweepRow]) -> list[SummaryRow]:
 
     Groups are keyed by every coordinate except seed and returned in canonical
     lexicographic order; the result does not depend on the input row order.
+    Diverged seeds are counted, not averaged in.
     """
     if not rows:
         raise ValueError("cannot aggregate an empty row list")
@@ -172,53 +156,23 @@ def aggregate(rows: Sequence[SweepRow]) -> list[SummaryRow]:
     summary = []
     for key in sorted(groups):
         members = groups[key]
+        kept = [r for r in members if not r.diverged]
         summary.append(
             SummaryRow(
-                dataset=key[0],
-                beta=key[1],
-                model=key[2],
-                filter=key[3],
-                readout=key[4],
-                width=key[5],
+                *key,
                 n_seeds=len(members),
-                mean_train_risk=_mean([r.train_risk for r in members]),
-                mean_test_risk=_mean([r.test_risk for r in members]),
-                mean_abs_gen_error=_mean([r.abs_gen_error for r in members]),
-                std_abs_gen_error=_sample_std([r.abs_gen_error for r in members]),
-                mean_fd_bound=_mean([r.fd_bound for r in members]),
-                std_fd_bound=_sample_std([r.fd_bound for r in members]),
-                mean_rademacher_bound=_mean([r.rademacher_bound for r in members]),
-                std_rademacher_bound=_sample_std([r.rademacher_bound for r in members]),
+                n_diverged=len(members) - len(kept),
+                mean_train_risk=_mean([r.train_risk for r in kept]),
+                mean_test_risk=_mean([r.test_risk for r in kept]),
+                mean_abs_gen_error=_mean([r.abs_gen_error for r in kept]),
+                std_abs_gen_error=_sample_std([r.abs_gen_error for r in kept]),
+                mean_fd_bound=_mean([r.fd_bound for r in kept]),
+                std_fd_bound=_sample_std([r.fd_bound for r in kept]),
+                mean_rademacher_bound=_mean([r.rademacher_bound for r in kept]),
+                std_rademacher_bound=_sample_std([r.rademacher_bound for r in kept]),
             )
         )
     return summary
-
-
-def write_summary_csv(summary: Sequence[SummaryRow], path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            writer.writerow([_format_cell(getattr(row, column)) for column in SUMMARY_COLUMNS])
-    return path
-
-
-def _row_record(row: SweepRow) -> dict:
-    record = {column: getattr(row, column) for column in ROW_COLUMNS}
-    record["bounds"] = row.bounds.to_dict() if row.bounds is not None else None
-    return record
-
-
-def _finite_or_null(value):
-    """value with every non-finite float in it replaced by None (JSON null)."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value
 
 
 def write_report_json(
@@ -236,12 +190,12 @@ def write_report_json(
     """
     path = Path(path)
     document = {
-        "config": config.to_dict(),
-        "dataset_stats": dataclasses.asdict(stats),
-        "filters": {kind.value: report.to_dict() for kind, report in filter_reports.items()},
-        "rows": [_row_record(row) for row in rows],
+        "config": config,
+        "dataset_stats": stats,
+        "filters": {kind.value: report for kind, report in filter_reports.items()},
+        "rows": list(rows),
     }
-    text = json.dumps(_finite_or_null(document), indent=2, allow_nan=False)
+    text = json.dumps(to_json_value(document), indent=2, allow_nan=False)
     path.write_text(text + "\n")
     return path
 
@@ -260,22 +214,8 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
             for key in ("dataset", "beta", "model", "filter", "readout", "width", "seed")
         )
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
-    inputs_echo = echo["inputs"]
-    stats_echo = echo["stats"]
-    inputs = BoundInputs(
-        n_train=inputs_echo["n_train"],
-        alpha=inputs_echo["alpha"],
-        n_max=inputs_echo["n_max"],
-        b_f=inputs_echo["b_f"],
-        g_max=inputs_echo["g_max"],
-        readout=Readout(inputs_echo["readout"]),
-        delta=inputs_echo["delta"],
-    )
-    stats = ModelStats(
-        w1_row_norm_max=stats_echo["w1_row_norm_max"],
-        w2_abs_max=stats_echo["w2_abs_max"],
-        w3_row_norm_max=stats_echo["w3_row_norm_max"],
-    )
+    inputs = BoundInputs(**{**echo["inputs"], "readout": Readout(echo["inputs"]["readout"])})
+    stats = ModelStats(**echo["stats"])
     config = ModelConfig(
         model_kind=ModelKind(record["model"]),
         filter_kind=FilterKind(record["filter"]),
@@ -353,7 +293,7 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{_px(_SVG_WIDTH / 2)}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_px(_SVG_WIDTH / 2)}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -428,7 +368,7 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
             f'<line x1="{_px(lx)}" y1="{_px(legend_y)}" x2="{_px(lx + 22)}" y2="{_px(legend_y)}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{_px(lx + 28)}" y="{_px(legend_y + 4)}">{name}</text>')
+        parts.append(f'<text x="{_px(lx + 28)}" y="{_px(legend_y + 4)}">{escape(name)}</text>')
         legend_y += 18
 
     parts.append("</svg>")
@@ -436,7 +376,9 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
 
 
 def _svg_filename(dataset: str, beta: float, model: str, readout: str) -> str:
-    return f"{dataset}_beta{beta:g}_{model}_{readout}.svg"
+    """The plot's file name, with every character outside [A-Za-z0-9._-]
+    mapped to "_" so that no dataset name can pick a directory."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", f"{dataset}_beta{beta:g}_{model}_{readout}.svg")
 
 
 def write_trend_svgs(summary: Sequence[SummaryRow], out_dir) -> list[Path]:

@@ -75,31 +75,15 @@ class SweepConfig:
             raise ValueError("betas must lie strictly between 0 and 1")
         if self.n_graphs < 2:
             raise ValueError("n_graphs must be >= 2 (the split needs both sides)")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie strictly between 0 and 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "betas": list(self.betas),
-            "widths": list(self.widths),
-            "seeds": list(self.seeds),
-            "models": [m.value for m in self.models],
-            "filters": [f.value for f in self.filters],
-            "readouts": [r.value for r in self.readouts],
-            "train": dataclasses.asdict(self.train),
-            "delta": self.delta,
-            "bounded_nonlinearity": self.bounded_nonlinearity,
-            "data_seed": self.data_seed,
-            "n_graphs": self.n_graphs,
-            "feature_dim": self.feature_dim,
-            "workers": self.workers,
-        }
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One completed run. Field order up to wall_time_s is the CSV column order.
+    """One completed run. Every field but bounds is a rows.csv column, in order.
 
     bounds carries the full bound report for the JSON echo; it is None for
     rows parsed back from CSV and for diverged runs (whose metrics are NaN).

@@ -18,6 +18,7 @@ from gnnbound.bounds import (
     rademacher_bound,
     rademacher_terms,
 )
+from gnnbound.data import to_json_value
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -301,15 +302,16 @@ class TestBoundReport:
         )
         assert report.variant == "mpgnn-bounded-sum"
 
-    def test_to_dict_echoes_inputs_and_stats(self):
+    def test_json_value_echoes_inputs_and_stats(self):
         params = init_params(GCN, 3, seed=1)
         report = bound_report(params, GCN, inputs_for(g_max=1.5))
-        d = report.to_dict()
+        d = to_json_value(report)
         assert d["inputs"]["g_max"] == 1.5
         assert d["inputs"]["n_train"] == 140
         assert d["stats"]["w2_abs_max"] == report.stats.w2_abs_max
         assert d["fd_bound"] == report.fd_bound
         assert d["variant"] == report.variant
+        assert report.to_dict() == d
 
 
 class TestBoundInputsValidation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sample, sample_from_edges
-from gnnbound.data import GraphDataset, degrees, permute_sample
+from gnnbound.data import GraphDataset, degrees, permute_sample, to_json_value
 from gnnbound.filters import (
     FilterKind,
     apply_filter,
@@ -221,10 +221,10 @@ class TestNormReport:
             report = filter_norm_report(ds, kind)
             assert report.g_max == min(report.inf_norm_max, report.fro_norm_max)
 
-    def test_to_dict_round_trips_values(self, triangle):
+    def test_json_value_round_trips_values(self, triangle):
         ds = GraphDataset.from_samples([triangle], name="k3")
         report = filter_norm_report(ds, FilterKind.SYM_NORM)
-        d = report.to_dict()
+        d = to_json_value(report)
         assert d["kind"] == "sym-norm"
         assert d["g_max"] == report.g_max
         assert set(d) == {

@@ -1,0 +1,118 @@
+"""Property tests of the file formats and the config reader (hypothesis).
+
+No test here trains or generates data sized by a drawn value: a drawn config
+holds one unparseable value, so the command stops before any work.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gnnbound.cli import (
+    BOUNDS_TABLE,
+    SPEC_TABLES,
+    SWEEP_TABLE,
+    TRAIN_TABLE,
+    ConfigError,
+    main,
+    read_config,
+)
+from gnnbound.report import ROW_COLUMNS, read_rows_csv, write_rows_csv
+from gnnbound.sweep import SweepRow
+
+TABLES = {
+    "train": TRAIN_TABLE,
+    "sweep": SWEEP_TABLE,
+    "bounds": BOUNDS_TABLE,
+    **{f"gen-data {model}": table for model, table in SPEC_TABLES.items()},
+}
+
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0]
+)
+sweep_rows = st.builds(
+    SweepRow,
+    dataset=st.text() | st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\rlf\r\n", ""]),
+    beta=any_float,
+    model=st.text(),
+    filter=st.text(),
+    readout=st.text(),
+    width=st.integers(),
+    seed=st.integers(),
+    train_risk=any_float,
+    test_risk=any_float,
+    abs_gen_error=any_float,
+    fd_bound=any_float,
+    rademacher_bound=any_float,
+    wall_time_s=any_float,
+)
+
+
+def cells(row: SweepRow) -> list[str]:
+    """repr of every column: equal for equal values, nan and -0.0 included."""
+    return [repr(getattr(row, column)) for column in ROW_COLUMNS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sweep_rows, max_size=4))
+def test_rows_csv_round_trip_is_identity(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_rows_csv(rows, path)
+        back = read_rows_csv(path)
+    assert [cells(row) for row in back] == [cells(row) for row in rows]
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_value_parses_or_names_its_key(command, data):
+    table = TABLES[command]
+    key = data.draw(st.sampled_from(sorted(table)))
+    text = data.draw(st.text())
+    try:
+        fields = read_config({key: text}, table, "cfg")
+    except ConfigError as exc:
+        assert f"cfg: {key} must be" in str(exc)
+    else:
+        assert list(fields) == [table[key][0]]
+
+
+# Characters a one-line config value can hold once stripped: no line breaks.
+line_text = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1
+).map(str.strip)
+
+
+# The train keys whose text can fail to parse (every key but dataset).
+checked_train_keys = sorted(key for key, (_, parser) in TRAIN_TABLE.items() if parser.convert is not str)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_train_command_rejects_unparseable_value_with_key(data):
+    key = data.draw(st.sampled_from(checked_train_keys))
+    _, parser = TRAIN_TABLE[key]
+    text = data.draw(line_text.filter(lambda t: _rejects(parser, t)))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "train.cfg"
+        config.write_text(f"dataset = er5\n{key} = {text}\n")
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", str(config)]) == 1
+    assert err.getvalue().startswith("error: ") and f" {key} must be" in err.getvalue()
+
+
+def _rejects(parser, text: str) -> bool:
+    try:
+        parser.convert(text)
+    except ValueError:
+        return True
+    return False

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gnnbound.cli import main
-from gnnbound.data import dataset_stats
+from gnnbound.data import dataset_stats, to_json_value
 from gnnbound.filters import FilterKind, filter_norm_report
 from gnnbound.models import (
     GcnParams,
@@ -54,6 +54,20 @@ def tiny_config(**overrides) -> SweepConfig:
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
+
+
+def sweep_row(**overrides) -> SweepRow:
+    fields = dict(dataset="d", beta=0.7, model="gcn", filter="sym-norm", readout="mean",
+                  width=4, seed=0, train_risk=0.1, test_risk=0.2, abs_gen_error=0.1,
+                  fd_bound=0.5, rademacher_bound=1.5, wall_time_s=1.0)
+    fields.update(overrides)
+    return SweepRow(**fields)
+
+
+def diverged_row(**overrides) -> SweepRow:
+    nan = float("nan")
+    return sweep_row(train_risk=nan, test_risk=nan, abs_gen_error=nan, fd_bound=nan,
+                     rademacher_bound=nan, **overrides)
 
 
 def row_key(row: SweepRow) -> tuple:
@@ -165,13 +179,15 @@ class TestSweepConfigValidation:
         {"betas": (1.0,)},
         {"workers": 0},
         {"n_graphs": 1},
+        {"delta": 2.0},
+        {"delta": math.nan},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
 
-    def test_to_dict_is_json_ready(self):
-        text = json.dumps(tiny_config().to_dict())
+    def test_json_value_is_json_ready(self):
+        text = json.dumps(to_json_value(tiny_config()))
         assert "er5" in text
 
 
@@ -255,6 +271,18 @@ class TestAggregate:
         summary = aggregate(rows)
         assert [s.width for s in summary] == [4, 8]
 
+    def test_diverged_seeds_are_counted_not_averaged(self):
+        [s] = aggregate([self._row(4, 0, 0.1), diverged_row(seed=1)])
+        assert (s.n_seeds, s.n_diverged) == (2, 1)
+        assert s.mean_abs_gen_error == 0.1 and s.std_abs_gen_error == 0.0
+        assert s.mean_fd_bound == 0.5 and s.mean_rademacher_bound == 1.5
+
+    def test_group_of_diverged_seeds_has_nan_means(self):
+        [s] = aggregate([diverged_row(seed=0), diverged_row(seed=1)])
+        assert (s.n_seeds, s.n_diverged) == (2, 2)
+        assert math.isnan(s.mean_abs_gen_error) and math.isnan(s.mean_fd_bound)
+        assert "circle" not in trend_svg([s], title="t")
+
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
@@ -321,6 +349,15 @@ class TestEmitReports:
         with pytest.raises(ValueError, match="width=2, seed=0 diverged"):
             recompute_bounds_from_record(record)
 
+    @pytest.mark.parametrize("name", ["sub/dir", "../x"])
+    def test_dataset_name_cannot_choose_where_svgs_go(self, tmp_path, name):
+        out = tmp_path / "out"
+        paths = emit_reports([sweep_row(dataset=name)], out)
+        svgs = [path for key, path in paths.items() if key.endswith(".svg")]
+        assert len(svgs) == 1
+        for path in paths.values():
+            assert path.is_file() and path.resolve().parent == out.resolve()
+
     def test_svg_well_formed_with_series(self, emitted):
         _, paths = emitted
         svg_path = next(p for name, p in paths.items() if name.endswith(".svg"))
@@ -334,7 +371,7 @@ class TestEmitReports:
 class TestTrendSvg:
     def _summary(self, width, mean, std):
         return SummaryRow(dataset="d", beta=0.7, model="gcn", filter="sym-norm",
-                          readout="mean", width=width, n_seeds=2,
+                          readout="mean", width=width, n_seeds=2, n_diverged=0,
                           mean_train_risk=0.1, mean_test_risk=0.2,
                           mean_abs_gen_error=mean, std_abs_gen_error=std,
                           mean_fd_bound=0.5, std_fd_bound=0.0,
@@ -352,6 +389,12 @@ class TestTrendSvg:
     def test_title_embedded(self):
         svg = trend_svg([self._summary(4, 1e-4, 0.0)], title="my plot title")
         assert "my plot title" in svg
+
+    def test_markup_in_title_and_legend_is_escaped(self):
+        summary = aggregate([sweep_row(dataset="a<b & c", filter='x"<y>')])
+        root = ET.fromstring(trend_svg(summary, "a<b & c"))
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b & c" in texts and 'x"<y>' in texts
 
     def test_single_point_has_no_polyline(self):
         svg = trend_svg([self._summary(4, 1e-4, 0.0)], title="t")

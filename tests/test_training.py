@@ -325,6 +325,10 @@ class TestTrainConfigValidation:
         {"alpha": 0.0},
         {"batch_size": 0},
         {"epochs": -1},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
