@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import to_json_value
-from .models import ModelConfig, ModelKind, MpgnnParams, Params, Readout
+from .models import ModelConfig, ModelKind, Params, Readout
 
 DEFAULT_DELTA = 0.05
 # The logistic loss has |d loss / d yhat| <= 1 everywhere.
@@ -79,20 +79,12 @@ class BoundInputs:
 
 
 def extract_model_stats(params: Params) -> ModelStats:
-    w1_norms = np.linalg.norm(params.w1, axis=1)
-    stats = ModelStats(
-        w1_row_norm_max=float(w1_norms.max()),
+    w3 = getattr(params, "w3", None)
+    return ModelStats(
+        w1_row_norm_max=float(np.linalg.norm(params.w1, axis=1).max()),
         w2_abs_max=float(np.abs(params.w2).max()),
-        w3_row_norm_max=None,
+        w3_row_norm_max=None if w3 is None else float(np.linalg.norm(w3, axis=1).max()),
     )
-    if isinstance(params, MpgnnParams):
-        w3_norms = np.linalg.norm(params.w3, axis=1)
-        stats = ModelStats(
-            w1_row_norm_max=stats.w1_row_norm_max,
-            w2_abs_max=stats.w2_abs_max,
-            w3_row_norm_max=float(w3_norms.max()),
-        )
-    return stats
 
 
 def max_logistic_loss(output_bound: float) -> float:
@@ -171,7 +163,8 @@ class BoundReport:
 
     variant names the formula route taken, e.g. "gcn-bounded-mean": the model
     family, whether the bounded-nonlinearity cap was available, and the
-    readout. The report recomputes exactly from the echoed stats and inputs.
+    readout. The report recomputes exactly from the echoed stats, inputs and
+    model config.
     """
 
     fd_bound: float
@@ -182,6 +175,7 @@ class BoundReport:
     variant: str
     stats: ModelStats
     inputs: BoundInputs
+    config: ModelConfig
 
     def to_dict(self) -> dict:
         """The report as JSON data, as report.json echoes it."""
@@ -203,4 +197,5 @@ def bound_report(
         variant=f"{config.model_kind.value}-{form}-{inputs.readout.value}",
         stats=stats,
         inputs=inputs,
+        config=config,
     )

@@ -33,7 +33,7 @@ from .data import (
     train_size,
 )
 from .filters import FilterKind, filter_norm_report
-from .models import GcnParams, ModelConfig, ModelKind, Readout, load_params
+from .models import ModelConfig, ModelKind, Readout, load_params
 from .report import (
     ROW_COLUMNS,
     ReportFormatError,
@@ -210,17 +210,25 @@ def read_config(values: dict[str, str], table: KeyTable, source: str) -> dict[st
     return fields
 
 
+def _key(table: KeyTable, field: str) -> str | None:
+    return next((key for key, (name, _) in table.items() if name == field), None)
+
+
 def _build(cls, fields: dict, table: KeyTable, source: str):
     """cls from the entries of fields that are its own; every other field of
-    cls keeps its default, and one without a default is a missing key."""
+    cls keeps its default, and one without a default is a missing key. A value
+    cls rejects is named by the key of the field its error message starts with."""
     own = {}
     for field in dataclasses.fields(cls):
         if field.name in fields:
             own[field.name] = fields[field.name]
         elif field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
-            key = next(key for key, (name, _) in table.items() if name == field.name)
-            raise ConfigError(f"{source}: missing required key {key!r}")
-    return cls(**own)
+            raise ConfigError(f"{source}: missing required key {_key(table, field.name)!r}")
+    try:
+        return cls(**own)
+    except ValueError as exc:
+        key = _key(table, str(exc).split(" ", 1)[0])
+        raise ConfigError(f"{source}: {exc}" if key is None else f"{source}: {key}: {exc}") from exc
 
 
 def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
@@ -324,7 +332,7 @@ def cmd_bounds(args) -> int:
     stats = dataset_stats(dataset)
     filter_kind, readout = config.filters[0], config.readouts[0]
     model_config = ModelConfig(
-        model_kind=ModelKind.GCN if isinstance(params, GcnParams) else ModelKind.MPGNN,
+        model_kind=params.kind,
         filter_kind=filter_kind,
         width=params.width,
         readout=readout,

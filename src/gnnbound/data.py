@@ -16,15 +16,19 @@ with 0-based edge pairs i < j. Floats are written with shortest round-trip
 formatting, so save -> load reproduces feature values bit-identically.
 
 `to_json_value` is the package's one JSON codec for its result dataclasses
-(report.json, the bounds and filters command output).
+(report.json, the bounds and filters command output); `from_plain` is its
+inverse, which also reads CSV cells.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,8 +43,9 @@ class ValidationError(ValueError):
     """Data violates a structural invariant."""
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -54,8 +59,8 @@ class GraphSample:
     label: int
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", _frozen_array(self.adjacency))
-        object.__setattr__(self, "features", _frozen_array(self.features))
+        object.__setattr__(self, "adjacency", frozen_array(self.adjacency))
+        object.__setattr__(self, "features", frozen_array(self.features))
         object.__setattr__(self, "label", int(self.label))
         if self.adjacency.ndim != 2 or self.adjacency.shape[0] != self.adjacency.shape[1]:
             raise ValidationError("adjacency must be a square matrix")
@@ -243,6 +248,24 @@ def to_json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+# Resolving a class's string annotations costs far more than converting a row.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def from_plain(hint, value):
+    """value, as to_json_value writes it or as CSV text, converted to the type
+    hint: a dict to the hint's dataclass field by field, X | None as X, an
+    enum by its value; None stays None."""
+    if value is None:
+        return None
+    if isinstance(hint, types.UnionType):
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    if isinstance(value, dict):
+        hints = _type_hints(hint)
+        return hint(**{name: from_plain(hints[name], item) for name, item in value.items()})
+    return hint(value)
 
 
 def _sample_to_record(sample: GraphSample) -> dict:

@@ -17,14 +17,16 @@ where the readout psi is x/N (mean) or x (sum).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import GraphSample
+from .data import GraphSample, frozen_array
 from .filters import FilterKind, apply_filter
 
 
@@ -101,53 +103,26 @@ class ModelConfig:
         return self.activation if self.model_kind is ModelKind.GCN else self.kappa
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
-class GcnParams:
-    """h unit rows: w1 is h x k, w2 is an h-vector."""
+class UnitRows:
+    """h unit rows, one per hidden unit: w2 is an h-vector and every other
+    field an h x k matrix. A model's container declares its fields, in the
+    order init_params draws them, and its kind."""
+
+    kind: ClassVar[ModelKind]
 
     w1: np.ndarray
     w2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w1", _frozen(self.w1))
-        object.__setattr__(self, "w2", _frozen(self.w2))
-        if self.w1.ndim != 2 or self.w2.ndim != 1 or self.w1.shape[0] != self.w2.shape[0]:
-            raise ValueError("w1 must be h x k and w2 an h-vector")
-
-    @property
-    def width(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w1.shape[1]
-
-
-@dataclass(frozen=True)
-class MpgnnParams:
-    """h unit rows: w1 and w3 are h x k, w2 is an h-vector."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w1", _frozen(self.w1))
-        object.__setattr__(self, "w2", _frozen(self.w2))
-        object.__setattr__(self, "w3", _frozen(self.w3))
-        if (
-            self.w1.ndim != 2
-            or self.w3.shape != self.w1.shape
-            or self.w2.ndim != 1
-            or self.w1.shape[0] != self.w2.shape[0]
+        names = [f.name for f in dataclasses.fields(self)]
+        for name in names:
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+        w1 = self.w1
+        if w1.ndim != 2 or w1.shape[:1] != self.w2.shape or any(
+            getattr(self, name).shape != w1.shape for name in names if name != "w2"
         ):
-            raise ValueError("w1/w3 must be h x k and w2 an h-vector")
+            raise ValueError("w2 must be an h-vector and every other field an h x k matrix")
 
     @property
     def width(self) -> int:
@@ -156,70 +131,90 @@ class MpgnnParams:
     @property
     def feature_dim(self) -> int:
         return self.w1.shape[1]
+
+    def map(self, fn, *others):
+        """fn applied field by field to this container and others of its kind."""
+        return dataclasses.replace(self, **{
+            f.name: fn(getattr(self, f.name), *(getattr(o, f.name) for o in others))
+            for f in dataclasses.fields(self)
+        })
+
+
+@dataclass(frozen=True)
+class GcnParams(UnitRows):
+    """GCN unit rows (w1, w2)."""
+
+    kind = ModelKind.GCN
+
+
+@dataclass(frozen=True)
+class MpgnnParams(UnitRows):
+    """MPGNN unit rows (w1, w2, w3): w3 weighs a node's own features."""
+
+    kind = ModelKind.MPGNN
+
+    w3: np.ndarray
 
 
 Params = GcnParams | MpgnnParams
+_CONTAINERS: dict[ModelKind, type[Params]] = {cls.kind: cls for cls in (GcnParams, MpgnnParams)}
 
 
 def init_params(config: ModelConfig, feature_dim: int, seed: int) -> Params:
     """Fan-scaled Gaussian initialization, deterministic given the seed.
 
     Entries are zero-mean normals with variance 1/k for the input-side rows
-    (w1, w3) and 1/h for the output weights (w2). The scaling keeps unit
-    outputs and the extracted weight statistics O(1) at every width, so
-    bound magnitudes are comparable across the width sweep.
+    (w1, w3) and 1/h for the output weights (w2), drawn in field order. The
+    scaling keeps unit outputs and the extracted weight statistics O(1) at
+    every width, so bound magnitudes are comparable across the width sweep.
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     rng = np.random.default_rng(seed)
     h, k = config.width, feature_dim
-    w1 = rng.standard_normal((h, k)) / np.sqrt(k)
-    w2 = rng.standard_normal(h) / np.sqrt(h)
-    if config.model_kind is ModelKind.GCN:
-        return GcnParams(w1=w1, w2=w2)
-    w3 = rng.standard_normal((h, k)) / np.sqrt(k)
-    return MpgnnParams(w1=w1, w2=w2, w3=w3)
+    cls = _CONTAINERS[config.model_kind]
+    return cls(**{
+        f.name: rng.standard_normal(h) / np.sqrt(h)
+        if f.name == "w2"
+        else rng.standard_normal((h, k)) / np.sqrt(k)
+        for f in dataclasses.fields(cls)
+    })
 
 
 @dataclass(frozen=True)
 class PreparedGraph:
     """Per-node input rows of one graph for the forward and backward passes.
 
-    GCN uses a single matrix (the filtered features G F); MPGNN uses the raw
-    features plus rho(G zeta(F)). Neither depends on trainable parameters, so
-    they are computed once per (sample, config).
+    rows maps each input-side parameter field to the N x k node rows it
+    weighs: for GCN, w1 weighs the filtered features G F; for MPGNN, w3 weighs
+    the raw features and w1 rho(G zeta(F)). No row depends on trainable
+    parameters, so they are computed once per (sample, config).
     """
 
     node_count: int
     label: int
-    rows_a: np.ndarray
-    rows_b: np.ndarray | None
+    rows: dict[str, np.ndarray]
+
+    @property
+    def feature_dim(self) -> int:
+        return next(iter(self.rows.values())).shape[1]
 
 
 def prepare_sample(sample: GraphSample, config: ModelConfig) -> PreparedGraph:
     filtered = apply_filter(config.filter_kind, sample)
     if config.model_kind is ModelKind.GCN:
-        return PreparedGraph(
-            node_count=sample.node_count,
-            label=sample.label,
-            rows_a=filtered @ sample.features,
-            rows_b=None,
-        )
-    aggregated = config.rho.apply(filtered @ config.zeta.apply(sample.features))
-    return PreparedGraph(
-        node_count=sample.node_count,
-        label=sample.label,
-        rows_a=np.array(sample.features),
-        rows_b=aggregated,
-    )
+        rows = {"w1": filtered @ sample.features}
+    else:
+        aggregated = config.rho.apply(filtered @ config.zeta.apply(sample.features))
+        rows = {"w3": sample.features, "w1": aggregated}
+    return PreparedGraph(node_count=sample.node_count, label=sample.label, rows=rows)
 
 
 @dataclass(frozen=True)
 class Stacked:
     """The node rows of several prepared graphs, concatenated in order."""
 
-    rows_a: np.ndarray
-    rows_b: np.ndarray | None
+    rows: dict[str, np.ndarray]
     labels: np.ndarray
     node_counts: np.ndarray
     starts: np.ndarray
@@ -228,12 +223,9 @@ class Stacked:
 def stack(prepared: Sequence[PreparedGraph]) -> Stacked:
     counts = np.array([p.node_count for p in prepared], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rows_a = np.concatenate([p.rows_a for p in prepared])
-    rows_b = None
-    if prepared[0].rows_b is not None:
-        rows_b = np.concatenate([p.rows_b for p in prepared])
+    rows = {name: np.concatenate([p.rows[name] for p in prepared]) for name in prepared[0].rows}
     labels = np.array([p.label for p in prepared], dtype=np.float64)
-    return Stacked(rows_a=rows_a, rows_b=rows_b, labels=labels, node_counts=counts, starts=starts)
+    return Stacked(rows=rows, labels=labels, node_counts=counts, starts=starts)
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
@@ -248,10 +240,7 @@ def forward(params: Params, stacked: Stacked, config: ModelConfig) -> tuple[np.n
 
     The caller checks that params match config (check_shapes).
     """
-    if isinstance(params, GcnParams):
-        z = stacked.rows_a @ params.w1.T
-    else:
-        z = stacked.rows_a @ params.w3.T + stacked.rows_b @ params.w1.T
+    z = reduce(np.add, (rows @ getattr(params, name).T for name, rows in stacked.rows.items()))
     f = config.outer.apply(z)
     node_values = f @ params.w2 / params.width
     sums = np.add.reduceat(node_values, stacked.starts)
@@ -259,8 +248,7 @@ def forward(params: Params, stacked: Stacked, config: ModelConfig) -> tuple[np.n
 
 
 def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:
-    expected = GcnParams if config.model_kind is ModelKind.GCN else MpgnnParams
-    if not isinstance(params, expected):
+    if not isinstance(params, _CONTAINERS[config.model_kind]):
         raise ValueError(
             f"parameter container {type(params).__name__} does not match "
             f"model kind {config.model_kind.value}"
@@ -282,12 +270,8 @@ def forward_graph(params: Params, sample: GraphSample, config: ModelConfig) -> f
 
 def save_params(params: Params, path) -> None:
     """Write parameters as a JSON document (exact float round-trip)."""
-    record: dict = {"w1": params.w1.tolist(), "w2": params.w2.tolist()}
-    if isinstance(params, MpgnnParams):
-        record["model"] = ModelKind.MPGNN.value
-        record["w3"] = params.w3.tolist()
-    else:
-        record["model"] = ModelKind.GCN.value
+    record = {f.name: getattr(params, f.name).tolist() for f in dataclasses.fields(params)}
+    record["model"] = params.kind.value
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle)
         handle.write("\n")
@@ -297,9 +281,7 @@ def load_params(path) -> Params:
     with open(path, "r", encoding="utf-8") as handle:
         record = json.load(handle)
     try:
-        kind = ModelKind(record["model"])
-        if kind is ModelKind.GCN:
-            return GcnParams(w1=record["w1"], w2=record["w2"])
-        return MpgnnParams(w1=record["w1"], w2=record["w2"], w3=record["w3"])
+        cls = _CONTAINERS[ModelKind(record["model"])]
+        return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"{path}: not a valid parameter file: {exc}") from exc

@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
-import typing
 from dataclasses import dataclass
 from html import escape
 from pathlib import Path
 from typing import Sequence
 
-from .bounds import BoundInputs, ModelStats, fd_bound, rademacher_bound
-from .data import DatasetStats, to_json_value
+from .bounds import BoundReport, fd_bound, rademacher_bound
+from .data import DatasetStats, from_plain, to_json_value
 from .filters import FilterKind, FilterNormReport
-from .models import ModelConfig, ModelKind, Readout
 from .sweep import SweepConfig, SweepRow
 
 
@@ -63,7 +62,6 @@ class SummaryRow:
 
 ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow) if field.name != "bounds")
 SUMMARY_COLUMNS = tuple(field.name for field in dataclasses.fields(SummaryRow))
-_ROW_TYPES = typing.get_type_hints(SweepRow)
 
 
 def _format_cell(value) -> str:
@@ -132,9 +130,7 @@ def read_rows_csv(path) -> list[SweepRow]:
             if len(record) != len(ROW_COLUMNS):
                 raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
             try:
-                rows.append(SweepRow(**{
-                    column: _ROW_TYPES[column](cell) for column, cell in zip(ROW_COLUMNS, record)
-                }))
+                rows.append(from_plain(SweepRow, dict(zip(ROW_COLUMNS, record))))
             except ValueError as exc:
                 raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
     return rows
@@ -203,9 +199,8 @@ def write_report_json(
 def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     """Re-evaluate (fd_bound, rademacher_bound) from a report.json row echo.
 
-    Uses only the echoed stats and inputs plus the row coordinates. Sweep runs
-    use the default tanh nonlinearities, which is what the reconstruction
-    assumes. A diverged row has no bounds and raises ValueError.
+    Uses only the row's echoed bound report: its stats, inputs, model config
+    and variant. A diverged row has no bounds and raises ValueError.
     """
     echo = record["bounds"]
     if echo is None:
@@ -214,16 +209,10 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
             for key in ("dataset", "beta", "model", "filter", "readout", "width", "seed")
         )
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
-    inputs = BoundInputs(**{**echo["inputs"], "readout": Readout(echo["inputs"]["readout"])})
-    stats = ModelStats(**echo["stats"])
-    config = ModelConfig(
-        model_kind=ModelKind(record["model"]),
-        filter_kind=FilterKind(record["filter"]),
-        width=record["width"],
-        readout=Readout(record["readout"]),
-    )
-    bounded = echo["variant"].split("-")[1] == "bounded"
-    return fd_bound(config, stats, inputs, bounded), rademacher_bound(config, stats, inputs, bounded)
+    report = from_plain(BoundReport, echo)
+    bounded = report.variant.split("-")[1] == "bounded"
+    args = (report.config, report.stats, report.inputs, bounded)
+    return fd_bound(*args), rademacher_bound(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +234,16 @@ _MARGIN_RIGHT = 24
 _MARGIN_TOP = 46
 _MARGIN_BOTTOM = 64
 
+# Characters XML 1.0 does not allow in a document, escaped or not.
+_NON_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
 
 def _px(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _svg_text(value: str) -> str:
+    return escape(_NON_XML.sub("\ufffd", value))
 
 
 def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
@@ -293,7 +289,7 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{_px(_SVG_WIDTH / 2)}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        f'<text x="{_px(_SVG_WIDTH / 2)}" y="24" text-anchor="middle" font-size="15">{_svg_text(title)}</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -368,7 +364,7 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
             f'<line x1="{_px(lx)}" y1="{_px(legend_y)}" x2="{_px(lx + 22)}" y2="{_px(legend_y)}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{_px(lx + 28)}" y="{_px(legend_y + 4)}">{escape(name)}</text>')
+        parts.append(f'<text x="{_px(lx + 28)}" y="{_px(legend_y + 4)}">{_svg_text(name)}</text>')
         legend_y += 18
 
     parts.append("</svg>")
@@ -376,9 +372,13 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
 
 
 def _svg_filename(dataset: str, beta: float, model: str, readout: str) -> str:
-    """The plot's file name, with every character outside [A-Za-z0-9._-]
-    mapped to "_" so that no dataset name can pick a directory."""
-    return re.sub(r"[^A-Za-z0-9._-]", "_", f"{dataset}_beta{beta:g}_{model}_{readout}.svg")
+    """The plot's file name: characters outside [A-Za-z0-9._-] become "_", so
+    no dataset name can pick a directory, and then a digest of the raw name."""
+    name = f"{dataset}_beta{beta:g}_{model}_{readout}"
+    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)
+    if safe != name:
+        safe += "_" + hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()[:8]
+    return safe + ".svg"
 
 
 def write_trend_svgs(summary: Sequence[SummaryRow], out_dir) -> list[Path]:

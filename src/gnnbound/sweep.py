@@ -32,6 +32,7 @@ from .training import (
     TrainConfig,
     TrainingDivergenceError,
     measure_generalization,
+    prepare_dataset,
     train,
 )
 
@@ -178,7 +179,7 @@ def _run_coordinate(
         "seed": seed,
     }
     try:
-        trained, history = train(params, train_set, train_config, model_config)
+        trained, _ = train(params, train_set, train_config, model_config)
     except TrainingDivergenceError:
         nan = float("nan")
         return SweepRow(
@@ -190,7 +191,7 @@ def _run_coordinate(
             rademacher_bound=nan,
             wall_time_s=time.perf_counter() - started,
         )
-    run = measure_generalization(trained, train_set, test_set, model_config, history, seed)
+    run = measure_generalization(trained, train_set, test_set, model_config)
     inputs = BoundInputs(
         n_train=len(train_set),
         alpha=train_config.alpha,
@@ -231,7 +232,8 @@ def run_sweep_on(
     """Run the sweep grid against an already-resolved dataset.
 
     stats and filter_reports may be passed in when the caller has already
-    computed them (they are pure functions of the dataset).
+    computed them (they are pure functions of the dataset). Each graph is
+    prepared once per (model, filter) and every coordinate splits those.
     """
     if stats is None:
         stats = dataset_stats(dataset)
@@ -239,10 +241,15 @@ def run_sweep_on(
     for kind in dict.fromkeys(config.filters):
         if kind not in filter_reports:
             filter_reports[kind] = filter_norm_report(dataset, kind)
+    prepared = {
+        (model, kind): prepare_dataset(dataset, ModelConfig(model, kind, width=1))
+        for model, kind in product(dict.fromkeys(config.models), dict.fromkeys(config.filters))
+    }
     coords = sweep_coordinates(config)
 
     def one(coord: tuple) -> SweepRow:
-        return _run_coordinate(dataset, stats, filter_reports[coord[2]], coord, config)
+        model, kind = coord[1], coord[2]
+        return _run_coordinate(prepared[model, kind], stats, filter_reports[kind], coord, config)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -57,7 +57,7 @@ class SbmSpec:
         if not np.array_equal(arr, arr.T):
             raise ValueError("edge_prob must be symmetric")
         if np.any(arr < 0) or np.any(arr > 1):
-            raise ValueError("edge probabilities must lie in [0, 1]")
+            raise ValueError("edge_prob entries must lie in [0, 1]")
 
     @property
     def node_count(self) -> int:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import GraphDataset, GraphSample
 from .models import (
-    GcnParams,
     ModelConfig,
     Params,
     PreparedGraph,
@@ -72,9 +71,6 @@ class RunResult:
     train_risk: float
     test_risk: float
     abs_gen_error: float
-    loss_history: tuple[float, ...]
-    width: int
-    seed: int | None
 
 
 def logistic_loss(yhat, y):
@@ -91,33 +87,19 @@ def logistic_loss_grad(yhat, y):
     return -y * 0.5 * (1.0 - np.tanh(0.5 * z))
 
 
-def _param_names(params: Params) -> list[str]:
-    return [f.name for f in dataclasses.fields(params)]
-
-
-def _combine(a: Params, b: Params, fn) -> Params:
-    return dataclasses.replace(
-        a, **{name: fn(getattr(a, name), getattr(b, name)) for name in _param_names(a)}
-    )
-
-
 def zeros_like_params(params: Params) -> Params:
-    return dataclasses.replace(
-        params, **{name: np.zeros_like(getattr(params, name)) for name in _param_names(params)}
-    )
+    return params.map(np.zeros_like)
 
 
 def penalty(params: Params, alpha: float) -> float:
     """(1/(h alpha)) * sum over unit rows of half the squared row norm."""
-    total = sum(float((getattr(params, name) ** 2).sum()) for name in _param_names(params))
+    total = sum(float((getattr(params, f.name) ** 2).sum()) for f in dataclasses.fields(params))
     return total / (2.0 * params.width * alpha)
 
 
 def penalty_grads(params: Params, alpha: float) -> Params:
     divisor = params.width * alpha
-    return dataclasses.replace(
-        params, **{name: getattr(params, name) / divisor for name in _param_names(params)}
-    )
+    return params.map(lambda w: w / divisor)
 
 
 def _risk_and_loss_grads(
@@ -131,25 +113,31 @@ def _risk_and_loss_grads(
     scale = readout_scale(stacked, config.readout)
     per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
     per_node = np.repeat(per_graph, stacked.node_counts)
-    grad_w2 = f.T @ per_node / h
     back = config.outer.derivative_from_output(f) * (per_node[:, None] * params.w2[None, :])
-    if isinstance(params, GcnParams):
-        grad_w1 = back.T @ stacked.rows_a / h
-        return risk, GcnParams(w1=grad_w1, w2=grad_w2)
-    grad_w3 = back.T @ stacked.rows_a / h
-    grad_w1 = back.T @ stacked.rows_b / h
-    return risk, dataclasses.replace(params, w1=grad_w1, w2=grad_w2, w3=grad_w3)
+    grads = {name: back.T @ rows / h for name, rows in stacked.rows.items()}
+    return risk, dataclasses.replace(params, w2=f.T @ per_node / h, **grads)
 
 
 def _prepare_all(
     params: Params, samples, model_config: ModelConfig, empty_message: str
 ) -> list[PreparedGraph]:
-    """Prepared rows of every sample, once params are known to fit the data."""
+    """Prepared rows of every sample (a PreparedGraph is one already), once
+    params are known to fit the data."""
     samples = list(samples)
     if not samples:
         raise ValueError(empty_message)
     check_shapes(params, samples[0].feature_dim, model_config)
-    return [prepare_sample(sample, model_config) for sample in samples]
+    return [
+        sample if isinstance(sample, PreparedGraph) else prepare_sample(sample, model_config)
+        for sample in samples
+    ]
+
+
+def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> GraphDataset:
+    """dataset as prepared rows, which train and empirical_risk take for any
+    config sharing model_config's kind, filter and nonlinearities."""
+    prepared = [prepare_sample(sample, model_config) for sample in dataset]
+    return GraphDataset.from_samples(prepared, name=dataset.name)
 
 
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
@@ -178,21 +166,21 @@ def grad_regularized_risk(
 ) -> Params:
     """Analytic gradient of the regularized objective on the batch average."""
     loss_grads = grad_empirical_risk(params, batch, model_config)
-    return _combine(loss_grads, penalty_grads(params, alpha), np.add)
+    return loss_grads.map(np.add, penalty_grads(params, alpha))
 
 
 def sgd_step(
     params: Params, grads: Params, velocity: Params, config: TrainConfig
 ) -> tuple[Params, Params]:
     """Classical momentum update; returns the new (params, velocity)."""
-    new_velocity = _combine(velocity, grads, lambda v, g: config.momentum * v + g)
-    new_params = _combine(params, new_velocity, lambda p, v: p - config.learning_rate * v)
+    new_velocity = velocity.map(lambda v, g: config.momentum * v + g, grads)
+    new_params = params.map(lambda p, v: p - config.learning_rate * v, new_velocity)
     return new_params, new_velocity
 
 
 def train(
     params: Params,
-    train_set: GraphDataset | Sequence[GraphSample],
+    train_set: GraphDataset | Sequence[GraphSample | PreparedGraph],
     config: TrainConfig,
     model_config: ModelConfig,
 ) -> tuple[Params, list[float]]:
@@ -222,7 +210,7 @@ def train(
                         f"non-finite loss {risk!r} at epoch {epoch}, batch starting "
                         f"{start} (width {params.width}, lr {config.learning_rate})"
                     )
-                grads = _combine(loss_grads, penalty_grads(params, config.alpha), np.add)
+                grads = loss_grads.map(np.add, penalty_grads(params, config.alpha))
                 params, velocity = sgd_step(params, grads, velocity, config)
             epoch_loss += risk * len(chosen)
         history.append(epoch_loss / n)
@@ -234,8 +222,6 @@ def measure_generalization(
     train_set,
     test_set,
     model_config: ModelConfig,
-    loss_history: Sequence[float] = (),
-    seed: int | None = None,
 ) -> RunResult:
     """Unregularized train/test risks and their absolute gap."""
     train_risk = empirical_risk(params, train_set, model_config)
@@ -244,7 +230,4 @@ def measure_generalization(
         train_risk=train_risk,
         test_risk=test_risk,
         abs_gen_error=abs(test_risk - train_risk),
-        loss_history=tuple(loss_history),
-        width=params.width,
-        seed=seed,
     )

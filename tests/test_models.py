@@ -66,6 +66,38 @@ class TestNonlinearities:
             assert np.all(np.abs(nl.apply(x)) <= nl.cap)
 
 
+class TestUnitRows:
+    @pytest.mark.parametrize("fields", [
+        {"w1": np.ones((2, 3)), "w2": np.ones(3)},
+        {"w1": np.ones(2), "w2": np.ones(2)},
+        {"w1": np.ones((2, 3)), "w2": np.ones((2, 1))},
+        {"w1": np.ones((2, 3)), "w2": np.ones(2), "w3": np.ones((2, 2))},
+        {"w1": np.ones((2, 3)), "w2": np.ones(2), "w3": np.ones(2)},
+    ])
+    def test_bad_shapes_rejected(self, fields):
+        cls = MpgnnParams if "w3" in fields else GcnParams
+        with pytest.raises(ValueError, match="h-vector"):
+            cls(**fields)
+
+    def test_fields_are_frozen_copies(self):
+        w1 = np.ones((2, 3))
+        params = MpgnnParams(w1=w1, w2=np.ones(2), w3=np.ones((2, 3)))
+        w1[0, 0] = 5.0
+        assert params.w1[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            params.w3[0, 0] = 2.0
+
+    def test_map_applies_fn_field_by_field(self):
+        a = MpgnnParams(w1=np.ones((2, 3)), w2=np.ones(2), w3=np.ones((2, 3)))
+        b = init_params(_config(model=ModelKind.MPGNN, width=2), feature_dim=3, seed=1)
+        total = a.map(lambda x, y, z: x + 2 * y - z, b, a)
+        assert isinstance(total, MpgnnParams)
+        for name in ("w1", "w2", "w3"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.array_equal(getattr(total, name), x + 2 * y - x)
+        assert (total.kind, total.width, total.feature_dim) == (ModelKind.MPGNN, 2, 3)
+
+
 class TestInit:
     def test_gcn_shapes_width_one(self):
         params = init_params(_config(width=1), feature_dim=1, seed=0)

@@ -11,9 +11,11 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gnnbound.cli import (
     BOUNDS_TABLE,
@@ -24,6 +26,7 @@ from gnnbound.cli import (
     main,
     read_config,
 )
+from gnnbound.data import GraphDataset, GraphSample, load_dataset, save_dataset
 from gnnbound.report import ROW_COLUMNS, read_rows_csv, write_rows_csv
 from gnnbound.sweep import SweepRow
 
@@ -68,6 +71,46 @@ def test_rows_csv_round_trip_is_identity(rows):
         write_rows_csv(rows, path)
         back = read_rows_csv(path)
     assert [cells(row) for row in back] == [cells(row) for row in rows]
+
+
+# Finite features, -0.0, subnormals and magnitudes near the float maximum.
+features_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def graph_samples(draw, feature_dim: int) -> GraphSample:
+    n = draw(st.integers(1, 6))
+    upper = draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0])))
+    adjacency = np.triu(upper, k=1)
+    features = draw(hnp.arrays(np.float64, (n, feature_dim), elements=features_values))
+    label = draw(st.sampled_from([-1, 1]))
+    return GraphSample(adjacency=adjacency + adjacency.T, features=features, label=label)
+
+
+@st.composite
+def datasets(draw) -> GraphDataset:
+    feature_dim = draw(st.integers(1, 3))
+    samples = draw(st.lists(graph_samples(feature_dim), min_size=1, max_size=4))
+    return GraphDataset.from_samples(samples, name=draw(st.text()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_dataset_save_load_is_identity(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.json"
+        save_dataset(dataset, path)
+        back = load_dataset(path)
+    assert (back.name, back.feature_dim, len(back)) == (
+        dataset.name, dataset.feature_dim, len(dataset)
+    )
+    for got, sample in zip(back, dataset):
+        assert got.label == sample.label
+        assert np.array_equal(got.adjacency, sample.adjacency)
+        # Bytes, so that -0.0 and 0.0 differ.
+        assert got.features.tobytes() == sample.features.tobytes()
 
 
 @pytest.mark.parametrize("command", sorted(TABLES))

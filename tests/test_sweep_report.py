@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gnnbound.bounds import BoundInputs, bound_report
 from gnnbound.cli import main
 from gnnbound.data import dataset_stats, to_json_value
 from gnnbound.filters import FilterKind, filter_norm_report
@@ -16,7 +17,9 @@ from gnnbound.models import (
     GcnParams,
     ModelConfig,
     ModelKind,
+    Nonlinearity,
     Readout,
+    init_params,
     save_params,
 )
 from gnnbound.report import (
@@ -349,6 +352,28 @@ class TestEmitReports:
         with pytest.raises(ValueError, match="width=2, seed=0 diverged"):
             recompute_bounds_from_record(record)
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("nonlinearity", [Nonlinearity.SIGMOID_CENTERED, Nonlinearity.IDENTITY])
+    def test_bounds_recompute_for_any_model_config(self, model, nonlinearity):
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=4,
+                             readout=Readout.SUM, activation=nonlinearity, zeta=nonlinearity,
+                             rho=nonlinearity, kappa=nonlinearity)
+        inputs = BoundInputs(n_train=140, alpha=100.0, n_max=20, b_f=1.0, g_max=1.5,
+                             readout=Readout.SUM)
+        report = bound_report(init_params(config, 3, seed=0), config, inputs)
+        row = sweep_row(model=model.value, readout="sum", fd_bound=report.fd_bound,
+                        rademacher_bound=report.rademacher_bound, bounds=report)
+        record = json.loads(json.dumps(to_json_value(row)))
+        fd, rad = recompute_bounds_from_record(record)
+        assert fd == pytest.approx(report.fd_bound, rel=1e-12)
+        assert rad == pytest.approx(report.rademacher_bound, rel=1e-12)
+
+    def test_sanitised_dataset_names_keep_distinct_svgs(self, tmp_path):
+        paths = emit_reports([sweep_row(dataset="a/b"), sweep_row(dataset="a_b")], tmp_path)
+        svgs = sorted(name for name in paths if name.endswith(".svg"))
+        assert len(svgs) == 2 and "a_b_beta0.7_gcn_mean.svg" in svgs
+        assert all(ET.parse(paths[name]).getroot().tag.endswith("svg") for name in svgs)
+
     @pytest.mark.parametrize("name", ["sub/dir", "../x"])
     def test_dataset_name_cannot_choose_where_svgs_go(self, tmp_path, name):
         out = tmp_path / "out"
@@ -395,6 +420,12 @@ class TestTrendSvg:
         root = ET.fromstring(trend_svg(summary, "a<b & c"))
         texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b & c" in texts and 'x"<y>' in texts
+
+    def test_characters_xml_forbids_are_replaced(self):
+        summary = aggregate([sweep_row(dataset="a\x01b", filter="f\x00\ud800")])
+        root = ET.fromstring(trend_svg(summary, "a\x01b"))
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a\ufffdb" in texts and "f\ufffd\ufffd" in texts
 
     def test_single_point_has_no_polyline(self):
         svg = trend_svg([self._summary(4, 1e-4, 0.0)], title="t")
@@ -511,6 +542,23 @@ class TestCli:
         assert main(["bounds", "--params", str(params_path), "--dataset", str(dataset_path),
                      "--config", config]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("train", "dataset = er5\nlr = -1\n", "lr"),
+        ("sweep", "dataset = er5\nworkers = 0\n", "workers"),
+        ("gen-data", "model = er\nnodes = 0\nedge_prob = 0.5\n", "nodes"),
+    ], ids=["train-lr", "sweep-workers", "gen-data-nodes"])
+    def test_value_its_config_rejects_names_file_and_key(self, tmp_path, capsys, command,
+                                                         text, key):
+        config = self._write(tmp_path / "run.cfg", text)
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--config", config],
+            "sweep": ["sweep", "--config", config, "--out", out],
+            "gen-data": ["gen-data", config, "--out", out],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: {key}: ")
 
     def test_unknown_preset_fails_cleanly(self, tmp_path, capsys):
         assert main(["gen-data", "not-a-preset", "--out", str(tmp_path / "x.json")]) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     random_sample,
     sample_from_edges,
 )
+from gnnbound.data import GraphDataset
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -35,6 +37,7 @@ from gnnbound.training import (
     measure_generalization,
     penalty,
     penalty_grads,
+    prepare_dataset,
     regularized_risk,
     sgd_step,
     train,
@@ -274,6 +277,21 @@ class TestTrain:
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
         assert hist_a == hist_b
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_prepared_graphs_train_as_their_samples(self, rng, model):
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
+        samples = GraphDataset.from_samples([random_sample(rng, 5, 2) for _ in range(6)], "d")
+        prepared = prepare_dataset(samples, dataclasses.replace(config, width=1))
+        params = init_params(config, 2, seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=4, seed=5)
+        (a, hist_a), (b, hist_b) = (train(params, s, cfg, config) for s in (samples, prepared))
+        assert hist_a == hist_b
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        assert measure_generalization(a, samples, samples[:2], config) == measure_generalization(
+            a, prepared, prepared[:2], config
+        )
+
     def test_divergence_raises(self, rng):
         config = ModelConfig(
             model_kind=ModelKind.GCN, filter_kind=FilterKind.SUM_AGG, width=2,
@@ -301,18 +319,15 @@ class TestMeasureGeneralization:
         assert result.abs_gen_error == 0.0
         assert result.train_risk == result.test_risk
 
-    def test_fields_passed_through(self, rng):
+    def test_gap_is_abs_risk_difference(self, rng):
         config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM,
                              width=4)
         params = init_params(config, 2, seed=0)
         train_set = [random_sample(rng, 4, 2) for _ in range(3)]
         test_set = [random_sample(rng, 4, 2) for _ in range(2)]
-        result = measure_generalization(
-            params, train_set, test_set, config, loss_history=[0.5, 0.4], seed=9
-        )
-        assert result.width == 4
-        assert result.seed == 9
-        assert result.loss_history == (0.5, 0.4)
+        result = measure_generalization(params, train_set, test_set, config)
+        assert result.train_risk == empirical_risk(params, train_set, config)
+        assert result.test_risk == empirical_risk(params, test_set, config)
         assert result.abs_gen_error == abs(result.test_risk - result.train_risk)
 
 
