@@ -301,7 +301,10 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = _sweep_config(args.config, SWEEP_TABLE)
     if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
+        try:
+            config = dataclasses.replace(config, workers=args.workers)
+        except ValueError as exc:
+            raise ConfigError(f"--workers: {exc}") from exc
     dataset = _resolve(config)
     stats = dataset_stats(dataset)
     filter_reports = {

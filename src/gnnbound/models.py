@@ -21,7 +21,6 @@ import dataclasses
 import enum
 import json
 from dataclasses import dataclass
-from functools import reduce
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -51,20 +50,26 @@ class Nonlinearity(enum.Enum):
     SIGMOID_CENTERED = "sigmoid-centered"
     IDENTITY = "identity"
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self is Nonlinearity.TANH:
-            return np.tanh(x)
-        if self is Nonlinearity.SIGMOID_CENTERED:
-            return 0.5 * np.tanh(0.5 * x)
-        return np.asarray(x, dtype=np.float64)
+    def apply(self, x) -> np.ndarray:
+        return self.apply_in_place(np.array(x, dtype=np.float64))
 
-    def derivative_from_output(self, f: np.ndarray) -> np.ndarray:
-        """f'(x) written through the output f = apply(x), so x is not needed."""
+    def apply_in_place(self, x: np.ndarray) -> np.ndarray:
+        """f(x) written over the float64 array x, which is returned."""
         if self is Nonlinearity.TANH:
-            return 1.0 - f * f
-        if self is Nonlinearity.SIGMOID_CENTERED:
-            return 0.25 - f * f
-        return np.ones_like(f)
+            np.tanh(x, out=x)
+        elif self is Nonlinearity.SIGMOID_CENTERED:
+            x *= 0.5
+            np.tanh(x, out=x)
+            x *= 0.5
+        return x
+
+    def derivative_in_place(self, f: np.ndarray) -> np.ndarray:
+        """f'(x) written over the output f = apply(x), so x is not needed; f is returned."""
+        if self is Nonlinearity.IDENTITY:
+            f.fill(1.0)
+            return f
+        f *= f
+        return np.subtract(1.0 if self is Nonlinearity.TANH else 0.25, f, out=f)
 
     @property
     def lipschitz(self) -> float:
@@ -238,10 +243,14 @@ def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
 def forward(params: Params, stacked: Stacked, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Outputs yhat, one per stacked graph, and the N x h outer-nonlinearity outputs f.
 
-    The caller checks that params match config (check_shapes).
+    f is a fresh array the caller may overwrite. The caller checks that params
+    match config (check_shapes).
     """
-    z = reduce(np.add, (rows @ getattr(params, name).T for name, rows in stacked.rows.items()))
-    f = config.outer.apply(z)
+    (name, rows), *rest = stacked.rows.items()
+    z = rows @ getattr(params, name).T
+    for name, rows in rest:
+        z += rows @ getattr(params, name).T
+    f = config.outer.apply_in_place(z)
     node_values = f @ params.w2 / params.width
     sums = np.add.reduceat(node_values, stacked.starts)
     return sums * readout_scale(stacked, config.readout), f

@@ -27,7 +27,7 @@ from typing import Sequence
 from .bounds import BoundReport, fd_bound, rademacher_bound
 from .data import DatasetStats, from_plain, to_json_value
 from .filters import FilterKind, FilterNormReport
-from .sweep import SweepConfig, SweepRow
+from .sweep import COORDINATE_COLUMNS, SweepConfig, SweepRow
 
 
 class ReportFormatError(ValueError):
@@ -147,7 +147,7 @@ def aggregate(rows: Sequence[SweepRow]) -> list[SummaryRow]:
         raise ValueError("cannot aggregate an empty row list")
     groups: dict[tuple, list[SweepRow]] = {}
     for row in rows:
-        key = (row.dataset, row.beta, row.model, row.filter, row.readout, row.width)
+        key = tuple(getattr(row, name) for name in COORDINATE_COLUMNS if name != "seed")
         groups.setdefault(key, []).append(row)
     summary = []
     for key in sorted(groups):
@@ -204,10 +204,7 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     """
     echo = record["bounds"]
     if echo is None:
-        coordinate = ", ".join(
-            f"{key}={record[key]}"
-            for key in ("dataset", "beta", "model", "filter", "readout", "width", "seed")
-        )
+        coordinate = ", ".join(f"{key}={record[key]}" for key in COORDINATE_COLUMNS)
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
     report = from_plain(BoundReport, echo)
     bounded = report.variant.split("-")[1] == "bounded"

@@ -10,16 +10,26 @@ minibatch shuffling) are derived from the coordinate values alone, never from
 iteration order. A sweep over k seeds therefore produces exactly the union of
 the k single-seed sweeps, and parallel execution yields the same rows as
 sequential (only wall_time_s, a measurement, varies).
+
+With workers > 1 the coordinates are handed to a thread pool widest first, so
+the longest runs do not form the tail, and OpenBLAS runs each matrix product
+on its calling thread alone while the pool is up: the pool's threads, not
+BLAS's, then share the cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +49,8 @@ from .training import (
 DEFAULT_BETAS = (0.7, 0.9)
 DEFAULT_WIDTHS = (4, 8, 16, 32, 64, 128, 256)
 DEFAULT_SEEDS = tuple(range(10))
+# The rows.csv columns that name a run; every other column is its outcome.
+COORDINATE_COLUMNS = ("dataset", "beta", "model", "filter", "readout", "width", "seed")
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,6 @@ class SweepRow:
     rademacher_bound: float
     wall_time_s: float
     bounds: BoundReport | None = None
-
-    @property
-    def coordinate(self) -> tuple:
-        return (self.dataset, self.beta, self.model, self.filter, self.readout, self.width, self.seed)
 
     @property
     def diverged(self) -> bool:
@@ -251,10 +259,59 @@ def run_sweep_on(
         model, kind = coord[1], coord[2]
         return _run_coordinate(prepared[model, kind], stats, filter_reports[kind], coord, config)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(one, coords))
-    return [one(coord) for coord in coords]
+    if config.workers == 1:
+        return [one(coord) for coord in coords]
+    widest_first = sorted(range(len(coords)), key=lambda i: -coords[i][4])
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=config.workers) as pool:
+        rows = dict(zip(widest_first, pool.map(one, [coords[i] for i in widest_first])))
+    return [rows[i] for i in range(len(coords))]
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS NumPy loaded, or None
+    when NumPy uses another BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+# Mirror the process-wide OpenBLAS thread count: how many pools pinned it,
+# and what it was before the first of them.
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_threads_before = 0
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the block with one OpenBLAS thread per calling thread.
+
+    In pthread builds of OpenBLAS the setter changes the count for the whole
+    process, so the count from before the first of any overlapping blocks is
+    restored when the last one ends. Without OpenBLAS the block runs as is.
+    """
+    global _blas_pins, _blas_threads_before
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_threads_before = setter(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                setter(_blas_threads_before)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:

@@ -113,9 +113,13 @@ def _risk_and_loss_grads(
     scale = readout_scale(stacked, config.readout)
     per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
     per_node = np.repeat(per_graph, stacked.node_counts)
-    back = config.outer.derivative_from_output(f) * (per_node[:, None] * params.w2[None, :])
+    w2_grad = f.T @ per_node / h
+    # f becomes the backpropagated signal in place; the outer product stays one
+    # factor, as multiplying by its two vectors in turn rounds differently.
+    back = config.outer.derivative_in_place(f)
+    back *= per_node[:, None] * params.w2[None, :]
     grads = {name: back.T @ rows / h for name, rows in stacked.rows.items()}
-    return risk, dataclasses.replace(params, w2=f.T @ per_node / h, **grads)
+    return risk, dataclasses.replace(params, w2=w2_grad, **grads)
 
 
 def _prepare_all(

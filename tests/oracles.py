@@ -1,15 +1,20 @@
 """Reference computations the tests compare the library against.
 
 They evaluate the same quantities as the library by another route: one hidden
-unit at one node in scalar arithmetic, and the spectral norm by power
-iteration instead of an SVD.
+unit at one node in scalar arithmetic, the spectral norm by power iteration
+instead of an SVD, and the forward and backward passes with a new array for
+every temporary instead of overwriting them in place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from functools import reduce
+
 import numpy as np
 
-from gnnbound.models import Nonlinearity
+from gnnbound.models import ModelConfig, Nonlinearity, Params, Stacked, readout_scale
+from gnnbound.training import logistic_loss, logistic_loss_grad
 
 SPECTRAL_TOL = 1e-12
 SPECTRAL_MAX_ITER = 10_000
@@ -78,3 +83,47 @@ def spectral_norm(
     # One Rayleigh-quotient refinement on the final iterate.
     eigenvalue = float(vec @ (gram @ vec))
     return float(np.sqrt(max(eigenvalue, 0.0)))
+
+
+def apply_out_of_place(nl: Nonlinearity, x: np.ndarray) -> np.ndarray:
+    if nl is Nonlinearity.TANH:
+        return np.tanh(x)
+    if nl is Nonlinearity.SIGMOID_CENTERED:
+        return 0.5 * np.tanh(0.5 * x)
+    return np.asarray(x, dtype=np.float64)
+
+
+def derivative_out_of_place(nl: Nonlinearity, f: np.ndarray) -> np.ndarray:
+    """f'(x) from the output f = apply(x), as a new array."""
+    if nl is Nonlinearity.TANH:
+        return 1.0 - f * f
+    if nl is Nonlinearity.SIGMOID_CENTERED:
+        return 0.25 - f * f
+    return np.ones_like(f)
+
+
+def forward_out_of_place(
+    params: Params, stacked: Stacked, config: ModelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """models.forward with every temporary a new array."""
+    z = reduce(np.add, (rows @ getattr(params, name).T for name, rows in stacked.rows.items()))
+    f = apply_out_of_place(config.outer, z)
+    node_values = f @ params.w2 / params.width
+    sums = np.add.reduceat(node_values, stacked.starts)
+    return sums * readout_scale(stacked, config.readout), f
+
+
+def risk_and_loss_grads_out_of_place(
+    params: Params, stacked: Stacked, config: ModelConfig
+) -> tuple[float, Params]:
+    """training._risk_and_loss_grads with every temporary a new array."""
+    yhat, f = forward_out_of_place(params, stacked, config)
+    h = params.width
+    risk = float(logistic_loss(yhat, stacked.labels).mean())
+
+    scale = readout_scale(stacked, config.readout)
+    per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
+    per_node = np.repeat(per_graph, stacked.node_counts)
+    back = derivative_out_of_place(config.outer, f) * (per_node[:, None] * params.w2[None, :])
+    grads = {name: back.T @ rows / h for name, rows in stacked.rows.items()}
+    return risk, dataclasses.replace(params, w2=f.T @ per_node / h, **grads)

@@ -58,7 +58,7 @@ class TestNonlinearities:
         h = 1e-6
         for nl in Nonlinearity:
             numeric = (nl.apply(x + h) - nl.apply(x - h)) / (2 * h)
-            assert np.allclose(nl.derivative_from_output(nl.apply(x)), numeric, atol=1e-8)
+            assert np.allclose(nl.derivative_in_place(nl.apply(x)), numeric, atol=1e-8)
 
     def test_outputs_respect_cap(self, rng):
         x = rng.standard_normal(1000) * 50

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
 import json
 import math
+import sys
+import threading
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gnnbound.sweep as sweep_module
 from gnnbound.bounds import BoundInputs, bound_report
 from gnnbound.cli import main
 from gnnbound.data import dataset_stats, to_json_value
@@ -43,6 +49,19 @@ from gnnbound.sweep import (
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
+
+
+def openblas_thread_count():
+    """OpenBLAS's thread-count getter from the library NumPy loaded, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            getter = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter
+    return None
 
 
 def tiny_config(**overrides) -> SweepConfig:
@@ -135,9 +154,61 @@ class TestSweep:
             row_key(r) for r in tiny_rows
         )
 
-    def test_worker_pool_matches_sequential(self, tiny_rows):
-        parallel = run_sweep(tiny_config(workers=3))
-        assert [row_key(r) for r in parallel] == [row_key(r) for r in tiny_rows]
+    def test_worker_pool_matches_sequential(self):
+        # Widths listed out of order and two models: the pool starts the widest
+        # coordinates first, and the rows must still come back in canonical order.
+        config = tiny_config(widths=(4, 2, 8), models=(ModelKind.GCN, ModelKind.MPGNN))
+        sequential = [row_key(r) for r in run_sweep(config)]
+        assert sequential == sorted(sequential) and len(sequential) == 12
+        for workers in (2, 3, len(sequential) + 1):
+            parallel = run_sweep(dataclasses.replace(config, workers=workers))
+            assert [row_key(r) for r in parallel] == sequential, workers
+
+    def test_pool_threads_pin_blas_and_the_caller_keeps_its_count(self, monkeypatch):
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        seen = []
+        run_coordinate = sweep_module._run_coordinate
+
+        def recording(*args):
+            seen.append(threads())
+            return run_coordinate(*args)
+
+        monkeypatch.setattr(sweep_module, "_run_coordinate", recording)
+        run_sweep(tiny_config(workers=2))
+        assert seen == [1] * 4
+        assert threads() == before
+        seen.clear()
+        run_sweep(tiny_config())
+        assert seen == [before] * 4
+
+    def test_overlapping_parallel_sweeps_restore_the_blas_count(self, tiny_rows):
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        results = {}
+
+        def sweep(name, workers):
+            results[name] = run_sweep(tiny_config(workers=workers))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=sweep, args=(i, 2 + i % 2)) for i in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert threads() == before
+        for rows in results.values():
+            assert [row_key(r) for r in rows] == [row_key(r) for r in tiny_rows]
+        assert len(results) == 3
 
     def test_rows_carry_bound_reports(self, tiny_rows):
         for row in tiny_rows:
@@ -559,6 +630,12 @@ class TestCli:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {config}: {key}: ")
+
+    def test_workers_flag_rejected_by_name(self, tmp_path, capsys):
+        config = self._write(tmp_path / "sweep.cfg", "dataset = er5\n")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o"),
+                     "--workers", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: --workers: ")
 
     def test_unknown_preset_fails_cleanly(self, tmp_path, capsys):
         assert main(["gen-data", "not-a-preset", "--out", str(tmp_path / "x.json")]) == 1

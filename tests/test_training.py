@@ -23,12 +23,16 @@ from gnnbound.models import (
     ModelKind,
     Nonlinearity,
     Readout,
+    forward,
     forward_graph,
     init_params,
+    prepare_sample,
+    stack,
 )
 from gnnbound.training import (
     TrainConfig,
     TrainingDivergenceError,
+    _risk_and_loss_grads,
     empirical_risk,
     grad_empirical_risk,
     grad_regularized_risk,
@@ -43,6 +47,7 @@ from gnnbound.training import (
     train,
     zeros_like_params,
 )
+from oracles import forward_out_of_place, risk_and_loss_grads_out_of_place
 
 GCN_SYM = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 
@@ -184,6 +189,35 @@ class TestGradients:
             [grad_empirical_risk(params, [s], config).w1 for s in batch], axis=0
         )
         assert np.allclose(whole.w1, parts_w1, atol=1e-15)
+
+
+class TestInPlaceKernel:
+    """forward and the backward overwrite their temporaries; the numbers must
+    equal those of the out-of-place expressions bit for bit."""
+
+    @pytest.mark.parametrize("readout", list(Readout))
+    @pytest.mark.parametrize("outer", list(Nonlinearity))
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_matches_out_of_place_kernel_exactly(self, rng, model, outer, readout):
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
+                             readout=readout, activation=outer, kappa=outer)
+        stacked = stack([prepare_sample(random_sample(rng, n, 3), config) for n in (3, 6, 9)])
+        rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
+        # Weights scaled up so the outer nonlinearity leaves its linear range.
+        params = init_params(config, 3, seed=11).map(lambda w: 3.0 * w)
+
+        yhat, f = forward(params, stacked, config)
+        want_yhat, want_f = forward_out_of_place(params, stacked, config)
+        assert np.array_equal(yhat, want_yhat)
+        assert np.array_equal(f, want_f)
+
+        risk, grads = _risk_and_loss_grads(params, stacked, config)
+        want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
+        assert risk == want_risk
+        for field in dataclasses.fields(grads):
+            assert np.array_equal(getattr(grads, field.name), getattr(want_grads, field.name))
+        for name, rows in stacked.rows.items():
+            assert np.array_equal(rows, rows_before[name])
 
 
 class TestSgdStep:
