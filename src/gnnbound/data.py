@@ -64,6 +64,8 @@ class GraphSample:
         object.__setattr__(self, "label", int(self.label))
         if self.adjacency.ndim != 2 or self.adjacency.shape[0] != self.adjacency.shape[1]:
             raise ValidationError("adjacency must be a square matrix")
+        if self.adjacency.shape[0] == 0:
+            raise ValidationError("a graph must have at least one node")
         if self.features.ndim != 2 or self.features.shape[0] != self.adjacency.shape[0]:
             raise ValidationError("features must have one row per node")
 
@@ -111,6 +113,10 @@ class GraphDataset:
     def __getitem__(self, idx: int) -> GraphSample:
         return self.samples[idx]
 
+    def take(self, indices) -> "GraphDataset":
+        """The samples at these indices, in this order, as a dataset like this one."""
+        return dataclasses.replace(self, samples=tuple(self.samples[i] for i in indices))
+
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -151,26 +157,6 @@ def require_valid(sample: GraphSample, context: str = "sample") -> None:
 def degrees(sample: GraphSample) -> np.ndarray:
     """Node degrees: entry j is the row sum of adjacency row j."""
     return sample.adjacency.sum(axis=1).astype(np.int64)
-
-
-def permute_sample(sample: GraphSample, perm: Sequence[int]) -> GraphSample:
-    """Relabel nodes so that old node i becomes new node perm[i].
-
-    Adjacency, features, and (trivially) the label are relabeled consistently:
-    the returned sample's node perm[i] carries node i's feature row, and
-    (perm[i], perm[j]) is an edge iff (i, j) was.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    n = sample.node_count
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValidationError("invalid permutation: must be a bijection on node indices")
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[perm] = np.arange(n)
-    return GraphSample(
-        adjacency=sample.adjacency[np.ix_(inverse, inverse)],
-        features=sample.features[inverse],
-        label=sample.label,
-    )
 
 
 def dataset_stats(dataset: GraphDataset) -> DatasetStats:
@@ -218,17 +204,14 @@ def split_dataset(
 ) -> tuple[GraphDataset, GraphDataset]:
     """Random train/test split: shuffle indices, take the first train_size as train.
 
+    Each side is dataset.take(indices), so a split of a prepared dataset
+    (training.PreparedDataset) copies no rows.
     Deterministic given the seed. The split must leave both sides nonempty.
     """
     n = len(dataset)
     n_train = train_size(n, beta_sup)
     order = np.random.default_rng(seed).permutation(n)
-    train = [dataset[i] for i in order[:n_train]]
-    test = [dataset[i] for i in order[n_train:]]
-    return (
-        GraphDataset.from_samples(train, name=dataset.name),
-        GraphDataset.from_samples(test, name=dataset.name),
-    )
+    return dataset.take(order[:n_train]), dataset.take(order[n_train:])
 
 
 def to_json_value(value):

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -186,51 +187,52 @@ def init_params(config: ModelConfig, feature_dim: int, seed: int) -> Params:
     })
 
 
-@dataclass(frozen=True)
-class PreparedGraph:
-    """Per-node input rows of one graph for the forward and backward passes.
-
-    rows maps each input-side parameter field to the N x k node rows it
-    weighs: for GCN, w1 weighs the filtered features G F; for MPGNN, w3 weighs
-    the raw features and w1 rho(G zeta(F)). No row depends on trainable
-    parameters, so they are computed once per (sample, config).
-    """
-
-    node_count: int
-    label: int
-    rows: dict[str, np.ndarray]
-
-    @property
-    def feature_dim(self) -> int:
-        return next(iter(self.rows.values())).shape[1]
-
-
-def prepare_sample(sample: GraphSample, config: ModelConfig) -> PreparedGraph:
+def prepare_sample(sample: GraphSample, config: ModelConfig) -> dict[str, np.ndarray]:
+    """The sample's N x k node rows, keyed by the input-side parameter field
+    that weighs them: for GCN, w1 weighs the filtered features G F; for MPGNN,
+    w3 weighs the raw features and w1 rho(G zeta(F)). No row depends on
+    trainable parameters, so a sweep computes them once per (sample, config)."""
     filtered = apply_filter(config.filter_kind, sample)
     if config.model_kind is ModelKind.GCN:
-        rows = {"w1": filtered @ sample.features}
-    else:
-        aggregated = config.rho.apply(filtered @ config.zeta.apply(sample.features))
-        rows = {"w3": sample.features, "w1": aggregated}
-    return PreparedGraph(node_count=sample.node_count, label=sample.label, rows=rows)
+        return {"w1": filtered @ sample.features}
+    aggregated = config.rho.apply(filtered @ config.zeta.apply(sample.features))
+    return {"w3": sample.features, "w1": aggregated}
 
 
 @dataclass(frozen=True)
 class Stacked:
-    """The node rows of several prepared graphs, concatenated in order."""
+    """The node rows of several graphs, concatenated in graph order: graph q's
+    rows are rows[name][starts[q] : starts[q] + node_counts[q]]."""
 
     rows: dict[str, np.ndarray]
     labels: np.ndarray
     node_counts: np.ndarray
-    starts: np.ndarray
 
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.node_counts)[:-1]))
 
-def stack(prepared: Sequence[PreparedGraph]) -> Stacked:
-    counts = np.array([p.node_count for p in prepared], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rows = {name: np.concatenate([p.rows[name] for p in prepared]) for name in prepared[0].rows}
-    labels = np.array([p.label for p in prepared], dtype=np.float64)
-    return Stacked(rows=rows, labels=labels, node_counts=counts, starts=starts)
+    def gather(self, graphs: np.ndarray, out: dict[str, np.ndarray] | None = None) -> "Stacked":
+        """A new stack of the graphs at these indices, in this order, written
+        into out (arrays of exactly the gathered shape) when given."""
+        gathered = Stacked({}, self.labels[graphs], self.node_counts[graphs])
+        nodes = np.repeat(self.starts[graphs] - gathered.starts, gathered.node_counts)
+        nodes += np.arange(len(nodes))
+        # mode="clip" lets np.take write into out directly; with the default
+        # "raise" it gathers into a temporary first. Every index is in range.
+        for name, rows in self.rows.items():
+            target = None if out is None else out[name]
+            gathered.rows[name] = np.take(rows, nodes, axis=0, out=target, mode="clip")
+        return gathered
+
+    def batches(self, size: int) -> Iterator["Stacked"]:
+        """Consecutive runs of size graphs (the last may be shorter), each a
+        view of these rows."""
+        for lo in range(0, len(self.labels), size):
+            counts = self.node_counts[lo : lo + size]
+            nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
+            rows = {name: rows[nodes] for name, rows in self.rows.items()}
+            yield Stacked(rows, self.labels[lo : lo + size], counts)
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
@@ -268,13 +270,6 @@ def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:
         )
     if params.width != config.width:
         raise ValueError(f"params have width {params.width}, config says {config.width}")
-
-
-def forward_graph(params: Params, sample: GraphSample, config: ModelConfig) -> float:
-    """Model output yhat for one sample (filter applied once per call)."""
-    check_shapes(params, sample.feature_dim, config)
-    yhat, _ = forward(params, stack([prepare_sample(sample, config)]), config)
-    return float(yhat[0])
 
 
 def save_params(params: Params, path) -> None:

@@ -240,8 +240,9 @@ def run_sweep_on(
     """Run the sweep grid against an already-resolved dataset.
 
     stats and filter_reports may be passed in when the caller has already
-    computed them (they are pure functions of the dataset). Each graph is
-    prepared once per (model, filter) and every coordinate splits those.
+    computed them (they are pure functions of the dataset). The graphs are
+    prepared into one stack per (model, filter), and every coordinate's
+    split indexes into it.
     """
     if stats is None:
         stats = dataset_stats(dataset)
@@ -312,11 +313,3 @@ def _single_threaded_blas():
             _blas_pins -= 1
             if _blas_pins == 0:
                 setter(_blas_threads_before)
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Resolve the dataset, run every coordinate, return rows in canonical order."""
-    dataset = resolve_dataset(
-        config.dataset, config.data_seed, config.n_graphs, config.feature_dim
-    )
-    return run_sweep_on(dataset, config)

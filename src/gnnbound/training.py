@@ -28,13 +28,11 @@ from .data import GraphDataset, GraphSample
 from .models import (
     ModelConfig,
     Params,
-    PreparedGraph,
     Stacked,
     check_shapes,
     forward,
     prepare_sample,
     readout_scale,
-    stack,
 )
 
 
@@ -91,12 +89,6 @@ def zeros_like_params(params: Params) -> Params:
     return params.map(np.zeros_like)
 
 
-def penalty(params: Params, alpha: float) -> float:
-    """(1/(h alpha)) * sum over unit rows of half the squared row norm."""
-    total = sum(float((getattr(params, f.name) ** 2).sum()) for f in dataclasses.fields(params))
-    return total / (2.0 * params.width * alpha)
-
-
 def penalty_grads(params: Params, alpha: float) -> Params:
     divisor = params.width * alpha
     return params.map(lambda w: w / divisor)
@@ -122,55 +114,51 @@ def _risk_and_loss_grads(
     return risk, dataclasses.replace(params, w2=w2_grad, **grads)
 
 
-def _prepare_all(
-    params: Params, samples, model_config: ModelConfig, empty_message: str
-) -> list[PreparedGraph]:
-    """Prepared rows of every sample (a PreparedGraph is one already), once
-    params are known to fit the data."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError(empty_message)
-    check_shapes(params, samples[0].feature_dim, model_config)
-    return [
-        sample if isinstance(sample, PreparedGraph) else prepare_sample(sample, model_config)
-        for sample in samples
-    ]
+@dataclass(frozen=True)
+class PreparedDataset(GraphDataset):
+    """A dataset with its graphs' node rows prepared for one model kind, filter
+    and nonlinearities. stack holds the rows of every graph prepared together,
+    and graphs[q] is the index of samples[q] into it, so a split (take) copies
+    no rows; stack.gather(graphs) copies them out in sample order.
+    """
+
+    stack: Stacked
+    graphs: np.ndarray
+
+    def take(self, indices) -> "PreparedDataset":
+        return dataclasses.replace(super().take(indices), graphs=self.graphs[indices])
 
 
-def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> GraphDataset:
-    """dataset as prepared rows, which train and empirical_risk take for any
-    config sharing model_config's kind, filter and nonlinearities."""
-    prepared = [prepare_sample(sample, model_config) for sample in dataset]
-    return GraphDataset.from_samples(prepared, name=dataset.name)
+def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> PreparedDataset:
+    """dataset prepared for training and risks under any config that shares
+    model_config's kind, filter and nonlinearities: each graph's rows are
+    computed once and stacked once."""
+    rows = [prepare_sample(sample, model_config) for sample in dataset]
+    stack = Stacked(
+        rows={name: np.concatenate([r[name] for r in rows]) for name in rows[0]},
+        labels=np.array([sample.label for sample in dataset], dtype=np.float64),
+        node_counts=np.array([sample.node_count for sample in dataset]),
+    )
+    return PreparedDataset(
+        dataset.samples, dataset.feature_dim, dataset.name, stack, np.arange(len(dataset))
+    )
+
+
+def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDataset:
+    """data as a prepared dataset, once params are known to fit it. A
+    GraphDataset or a sequence of GraphSamples is prepared here."""
+    if not isinstance(data, PreparedDataset):
+        data = prepare_dataset(GraphDataset.from_samples(data, name=""), model_config)
+    check_shapes(params, data.feature_dim, model_config)
+    return data
 
 
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     """Mean logistic loss of the model over the samples (no penalty)."""
-    stacked = stack(
-        _prepare_all(params, samples, model_config, "empirical_risk needs at least one sample")
-    )
+    prepared = _prepared(params, samples, model_config)
+    stacked = prepared.stack.gather(prepared.graphs)
     yhat, _ = forward(params, stacked, model_config)
     return float(logistic_loss(yhat, stacked.labels).mean())
-
-
-def regularized_risk(params: Params, samples, model_config: ModelConfig, alpha: float) -> float:
-    """empirical_risk plus the 1/(h alpha) L2 penalty over unit rows."""
-    return empirical_risk(params, samples, model_config) + penalty(params, alpha)
-
-
-def grad_empirical_risk(params: Params, batch, model_config: ModelConfig) -> Params:
-    """Analytic gradient of the batch-average logistic loss."""
-    prepared = _prepare_all(params, batch, model_config, "gradient needs a nonempty batch")
-    _, grads = _risk_and_loss_grads(params, stack(prepared), model_config)
-    return grads
-
-
-def grad_regularized_risk(
-    params: Params, batch, model_config: ModelConfig, alpha: float
-) -> Params:
-    """Analytic gradient of the regularized objective on the batch average."""
-    loss_grads = grad_empirical_risk(params, batch, model_config)
-    return loss_grads.map(np.add, penalty_grads(params, alpha))
 
 
 def sgd_step(
@@ -184,39 +172,41 @@ def sgd_step(
 
 def train(
     params: Params,
-    train_set: GraphDataset | Sequence[GraphSample | PreparedGraph],
+    train_set: GraphDataset | Sequence[GraphSample],
     config: TrainConfig,
     model_config: ModelConfig,
 ) -> tuple[Params, list[float]]:
     """Momentum SGD over shuffled minibatches; deterministic given config.seed.
 
+    Each epoch gathers the permuted training graphs' rows once, into the same
+    arrays every epoch, and every minibatch is a contiguous slice of them.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not finite.
     """
-    prepared = _prepare_all(params, train_set, model_config, "training set is empty")
+    prepared = _prepared(params, train_set, model_config)
     n = len(prepared)
     rng = np.random.default_rng(config.seed)
     velocity = zeros_like_params(params)
     history: list[float] = []
+    rows = None
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
+        shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
+        rows = shuffled.rows
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            chosen = order[start : start + config.batch_size]
-            stacked = stack([prepared[i] for i in chosen])
+        for index, batch in enumerate(shuffled.batches(config.batch_size)):
             # Float overflow on a diverging run is reported via the explicit
             # non-finite check below, not as numpy warnings.
             with np.errstate(over="ignore", invalid="ignore"):
-                risk, loss_grads = _risk_and_loss_grads(params, stacked, model_config)
+                risk, loss_grads = _risk_and_loss_grads(params, batch, model_config)
                 if not np.isfinite(risk):
                     raise TrainingDivergenceError(
-                        f"non-finite loss {risk!r} at epoch {epoch}, batch starting "
-                        f"{start} (width {params.width}, lr {config.learning_rate})"
+                        f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
+                        f"(width {params.width}, lr {config.learning_rate})"
                     )
                 grads = loss_grads.map(np.add, penalty_grads(params, config.alpha))
                 params, velocity = sgd_step(params, grads, velocity, config)
-            epoch_loss += risk * len(chosen)
+            epoch_loss += risk * len(batch.labels)
         history.append(epoch_loss / n)
     return params, history
 

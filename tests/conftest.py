@@ -11,7 +11,7 @@ from gnnbound.data import GraphDataset, GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import ModelConfig, ModelKind, Params, Readout, init_params
 from gnnbound.synth import generate_features
-from gnnbound.training import regularized_risk
+from oracles import regularized_risk
 
 
 def sample_from_edges(n, edges, features=None, label=1) -> GraphSample:

@@ -2,19 +2,41 @@
 
 They evaluate the same quantities as the library by another route: one hidden
 unit at one node in scalar arithmetic, the spectral norm by power iteration
-instead of an SVD, and the forward and backward passes with a new array for
-every temporary instead of overwriting them in place.
+instead of an SVD, the forward and backward passes with a new array for
+every temporary instead of overwriting them in place, and a batch's stack by
+concatenating its graphs' rows one graph at a time instead of gathering them
+from a prepared dataset. The risks and gradients of a list of samples, the
+node relabelling of a sample and the whole sweep from its config are built
+here from the library's parts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
-from gnnbound.models import ModelConfig, Nonlinearity, Params, Stacked, readout_scale
-from gnnbound.training import logistic_loss, logistic_loss_grad
+from gnnbound.data import GraphSample, ValidationError
+from gnnbound.models import (
+    ModelConfig,
+    Nonlinearity,
+    Params,
+    Stacked,
+    check_shapes,
+    forward,
+    prepare_sample,
+    readout_scale,
+)
+from gnnbound.sweep import SweepConfig, SweepRow, resolve_dataset, run_sweep_on
+from gnnbound.training import (
+    _risk_and_loss_grads,
+    empirical_risk,
+    logistic_loss,
+    logistic_loss_grad,
+    penalty_grads,
+)
 
 SPECTRAL_TOL = 1e-12
 SPECTRAL_MAX_ITER = 10_000
@@ -127,3 +149,74 @@ def risk_and_loss_grads_out_of_place(
     back = derivative_out_of_place(config.outer, f) * (per_node[:, None] * params.w2[None, :])
     grads = {name: back.T @ rows / h for name, rows in stacked.rows.items()}
     return risk, dataclasses.replace(params, w2=f.T @ per_node / h, **grads)
+
+
+def stack(rows: Sequence[dict[str, np.ndarray]], labels: Sequence[int]) -> Stacked:
+    """The stack of graphs with these prepared rows, concatenated graph by graph."""
+    return Stacked(
+        rows={name: np.concatenate([r[name] for r in rows]) for name in rows[0]},
+        labels=np.array(labels, dtype=np.float64),
+        node_counts=np.array([len(r["w1"]) for r in rows]),
+    )
+
+
+def stack_samples(params: Params, samples: Sequence[GraphSample], config: ModelConfig) -> Stacked:
+    """The samples prepared one at a time and stacked, once params fit them."""
+    check_shapes(params, samples[0].feature_dim, config)
+    return stack([prepare_sample(s, config) for s in samples], [s.label for s in samples])
+
+
+def forward_graph(params: Params, sample: GraphSample, config: ModelConfig) -> float:
+    """Model output yhat for one sample."""
+    yhat, _ = forward(params, stack_samples(params, [sample], config), config)
+    return float(yhat[0])
+
+
+def penalty(params: Params, alpha: float) -> float:
+    """(1/(h alpha)) * sum over unit rows of half the squared row norm."""
+    total = sum(float((getattr(params, f.name) ** 2).sum()) for f in dataclasses.fields(params))
+    return total / (2.0 * params.width * alpha)
+
+
+def regularized_risk(params: Params, samples, config: ModelConfig, alpha: float) -> float:
+    """empirical_risk plus the 1/(h alpha) L2 penalty over unit rows."""
+    return empirical_risk(params, samples, config) + penalty(params, alpha)
+
+
+def grad_empirical_risk(params: Params, batch, config: ModelConfig) -> Params:
+    """Analytic gradient of the batch-average logistic loss."""
+    _, grads = _risk_and_loss_grads(params, stack_samples(params, batch, config), config)
+    return grads
+
+
+def grad_regularized_risk(params: Params, batch, config: ModelConfig, alpha: float) -> Params:
+    """Analytic gradient of the regularized objective on the batch average."""
+    return grad_empirical_risk(params, batch, config).map(np.add, penalty_grads(params, alpha))
+
+
+def permute_sample(sample: GraphSample, perm: Sequence[int]) -> GraphSample:
+    """Relabel nodes so that old node i becomes new node perm[i].
+
+    Adjacency, features, and (trivially) the label are relabeled consistently:
+    the returned sample's node perm[i] carries node i's feature row, and
+    (perm[i], perm[j]) is an edge iff (i, j) was.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    n = sample.node_count
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValidationError("invalid permutation: must be a bijection on node indices")
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[perm] = np.arange(n)
+    return GraphSample(
+        adjacency=sample.adjacency[np.ix_(inverse, inverse)],
+        features=sample.features[inverse],
+        label=sample.label,
+    )
+
+
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
+    """Resolve the dataset, run every coordinate, return rows in canonical order."""
+    dataset = resolve_dataset(
+        config.dataset, config.data_seed, config.n_graphs, config.feature_dim
+    )
+    return run_sweep_on(dataset, config)

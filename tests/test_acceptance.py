@@ -29,7 +29,6 @@ from gnnbound.data import (
     dataset_stats,
     degrees,
     load_dataset,
-    permute_sample,
     save_dataset,
 )
 from gnnbound.filters import (
@@ -47,15 +46,14 @@ from gnnbound.models import (
     MpgnnParams,
     Nonlinearity,
     Readout,
-    forward_graph,
     init_params,
 )
 from gnnbound.bounds import BoundInputs, ModelStats, fd_bound, rademacher_terms
 from gnnbound.report import emit_reports, recompute_bounds_from_record
-from gnnbound.sweep import SweepConfig, resolve_dataset, run_sweep_on
+from gnnbound.sweep import SweepConfig, _single_threaded_blas, resolve_dataset, run_sweep_on
 from gnnbound.synth import SbmSpec, generate_er, generate_sbm, make_dataset, preset_config
-from gnnbound.training import TrainConfig, grad_regularized_risk
-from oracles import spectral_norm
+from gnnbound.training import TrainConfig
+from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm
 
 ALPHA = 100.0
 
@@ -150,12 +148,15 @@ def sbm1_context():
 
 
 def trend_sweep_config(model: ModelKind) -> SweepConfig:
+    # Rows do not depend on the worker count (criterion 9 and
+    # test_worker_pool_matches_sequential), so the grid runs on two.
     return SweepConfig(
         dataset="sbm1",
         betas=(0.7,),
         widths=(4, 16, 64, 256),
         seeds=tuple(range(10)),
         models=(model,),
+        workers=2,
     )
 
 
@@ -173,7 +174,15 @@ def mpgnn_trend_rows(sbm1_context):
                         stats=stats, filter_reports=reports)
 
 
-def test_criterion_1_gradient_oracle():
+@pytest.fixture
+def one_blas_thread():
+    """Run the test on one BLAS thread: the clocked criteria then do not wait
+    on BLAS threads that another process on the cores has descheduled."""
+    with _single_threaded_blas():
+        yield
+
+
+def test_criterion_1_gradient_oracle(one_blas_thread):
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     cases = make_gradcheck_cases(rng, (ModelKind.GCN, ModelKind.MPGNN))
@@ -199,7 +208,7 @@ def test_criterion_1_gradient_oracle():
     check(1, ok, f"24 configs, worst margin {worst:.3e} (<=1), {elapsed:.1f}s (<10s)")
 
 
-def test_criterion_2_norm_lemmas():
+def test_criterion_2_norm_lemmas(one_blas_thread):
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     worst_inf_excess = -math.inf

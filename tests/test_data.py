@@ -14,12 +14,12 @@ from gnnbound.data import (
     dataset_stats,
     degrees,
     load_dataset,
-    permute_sample,
     require_valid,
     save_dataset,
     split_dataset,
     validate_sample,
 )
+from oracles import permute_sample
 
 
 class TestValidation:
@@ -60,6 +60,12 @@ class TestValidation:
     def test_feature_row_count_mismatch_raises(self):
         with pytest.raises(ValidationError):
             GraphSample(adjacency=np.zeros((3, 3)), features=np.ones((2, 1)), label=1)
+
+    def test_graph_without_nodes_raises_on_construction(self):
+        # load_dataset refuses n = 0, and a zero-node graph in a stack would
+        # read the next graph's first node as its own.
+        with pytest.raises(ValidationError, match="at least one node"):
+            GraphSample(adjacency=np.zeros((0, 0)), features=np.ones((0, 2)), label=1)
 
     def test_samples_are_immutable(self, triangle):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sample, sample_from_edges
-from gnnbound.data import GraphDataset, degrees, permute_sample, to_json_value
+from gnnbound.data import GraphDataset, degrees, to_json_value
 from gnnbound.filters import (
     FilterKind,
     apply_filter,
@@ -19,7 +19,7 @@ from gnnbound.filters import (
     theoretical_fro_bound,
     theoretical_inf_bound,
 )
-from oracles import spectral_norm
+from oracles import permute_sample, spectral_norm
 
 ALL_KINDS = list(FilterKind)
 

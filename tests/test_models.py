@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import random_sample, sample_from_edges
-from gnnbound.data import permute_sample
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -18,12 +17,11 @@ from gnnbound.models import (
     Nonlinearity,
     Readout,
     check_shapes,
-    forward_graph,
     init_params,
     load_params,
     save_params,
 )
-from oracles import gcn_unit_output, mpgnn_unit_output
+from oracles import forward_graph, gcn_unit_output, mpgnn_unit_output, permute_sample
 
 GCN_MEAN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 

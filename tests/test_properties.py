@@ -1,13 +1,16 @@
-"""Property tests of the file formats and the config reader (hypothesis).
+"""Property tests of the file formats, the config reader and the minibatch
+gather (hypothesis).
 
-No test here trains or generates data sized by a drawn value: a drawn config
-holds one unparseable value, so the command stops before any work.
+No test here trains: a drawn config holds one unparseable value, so the
+command stops before any work, and a drawn gather stacks at most 12 graphs
+of at most 6 nodes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import random_sample
 from gnnbound.cli import (
     BOUNDS_TABLE,
     SPEC_TABLES,
@@ -27,8 +31,12 @@ from gnnbound.cli import (
     read_config,
 )
 from gnnbound.data import GraphDataset, GraphSample, load_dataset, save_dataset
+from gnnbound.filters import FilterKind
+from gnnbound.models import ModelConfig, ModelKind, prepare_sample
 from gnnbound.report import ROW_COLUMNS, read_rows_csv, write_rows_csv
 from gnnbound.sweep import SweepRow
+from gnnbound.training import prepare_dataset
+from oracles import stack
 
 TABLES = {
     "train": TRAIN_TABLE,
@@ -159,3 +167,41 @@ def _rejects(parser, text: str) -> bool:
     except ValueError:
         return True
     return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minibatches_equal_the_concatenated_graphs(data):
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12), label="sizes")
+    model = data.draw(st.sampled_from(list(ModelKind)), label="model")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = [random_sample(rng, n, 2) for n in sizes]
+    config = ModelConfig(model, FilterKind.SYM_NORM, width=1)
+    prepared = prepare_dataset(GraphDataset.from_samples(samples, "g"), config)
+    # A split: some graphs of the stack, in drawn order, then shuffled as an epoch.
+    chosen = data.draw(st.lists(st.sampled_from(range(len(samples))), min_size=1, unique=True))
+    split = prepared.take(np.array(chosen))
+    m = len(chosen)
+    order = np.array(data.draw(st.permutations(range(m)), label="order"))
+    graphs = [chosen[i] for i in order]
+    non_divisor = data.draw(st.integers(2, m + 1).filter(lambda b: m % b), label="non_divisor")
+
+    # A fresh gather, as train's first epoch makes, and one into the rows of
+    # an earlier gather, as its later epochs do.
+    earlier = split.stack.gather(split.graphs[::-1])
+    reused = split.stack.gather(split.graphs[order], out=earlier.rows)
+    assert all(reused.rows[name] is earlier.rows[name] for name in earlier.rows)
+    for shuffled, size in itertools.product(
+        (split.stack.gather(split.graphs[order]), reused), (1, non_divisor, m + 1)
+    ):
+        batches = list(shuffled.batches(size))
+        assert len(batches) == -(-m // size)
+        for k, batch in enumerate(batches):
+            part = [samples[i] for i in graphs[k * size : (k + 1) * size]]
+            want = stack([prepare_sample(s, config) for s in part], [s.label for s in part])
+            assert batch.rows.keys() == want.rows.keys()
+            for name in want.rows:
+                assert np.array_equal(batch.rows[name], want.rows[name])
+            assert np.array_equal(batch.labels, want.labels)
+            assert np.array_equal(batch.node_counts, want.node_counts)
+            assert np.array_equal(batch.starts, want.starts)

@@ -44,11 +44,11 @@ from gnnbound.sweep import (
     SweepRow,
     coordinate_seeds,
     resolve_dataset,
-    run_sweep,
     run_sweep_on,
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
+from oracles import run_sweep
 
 
 def openblas_thread_count():

@@ -12,10 +12,11 @@ from conftest import (
     finite_diff_grads,
     gradcheck_case,
     max_relative_grad_error,
+    random_dataset,
     random_sample,
     sample_from_edges,
 )
-from gnnbound.data import GraphDataset
+from gnnbound.data import split_dataset
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -23,31 +24,34 @@ from gnnbound.models import (
     ModelKind,
     Nonlinearity,
     Readout,
+    Stacked,
     forward,
-    forward_graph,
     init_params,
-    prepare_sample,
-    stack,
 )
 from gnnbound.training import (
     TrainConfig,
     TrainingDivergenceError,
     _risk_and_loss_grads,
     empirical_risk,
-    grad_empirical_risk,
-    grad_regularized_risk,
     logistic_loss,
     logistic_loss_grad,
     measure_generalization,
-    penalty,
     penalty_grads,
     prepare_dataset,
-    regularized_risk,
     sgd_step,
     train,
     zeros_like_params,
 )
-from oracles import forward_out_of_place, risk_and_loss_grads_out_of_place
+from oracles import (
+    forward_graph,
+    forward_out_of_place,
+    grad_empirical_risk,
+    grad_regularized_risk,
+    penalty,
+    regularized_risk,
+    risk_and_loss_grads_out_of_place,
+    stack_samples,
+)
 
 GCN_SYM = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 
@@ -201,10 +205,10 @@ class TestInPlaceKernel:
     def test_matches_out_of_place_kernel_exactly(self, rng, model, outer, readout):
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
                              readout=readout, activation=outer, kappa=outer)
-        stacked = stack([prepare_sample(random_sample(rng, n, 3), config) for n in (3, 6, 9)])
-        rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
         # Weights scaled up so the outer nonlinearity leaves its linear range.
         params = init_params(config, 3, seed=11).map(lambda w: 3.0 * w)
+        stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (3, 6, 9)], config)
+        rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
 
         yhat, f = forward(params, stacked, config)
         want_yhat, want_f = forward_out_of_place(params, stacked, config)
@@ -313,18 +317,36 @@ class TestTrain:
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_prepared_graphs_train_as_their_samples(self, rng, model):
+        # A split of the prepared stack against the same split of the samples.
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
-        samples = GraphDataset.from_samples([random_sample(rng, 5, 2) for _ in range(6)], "d")
-        prepared = prepare_dataset(samples, dataclasses.replace(config, width=1))
+        dataset = random_dataset(rng, 10, 2)
+        prepared = prepare_dataset(dataset, dataclasses.replace(config, width=1))
+        (train_raw, test_raw), (train_prep, test_prep) = (
+            split_dataset(d, 0.7, seed=3) for d in (dataset, prepared)
+        )
+        assert list(train_prep) == list(train_raw) and list(test_prep) == list(test_raw)
         params = init_params(config, 2, seed=4)
-        cfg = TrainConfig(epochs=3, batch_size=4, seed=5)
-        (a, hist_a), (b, hist_b) = (train(params, s, cfg, config) for s in (samples, prepared))
+        cfg = TrainConfig(epochs=3, batch_size=3, seed=5)
+        (a, hist_a), (b, hist_b) = (train(params, s, cfg, config) for s in (train_raw, train_prep))
         assert hist_a == hist_b
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
-        assert measure_generalization(a, samples, samples[:2], config) == measure_generalization(
-            a, prepared, prepared[:2], config
+        assert measure_generalization(a, train_raw, test_raw, config) == measure_generalization(
+            a, train_prep, test_prep, config
         )
+
+    def test_rows_are_gathered_once_per_epoch(self, rng, monkeypatch):
+        params, samples, config = self._setup(rng)
+        calls = []
+        gather = Stacked.gather
+
+        def counting(self, graphs, *args, **kwargs):
+            calls.append(len(graphs))
+            return gather(self, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(Stacked, "gather", counting)
+        train(params, samples, TrainConfig(epochs=4, batch_size=2), config)
+        assert calls == [len(samples)] * 4
 
     def test_divergence_raises(self, rng):
         config = ModelConfig(
