@@ -17,10 +17,12 @@ where the readout psi is x/N (mean) or x (sum).
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import enum
 import functools
 import json
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -199,6 +201,16 @@ def prepare_sample(sample: GraphSample, config: ModelConfig) -> dict[str, np.nda
     return {"w3": sample.features, "w1": aggregated}
 
 
+def prepared_with(config: ModelConfig) -> dict[str, str]:
+    """The config fields prepare_sample reads, by name: the model kind and
+    filter, and for MPGNN zeta and rho. Rows prepared under one config serve
+    every config that agrees with it on these."""
+    names = ["model_kind", "filter_kind"]
+    if config.model_kind is ModelKind.MPGNN:
+        names += ["zeta", "rho"]
+    return {name: getattr(config, name).value for name in names}
+
+
 @dataclass(frozen=True)
 class Stacked:
     """The node rows of several graphs, concatenated in graph order: graph q's
@@ -242,18 +254,125 @@ def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
     return np.ones(len(stacked.node_counts))
 
 
-def forward(params: Params, stacked: Stacked, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+# Row blocks of about this many bytes of an N x h float64 array stay in L2
+# between the passes of a block's elementwise chain.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_rows(width: int) -> int:
+    return max(2, _BLOCK_BYTES // (8 * width))
+
+
+def _blocks(nodes: int, width: int) -> list[slice]:
+    """Row blocks of nodes x width float64 rows, about _BLOCK_BYTES each. No
+    block has one row unless nodes is 1: NumPy's matmul takes another path on
+    a single row, which rounds differently, so a one-row tail joins the block
+    before it."""
+    starts = list(range(0, nodes, _block_rows(width)))
+    if len(starts) > 1 and nodes - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [nodes])]
+
+
+class Workspace:
+    """The buffers a forward and backward write into, and the lanes that run
+    their row blocks.
+
+    f holds the outer-nonlinearity outputs of up to `nodes` rows, and each lane
+    has one block temp. Lane 0 is the calling thread; the others are the
+    threads of a pool that lives while the workspace is entered. Every lane
+    task runs in a copy of the caller's context, so np.errstate holds there.
+    """
+
+    def __init__(self, nodes: int, width: int, lanes: int = 1):
+        self.f = np.empty((nodes, width))
+        # A block has at most one row more than _block_rows: a merged tail.
+        rows = min(_block_rows(width) + 1, nodes)
+        self.temps = [np.empty((rows, width)) for _ in range(lanes)]
+        self._pool = None
+        self._runs: dict[int, list[list[tuple[slice, np.ndarray]]]] = {}
+
+    def __enter__(self) -> "Workspace":
+        self._runs.clear()
+        if len(self.temps) > 1:
+            self._pool = ThreadPoolExecutor(max_workers=len(self.temps) - 1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+        self._runs.clear()
+
+    def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray]]]:
+        """The row blocks of a step over nodes rows, dealt to its lanes in
+        contiguous runs, each block with its lane's temp cut to its rows. A
+        step has lanes only while the workspace is entered, and each lane
+        takes at least two blocks: with one each, a full block beside a short
+        tail and the dispatch cost more than the second lane saves."""
+        runs = self._runs.get(nodes)
+        if runs is None:
+            blocks = _blocks(nodes, self.f.shape[1])
+            lanes = len(self.temps) if self._pool is not None else 1
+            lanes = max(1, min(lanes, len(blocks) // 2))
+            runs = self._runs[nodes] = [
+                [(block, temp[: block.stop - block.start]) for block in
+                 blocks[i * len(blocks) // lanes : (i + 1) * len(blocks) // lanes]]
+                for i, temp in zip(range(lanes), self.temps)
+            ]
+        return runs
+
+    def map(self, nodes: int, fn, items: list) -> list:
+        """[fn(item) for item in items]. When a step over nodes rows has
+        lanes, each call runs on its own, the first on this thread."""
+        if len(self.runs(nodes)) == 1:
+            return [fn(item) for item in items]
+        futures = [self._pool.submit(contextvars.copy_context().run, fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            wait(futures)
+        return [first] + [future.result() for future in futures]
+
+    def each_block(self, nodes: int, fn) -> None:
+        """fn(block, temp) for every row block of a step over nodes rows,
+        each lane taking its run of blocks with its own temp."""
+
+        def lane(run):
+            for block, temp in run:
+                fn(block, temp)
+
+        self.map(nodes, lane, self.runs(nodes))
+
+
+def forward(
+    params: Params, stacked: Stacked, config: ModelConfig, workspace: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Outputs yhat, one per stacked graph, and the N x h outer-nonlinearity outputs f.
 
-    f is a fresh array the caller may overwrite. The caller checks that params
-    match config (check_shapes).
+    f is workspace.f[:N], which the caller may overwrite; without a workspace
+    a single-lane one is made for this call. Each row block runs its
+    pre-activation gemms, the outer nonlinearity and its nodes' share of
+    f @ w2 while it is in cache; the sums over nodes run once over the batch.
+    The caller checks that params match config (check_shapes).
     """
-    (name, rows), *rest = stacked.rows.items()
-    z = rows @ getattr(params, name).T
-    for name, rows in rest:
-        z += rows @ getattr(params, name).T
-    f = config.outer.apply_in_place(z)
-    node_values = f @ params.w2 / params.width
+    nodes = len(stacked.rows["w1"])
+    if workspace is None:
+        workspace = Workspace(nodes, params.width)
+    f = workspace.f[:nodes]
+    (first_rows, first_weights), *rest = [
+        (rows, getattr(params, name).T) for name, rows in stacked.rows.items()
+    ]
+    node_values = np.empty(nodes)
+
+    def block_forward(block: slice, temp: np.ndarray) -> None:
+        z = np.matmul(first_rows[block], first_weights, out=f[block])
+        for rows, weights in rest:
+            z += np.matmul(rows[block], weights, out=temp)
+        np.matmul(config.outer.apply_in_place(z), params.w2, out=node_values[block])
+
+    workspace.each_block(nodes, block_forward)
+    node_values /= params.width
     sums = np.add.reduceat(node_values, stacked.starts)
     return sums * readout_scale(stacked, config.readout), f
 

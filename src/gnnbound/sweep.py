@@ -14,22 +14,19 @@ sequential (only wall_time_s, a measurement, varies).
 With workers > 1 the coordinates are handed to a thread pool widest first, so
 the longest runs do not form the tail, and OpenBLAS runs each matrix product
 on its calling thread alone while the pool is up: the pool's threads, not
-BLAS's, then share the cores.
+BLAS's, then share the cores, and each training runs on its pool thread. With
+workers = 1 each training has the cores to itself and runs the row blocks of
+its steps on one lane per usable CPU (training.train).
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
-import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +38,7 @@ from .synth import PRESET_NAMES, make_dataset, preset_config
 from .training import (
     TrainConfig,
     TrainingDivergenceError,
+    _single_threaded_blas,
     measure_generalization,
     prepare_dataset,
     train,
@@ -266,50 +264,3 @@ def run_sweep_on(
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=config.workers) as pool:
         rows = dict(zip(widest_first, pool.map(one, [coords[i] for i in widest_first])))
     return [rows[i] for i in range(len(coords))]
-
-
-@functools.cache
-def _openblas_thread_setter():
-    """openblas_set_num_threads_local of the OpenBLAS NumPy loaded, or None
-    when NumPy uses another BLAS."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-# Mirror the process-wide OpenBLAS thread count: how many pools pinned it,
-# and what it was before the first of them.
-_blas_lock = threading.Lock()
-_blas_pins = 0
-_blas_threads_before = 0
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Run the block with one OpenBLAS thread per calling thread.
-
-    In pthread builds of OpenBLAS the setter changes the count for the whole
-    process, so the count from before the first of any overlapping blocks is
-    restored when the last one ends. Without OpenBLAS the block runs as is.
-    """
-    global _blas_pins, _blas_threads_before
-    setter = _openblas_thread_setter()
-    if setter is None:
-        yield
-        return
-    with _blas_lock:
-        if _blas_pins == 0:
-            _blas_threads_before = setter(1)
-        _blas_pins += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_pins -= 1
-            if _blas_pins == 0:
-                setter(_blas_threads_before)

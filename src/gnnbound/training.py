@@ -17,9 +17,15 @@ of g). Minibatch indices are reshuffled every epoch from the run PRNG.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +35,11 @@ from .models import (
     ModelConfig,
     Params,
     Stacked,
+    Workspace,
     check_shapes,
     forward,
     prepare_sample,
+    prepared_with,
     readout_scale,
 )
 
@@ -95,10 +103,18 @@ def penalty_grads(params: Params, alpha: float) -> Params:
 
 
 def _risk_and_loss_grads(
-    params: Params, stacked: Stacked, config: ModelConfig
+    params: Params, stacked: Stacked, config: ModelConfig, workspace: Workspace | None = None
 ) -> tuple[float, Params]:
-    """Batch-average empirical risk and its gradient (no penalty term)."""
-    yhat, f = forward(params, stacked, config)
+    """Batch-average empirical risk and its gradient (no penalty term).
+
+    The forward's f becomes the backpropagated signal in place, block by
+    block on the workspace's lanes. Every sum over nodes is one call over the
+    whole batch: splitting one changes its summation order and so its bits.
+    """
+    nodes = len(stacked.rows["w1"])
+    if workspace is None:
+        workspace = Workspace(nodes, params.width)
+    yhat, f = forward(params, stacked, config, workspace)
     h = params.width
     risk = float(logistic_loss(yhat, stacked.labels).mean())
 
@@ -106,33 +122,45 @@ def _risk_and_loss_grads(
     per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
     per_node = np.repeat(per_graph, stacked.node_counts)
     w2_grad = f.T @ per_node / h
-    # f becomes the backpropagated signal in place; the outer product stays one
-    # factor, as multiplying by its two vectors in turn rounds differently.
-    back = config.outer.derivative_in_place(f)
-    back *= per_node[:, None] * params.w2[None, :]
-    grads = {name: back.T @ rows / h for name, rows in stacked.rows.items()}
-    return risk, dataclasses.replace(params, w2=w2_grad, **grads)
+
+    def block_backward(block: slice, temp: np.ndarray) -> None:
+        # The outer product stays one factor, as multiplying by its two
+        # vectors in turn rounds differently.
+        back = config.outer.derivative_in_place(f[block])
+        back *= np.multiply(per_node[block, None], params.w2[None, :], out=temp)
+
+    workspace.each_block(nodes, block_backward)
+
+    def grad(rows: np.ndarray) -> np.ndarray:
+        # rows.T @ back has the bits of back.T @ rows and runs faster; out
+        # keeps the weight block C-ordered like every other.
+        return np.divide((rows.T @ f).T, h, out=np.empty((h, rows.shape[1])))
+
+    grads = workspace.map(nodes, grad, list(stacked.rows.values()))
+    return risk, dataclasses.replace(params, w2=w2_grad, **dict(zip(stacked.rows, grads)))
 
 
 @dataclass(frozen=True)
 class PreparedDataset(GraphDataset):
-    """A dataset with its graphs' node rows prepared for one model kind, filter
-    and nonlinearities. stack holds the rows of every graph prepared together,
-    and graphs[q] is the index of samples[q] into it, so a split (take) copies
-    no rows; stack.gather(graphs) copies them out in sample order.
+    """A dataset with its graphs' node rows prepared under the config fields
+    in prepared_with (models.prepared_with). stack holds the rows of every
+    graph prepared together, and graphs[q] is the index of samples[q] into
+    it, so a split (take) copies no rows; stack.gather(graphs) copies them
+    out in sample order.
     """
 
     stack: Stacked
     graphs: np.ndarray
+    prepared_with: dict[str, str]
 
     def take(self, indices) -> "PreparedDataset":
         return dataclasses.replace(super().take(indices), graphs=self.graphs[indices])
 
 
 def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> PreparedDataset:
-    """dataset prepared for training and risks under any config that shares
-    model_config's kind, filter and nonlinearities: each graph's rows are
-    computed once and stacked once."""
+    """dataset prepared for training and risks under any config that agrees
+    with model_config on the fields prepare_sample reads (prepared_with): each
+    graph's rows are computed once and stacked once."""
     rows = [prepare_sample(sample, model_config) for sample in dataset]
     stack = Stacked(
         rows={name: np.concatenate([r[name] for r in rows]) for name in rows[0]},
@@ -140,15 +168,24 @@ def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> Prepare
         node_counts=np.array([sample.node_count for sample in dataset]),
     )
     return PreparedDataset(
-        dataset.samples, dataset.feature_dim, dataset.name, stack, np.arange(len(dataset))
+        dataset.samples,
+        dataset.feature_dim,
+        dataset.name,
+        stack,
+        np.arange(len(dataset)),
+        prepared_with(model_config),
     )
 
 
 def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDataset:
     """data as a prepared dataset, once params are known to fit it. A
-    GraphDataset or a sequence of GraphSamples is prepared here."""
+    GraphDataset or a sequence of GraphSamples is prepared here; a
+    PreparedDataset must have been prepared for model_config."""
     if not isinstance(data, PreparedDataset):
         data = prepare_dataset(GraphDataset.from_samples(data, name=""), model_config)
+    wanted = prepared_with(model_config)
+    if data.prepared_with != wanted:
+        raise ValueError(f"dataset was prepared for {data.prepared_with}, the model needs {wanted}")
     check_shapes(params, data.feature_dim, model_config)
     return data
 
@@ -180,6 +217,10 @@ def train(
 
     Each epoch gathers the permuted training graphs' rows once, into the same
     arrays every epoch, and every minibatch is a contiguous slice of them.
+    Every step writes into one workspace sized for the largest minibatch.
+    OpenBLAS runs on one thread per caller for the whole call; when no other
+    holder (a sweep pool, another train) has pinned it, the steps' row blocks
+    run on one lane per usable CPU, else on this thread alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not finite.
@@ -190,24 +231,29 @@ def train(
     velocity = zeros_like_params(params)
     history: list[float] = []
     rows = None
-    for epoch in range(config.epochs):
-        shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
-        rows = shuffled.rows
-        epoch_loss = 0.0
-        for index, batch in enumerate(shuffled.batches(config.batch_size)):
-            # Float overflow on a diverging run is reported via the explicit
-            # non-finite check below, not as numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                risk, loss_grads = _risk_and_loss_grads(params, batch, model_config)
-                if not np.isfinite(risk):
-                    raise TrainingDivergenceError(
-                        f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
-                        f"(width {params.width}, lr {config.learning_rate})"
-                    )
-                grads = loss_grads.map(np.add, penalty_grads(params, config.alpha))
-                params, velocity = sgd_step(params, grads, velocity, config)
-            epoch_loss += risk * len(batch.labels)
-        history.append(epoch_loss / n)
+    counts = prepared.stack.node_counts[prepared.graphs]
+    largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
+    with _single_threaded_blas() as alone, Workspace(
+        largest_batch, params.width, lanes=_usable_cpus() if alone else 1
+    ) as workspace:
+        for epoch in range(config.epochs):
+            shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
+            rows = shuffled.rows
+            epoch_loss = 0.0
+            for index, batch in enumerate(shuffled.batches(config.batch_size)):
+                # Float overflow on a diverging run is reported via the explicit
+                # non-finite check below, not as numpy warnings.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    risk, loss_grads = _risk_and_loss_grads(params, batch, model_config, workspace)
+                    if not np.isfinite(risk):
+                        raise TrainingDivergenceError(
+                            f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
+                            f"(width {params.width}, lr {config.learning_rate})"
+                        )
+                    grads = loss_grads.map(np.add, penalty_grads(params, config.alpha))
+                    params, velocity = sgd_step(params, grads, velocity, config)
+                epoch_loss += risk * len(batch.labels)
+            history.append(epoch_loss / n)
     return params, history
 
 
@@ -225,3 +271,57 @@ def measure_generalization(
         test_risk=test_risk,
         abs_gen_error=abs(test_risk - train_risk),
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS NumPy loaded, or None
+    when NumPy uses another BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+# How many blocks (sweep pools, train calls) hold the cores, and the
+# process-wide OpenBLAS thread count from before the first of them.
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_threads_before = 0
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the block with one OpenBLAS thread per calling thread; yields True
+    when no other block held the cores on entry, so this one has them all.
+
+    In pthread builds of OpenBLAS the setter changes the count for the whole
+    process, so the count from before the first of any overlapping blocks is
+    restored when the last one ends. Without OpenBLAS the holders are still
+    counted, and the BLAS runs as is.
+    """
+    global _blas_pins, _blas_threads_before
+    setter = _openblas_thread_setter()
+    with _blas_lock:
+        alone = _blas_pins == 0
+        if alone and setter is not None:
+            _blas_threads_before = setter(1)
+        _blas_pins += 1
+    try:
+        yield alone
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0 and setter is not None:
+                setter(_blas_threads_before)

@@ -2,8 +2,9 @@
 
 They evaluate the same quantities as the library by another route: one hidden
 unit at one node in scalar arithmetic, the spectral norm by power iteration
-instead of an SVD, the forward and backward passes with a new array for
-every temporary instead of overwriting them in place, and a batch's stack by
+instead of an SVD, the forward and backward passes over the whole batch at
+once with a new array for every temporary, where the library runs them in
+row blocks on lanes and overwrites a workspace, and a batch's stack by
 concatenating its graphs' rows one graph at a time instead of gathering them
 from a prepared dataset. The risks and gradients of a list of samples, the
 node relabelling of a sample and the whole sweep from its config are built
@@ -127,7 +128,7 @@ def derivative_out_of_place(nl: Nonlinearity, f: np.ndarray) -> np.ndarray:
 def forward_out_of_place(
     params: Params, stacked: Stacked, config: ModelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """models.forward with every temporary a new array."""
+    """models.forward over the whole batch, with every temporary a new array."""
     z = reduce(np.add, (rows @ getattr(params, name).T for name, rows in stacked.rows.items()))
     f = apply_out_of_place(config.outer, z)
     node_values = f @ params.w2 / params.width
@@ -138,7 +139,7 @@ def forward_out_of_place(
 def risk_and_loss_grads_out_of_place(
     params: Params, stacked: Stacked, config: ModelConfig
 ) -> tuple[float, Params]:
-    """training._risk_and_loss_grads with every temporary a new array."""
+    """training._risk_and_loss_grads over the whole batch, with every temporary a new array."""
     yhat, f = forward_out_of_place(params, stacked, config)
     h = params.width
     risk = float(logistic_loss(yhat, stacked.labels).mean())

@@ -50,9 +50,9 @@ from gnnbound.models import (
 )
 from gnnbound.bounds import BoundInputs, ModelStats, fd_bound, rademacher_terms
 from gnnbound.report import emit_reports, recompute_bounds_from_record
-from gnnbound.sweep import SweepConfig, _single_threaded_blas, resolve_dataset, run_sweep_on
+from gnnbound.sweep import SweepConfig, resolve_dataset, run_sweep_on
 from gnnbound.synth import SbmSpec, generate_er, generate_sbm, make_dataset, preset_config
-from gnnbound.training import TrainConfig
+from gnnbound.training import TrainConfig, _single_threaded_blas
 from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm
 
 ALPHA = 100.0

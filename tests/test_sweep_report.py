@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gnnbound.models as models_module
 import gnnbound.sweep as sweep_module
+import gnnbound.training as training_module
 from gnnbound.bounds import BoundInputs, bound_report
 from gnnbound.cli import main
 from gnnbound.data import dataset_stats, to_json_value
@@ -164,25 +166,41 @@ class TestSweep:
             parallel = run_sweep(dataclasses.replace(config, workers=workers))
             assert [row_key(r) for r in parallel] == sequential, workers
 
-    def test_pool_threads_pin_blas_and_the_caller_keeps_its_count(self, monkeypatch):
+    def test_pool_threads_pin_blas_and_the_caller_keeps_its_count(self, monkeypatch, tiny_rows):
         threads = openblas_thread_count()
         if threads is None:
             pytest.skip("NumPy does not use OpenBLAS")
         before = threads()
-        seen = []
+        # Two usable CPUs and blocks of 2 rows, so a train alone on the cores
+        # runs every step on two lanes.
+        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
+        seen, steps = [], []
         run_coordinate = sweep_module._run_coordinate
+        risk_and_loss_grads = training_module._risk_and_loss_grads
 
         def recording(*args):
             seen.append(threads())
             return run_coordinate(*args)
 
+        def recording_step(params, stacked, config, workspace):
+            steps.append((threads(), len(workspace.runs(len(stacked.rows["w1"])))))
+            return risk_and_loss_grads(params, stacked, config, workspace)
+
         monkeypatch.setattr(sweep_module, "_run_coordinate", recording)
-        run_sweep(tiny_config(workers=2))
+        monkeypatch.setattr(training_module, "_risk_and_loss_grads", recording_step)
+        rows = run_sweep(tiny_config(workers=2))
         assert seen == [1] * 4
+        assert steps and set(steps) == {(1, 1)}
         assert threads() == before
         seen.clear()
-        run_sweep(tiny_config())
+        steps.clear()
+        sequential = run_sweep(tiny_config())
         assert seen == [before] * 4
+        assert steps and set(steps) == {(1, 2)}
+        assert threads() == before
+        for got in (rows, sequential):
+            assert [row_key(r) for r in got] == [row_key(r) for r in tiny_rows]
 
     def test_overlapping_parallel_sweeps_restore_the_blas_count(self, tiny_rows):
         threads = openblas_thread_count()
@@ -197,7 +215,9 @@ class TestSweep:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            callers = [threading.Thread(target=sweep, args=(i, 2 + i % 2)) for i in range(3)]
+            # One sequential sweep among the pools: its trainings hold the
+            # cores on lanes while they run alone, and run one lane otherwise.
+            callers = [threading.Thread(target=sweep, args=(i, 1 + i % 3)) for i in range(4)]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -208,7 +228,7 @@ class TestSweep:
         assert threads() == before
         for rows in results.values():
             assert [row_key(r) for r in rows] == [row_key(r) for r in tiny_rows]
-        assert len(results) == 3
+        assert len(results) == 4
 
     def test_rows_carry_bound_reports(self, tiny_rows):
         for row in tiny_rows:

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
+
+import gnnbound.models as models_module
+import gnnbound.training as training_module
 
 from conftest import (
     finite_diff_grads,
@@ -25,6 +31,7 @@ from gnnbound.models import (
     Nonlinearity,
     Readout,
     Stacked,
+    Workspace,
     forward,
     init_params,
 )
@@ -42,6 +49,7 @@ from gnnbound.training import (
     train,
     zeros_like_params,
 )
+from gnnbound.synth import make_dataset, preset_config
 from oracles import (
     forward_graph,
     forward_out_of_place,
@@ -195,33 +203,76 @@ class TestGradients:
         assert np.allclose(whole.w1, parts_w1, atol=1e-15)
 
 
-class TestInPlaceKernel:
-    """forward and the backward overwrite their temporaries; the numbers must
-    equal those of the out-of-place expressions bit for bit."""
+def block_rows(monkeypatch, rows: int, width: int) -> None:
+    """Make the kernel cut its N x width arrays into blocks of this many rows."""
+    monkeypatch.setattr(models_module, "_BLOCK_BYTES", rows * 8 * width)
 
-    @pytest.mark.parametrize("readout", list(Readout))
-    @pytest.mark.parametrize("outer", list(Nonlinearity))
-    @pytest.mark.parametrize("model", list(ModelKind))
-    def test_matches_out_of_place_kernel_exactly(self, rng, model, outer, readout):
-        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
-                             readout=readout, activation=outer, kappa=outer)
-        # Weights scaled up so the outer nonlinearity leaves its linear range.
-        params = init_params(config, 3, seed=11).map(lambda w: 3.0 * w)
-        stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (3, 6, 9)], config)
-        rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
 
-        yhat, f = forward(params, stacked, config)
+def assert_kernel_matches_out_of_place(params, stacked, config, lanes):
+    rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
+    nodes = len(stacked.rows["w1"])
+    with Workspace(nodes, params.width, lanes) as workspace:
+        yhat, f = forward(params, stacked, config, workspace)
         want_yhat, want_f = forward_out_of_place(params, stacked, config)
         assert np.array_equal(yhat, want_yhat)
         assert np.array_equal(f, want_f)
 
-        risk, grads = _risk_and_loss_grads(params, stacked, config)
-        want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
-        assert risk == want_risk
-        for field in dataclasses.fields(grads):
-            assert np.array_equal(getattr(grads, field.name), getattr(want_grads, field.name))
-        for name, rows in stacked.rows.items():
-            assert np.array_equal(rows, rows_before[name])
+        risk, grads = _risk_and_loss_grads(params, stacked, config, workspace)
+    want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
+    assert risk == want_risk
+    for field in dataclasses.fields(grads):
+        assert np.array_equal(getattr(grads, field.name), getattr(want_grads, field.name))
+    for name, rows in stacked.rows.items():
+        assert np.array_equal(rows, rows_before[name])
+
+
+class TestInPlaceKernel:
+    """forward and the backward run in row blocks on lanes and overwrite their
+    temporaries; the numbers must equal those of the out-of-place expressions
+    over the whole batch bit for bit."""
+
+    # The stack below has 19 rows: blocks of 2 rows leave a 1-row tail, as do
+    # blocks of 3; 5 does not divide 19, and 64 is one block.
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", [2, 3, 5, 64])
+    @pytest.mark.parametrize("readout", list(Readout))
+    @pytest.mark.parametrize("outer", list(Nonlinearity))
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_matches_out_of_place_kernel_exactly(
+        self, rng, monkeypatch, model, outer, readout, rows, lanes
+    ):
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
+                             readout=readout, activation=outer, kappa=outer)
+        # Weights scaled up so the outer nonlinearity leaves its linear range.
+        params = init_params(config, 3, seed=11).map(lambda w: 3.0 * w)
+        stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (3, 6, 10)], config)
+        block_rows(monkeypatch, rows, config.width)
+        assert_kernel_matches_out_of_place(params, stacked, config, lanes)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_sbm1_minibatch_at_width_256_matches_exactly(self, model, lanes):
+        # 128 graphs of 100 nodes, cut into blocks of the kernel's own size.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=256)
+        prepared = prepare_dataset(make_dataset(preset_config("sbm1", seed=0)), config)
+        stacked = prepared.stack.gather(prepared.graphs[:128])
+        params = init_params(config, prepared.feature_dim, seed=3)
+        assert_kernel_matches_out_of_place(params, stacked, config, lanes)
+
+    def test_more_lanes_than_cores_switching_often_match_exactly(self, rng, monkeypatch):
+        # Lanes write disjoint row blocks of one f; a write into another
+        # lane's rows would show as a changed bit.
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=5)
+        params = init_params(config, 3, seed=2).map(lambda w: 3.0 * w)
+        stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (7, 9, 11, 13)], config)
+        block_rows(monkeypatch, 2, config.width)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                assert_kernel_matches_out_of_place(params, stacked, config, 2 * os.cpu_count() + 1)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestSgdStep:
@@ -335,6 +386,34 @@ class TestTrain:
             a, train_prep, test_prep, config
         )
 
+    @pytest.mark.parametrize("prepared_for", [
+        {"model_kind": ModelKind.GCN},
+        {"filter_kind": FilterKind.RANDOM_WALK},
+        {"zeta": Nonlinearity.IDENTITY},
+        {"rho": Nonlinearity.SIGMOID_CENTERED},
+    ])
+    def test_dataset_prepared_for_another_model_is_rejected(self, rng, prepared_for):
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=3)
+        prepared = prepare_dataset(random_dataset(rng, 6, 2), dataclasses.replace(config, **prepared_for))
+        params = init_params(config, 2, seed=4)
+        with pytest.raises(ValueError, match="prepared for"):
+            empirical_risk(params, prepared, config)
+        with pytest.raises(ValueError, match="prepared for"):
+            train(params, prepared, TrainConfig(epochs=1), config)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_preparation_ignores_the_fields_it_does_not_read(self, rng, model):
+        # Width, readout and the outer nonlinearity, and for GCN zeta and rho.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
+        dataset = random_dataset(rng, 6, 2)
+        unread = {"width": 1, "readout": Readout.SUM, "activation": Nonlinearity.IDENTITY,
+                  "kappa": Nonlinearity.IDENTITY}
+        if model is ModelKind.GCN:
+            unread.update(zeta=Nonlinearity.IDENTITY, rho=Nonlinearity.IDENTITY)
+        prepared = prepare_dataset(dataset, dataclasses.replace(config, **unread))
+        params = init_params(config, 2, seed=4)
+        assert empirical_risk(params, prepared, config) == empirical_risk(params, dataset, config)
+
     def test_rows_are_gathered_once_per_epoch(self, rng, monkeypatch):
         params, samples, config = self._setup(rng)
         calls = []
@@ -358,6 +437,21 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e8, epochs=50, batch_size=6, seed=0)
         with pytest.raises(TrainingDivergenceError):
             train(params, samples, cfg, config)
+
+    def test_divergence_on_lanes_raises_without_warnings(self, rng, monkeypatch):
+        # Blocks of 2 rows on two lanes: every step dispatches to a pool thread.
+        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        block_rows(monkeypatch, 2, 4)
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SUM_AGG,
+                             width=4, readout=Readout.SUM, kappa=Nonlinearity.IDENTITY)
+        samples = [random_sample(rng, 8, 2) for _ in range(6)]
+        params = init_params(config, 2, seed=1)
+        cfg = TrainConfig(learning_rate=1e200, epochs=50, batch_size=3, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDivergenceError, match=r"at epoch \d+, batch \d+"):
+                train(params, samples, cfg, config)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_empty_training_set_rejected(self, rng):
         params, _, config = self._setup(rng)
