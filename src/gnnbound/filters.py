@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded_blas
 from .data import GraphDataset, GraphSample, dataset_stats
 
 RANK_REL_TOL = 1e-8
@@ -129,8 +130,11 @@ def theoretical_fro_bound(kind: FilterKind, rank_max: int) -> float | None:
     raise ValueError(f"unknown filter kind: {kind!r}")
 
 
+@single_threaded_blas()
 def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
-    """Norm maxima over every sample's filter matrix, with g_max = min of the two."""
+    """Norm maxima over every sample's filter matrix, with g_max = min of the
+    two. The ranks' SVDs run on one OpenBLAS thread, whose idle siblings
+    would otherwise spin beside them."""
     inf_max = 0.0
     fro_max = 0.0
     rank_max = 0

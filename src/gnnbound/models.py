@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import functools
 import json
+import types
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
@@ -168,6 +169,21 @@ Params = GcnParams | MpgnnParams
 _CONTAINERS: dict[ModelKind, type[Params]] = {cls.kind: cls for cls in (GcnParams, MpgnnParams)}
 
 
+class ParamArrays(types.SimpleNamespace):
+    """A parameter container's fields as writable arrays, by field name, to
+    be updated in place: train keeps its weights, velocity and gradients in
+    these. forward and the backward read them as they read the container."""
+
+    @classmethod
+    def like(cls, params: Params, fill=np.array) -> "ParamArrays":
+        """fill(array) for every field of params; the default copies it."""
+        return cls(**{f.name: fill(getattr(params, f.name)) for f in dataclasses.fields(params)})
+
+    @property
+    def width(self) -> int:
+        return self.w2.shape[0]
+
+
 def init_params(config: ModelConfig, feature_dim: int, seed: int) -> Params:
     """Fan-scaled Gaussian initialization, deterministic given the seed.
 
@@ -237,14 +253,35 @@ class Stacked:
             gathered.rows[name] = np.take(rows, nodes, axis=0, out=target, mode="clip")
         return gathered
 
+    def _graphs(self, lo: int, hi: int) -> "Stacked":
+        """Graphs lo to hi - 1, as a view of these rows."""
+        counts = self.node_counts[lo:hi]
+        nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
+        return Stacked({name: rows[nodes] for name, rows in self.rows.items()}, self.labels[lo:hi], counts)
+
     def batches(self, size: int) -> Iterator["Stacked"]:
         """Consecutive runs of size graphs (the last may be shorter), each a
         view of these rows."""
         for lo in range(0, len(self.labels), size):
-            counts = self.node_counts[lo : lo + size]
-            nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
-            rows = {name: rows[nodes] for name, rows in self.rows.items()}
-            yield Stacked(rows, self.labels[lo : lo + size], counts)
+            yield self._graphs(lo, lo + size)
+
+    def chunks(self, width: int) -> list["Stacked"]:
+        """Consecutive runs of whole graphs whose nodes x width float64 rows
+        fill at most _CHUNK_BYTES, each a view of these rows; a larger graph
+        is a chunk of its own. No chunk has one row unless the stack has one
+        row, as forward rounds a single row differently (_blocks): a one-row
+        chunk takes the next graph too, and a one-row tail joins the chunk
+        before it."""
+        limit = _CHUNK_BYTES // (8 * width)
+        starts, filled = [0], 0
+        for q, count in enumerate(self.node_counts):
+            if filled > 1 and filled + count > limit:
+                starts.append(q)
+                filled = 0
+            filled += count
+        if filled == 1 and len(starts) > 1:
+            starts.pop()
+        return [self._graphs(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(self.labels)])]
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
@@ -257,6 +294,11 @@ def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
 # Row blocks of about this many bytes of an N x h float64 array stay in L2
 # between the passes of a block's elementwise chain.
 _BLOCK_BYTES = 256 * 1024
+
+
+# A risk runs forward over chunks of whole graphs whose f takes about this
+# many bytes, so it never holds an N x h array of a whole split.
+_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def _block_rows(width: int) -> int:
@@ -346,7 +388,10 @@ class Workspace:
 
 
 def forward(
-    params: Params, stacked: Stacked, config: ModelConfig, workspace: Workspace | None = None
+    params: Params | ParamArrays,
+    stacked: Stacked,
+    config: ModelConfig,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outputs yhat, one per stacked graph, and the N x h outer-nonlinearity outputs f.
 

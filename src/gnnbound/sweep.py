@@ -11,10 +11,11 @@ iteration order. A sweep over k seeds therefore produces exactly the union of
 the k single-seed sweeps, and parallel execution yields the same rows as
 sequential (only wall_time_s, a measurement, varies).
 
-With workers > 1 the coordinates are handed to a thread pool widest first, so
-the longest runs do not form the tail, and OpenBLAS runs each matrix product
-on its calling thread alone while the pool is up: the pool's threads, not
-BLAS's, then share the cores, and each training runs on its pool thread. With
+OpenBLAS runs each matrix product on its calling thread alone for the whole
+sweep, at any worker count (blas.single_threaded_blas). With workers > 1 the
+coordinates are handed to a thread pool widest first, so the longest runs do
+not form the tail, and the pool holds the cores while it is up: the pool's
+threads share them, and each training runs on its pool thread. With
 workers = 1 each training has the cores to itself and runs the row blocks of
 its steps on one lane per usable CPU (training.train).
 """
@@ -30,6 +31,7 @@ from itertools import product
 
 import numpy as np
 
+from .blas import hold_cores, single_threaded_blas
 from .bounds import DEFAULT_DELTA, BoundInputs, BoundReport, bound_report
 from .data import GraphDataset, dataset_stats, load_dataset, split_dataset
 from .filters import FilterKind, FilterNormReport, filter_norm_report
@@ -38,7 +40,6 @@ from .synth import PRESET_NAMES, make_dataset, preset_config
 from .training import (
     TrainConfig,
     TrainingDivergenceError,
-    _single_threaded_blas,
     measure_generalization,
     prepare_dataset,
     train,
@@ -228,6 +229,7 @@ def sweep_coordinates(config: SweepConfig) -> list[tuple]:
     )
 
 
+@single_threaded_blas()
 def run_sweep_on(
     dataset: GraphDataset,
     config: SweepConfig,
@@ -240,7 +242,7 @@ def run_sweep_on(
     stats and filter_reports may be passed in when the caller has already
     computed them (they are pure functions of the dataset). The graphs are
     prepared into one stack per (model, filter), and every coordinate's
-    split indexes into it.
+    split indexes into it. OpenBLAS runs on one thread for the whole call.
     """
     if stats is None:
         stats = dataset_stats(dataset)
@@ -261,6 +263,6 @@ def run_sweep_on(
     if config.workers == 1:
         return [one(coord) for coord in coords]
     widest_first = sorted(range(len(coords)), key=lambda i: -coords[i][4])
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with hold_cores(), ThreadPoolExecutor(max_workers=config.workers) as pool:
         rows = dict(zip(widest_first, pool.map(one, [coords[i] for i in widest_first])))
     return [rows[i] for i in range(len(coords))]

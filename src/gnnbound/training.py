@@ -12,27 +12,26 @@ and are checked against central finite differences in the test suite.
 
 SGD uses classical momentum: v <- momentum*v + g; p <- p - lr*v, with g the
 gradient of the regularized objective (so L2 weight decay 1/(h alpha) is part
-of g). Minibatch indices are reshuffled every epoch from the run PRNG.
+of g). Minibatch indices are reshuffled every epoch from the run PRNG. A train
+call keeps its weights, velocity and gradients in arrays it allocates once
+and updates in place.
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import math
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .blas import hold_cores
 from .data import GraphDataset, GraphSample
 from .models import (
     ModelConfig,
+    ParamArrays,
     Params,
     Stacked,
     Workspace,
@@ -93,19 +92,15 @@ def logistic_loss_grad(yhat, y):
     return -y * 0.5 * (1.0 - np.tanh(0.5 * z))
 
 
-def zeros_like_params(params: Params) -> Params:
-    return params.map(np.zeros_like)
-
-
-def penalty_grads(params: Params, alpha: float) -> Params:
-    divisor = params.width * alpha
-    return params.map(lambda w: w / divisor)
-
-
 def _risk_and_loss_grads(
-    params: Params, stacked: Stacked, config: ModelConfig, workspace: Workspace | None = None
-) -> tuple[float, Params]:
-    """Batch-average empirical risk and its gradient (no penalty term).
+    params: Params | ParamArrays,
+    stacked: Stacked,
+    config: ModelConfig,
+    grads: ParamArrays,
+    workspace: Workspace | None = None,
+) -> float:
+    """Batch-average empirical risk; its gradient (no penalty term) is
+    written into grads.
 
     The forward's f becomes the backpropagated signal in place, block by
     block on the workspace's lanes. Every sum over nodes is one call over the
@@ -121,7 +116,7 @@ def _risk_and_loss_grads(
     scale = readout_scale(stacked, config.readout)
     per_graph = logistic_loss_grad(yhat, stacked.labels) * scale / len(stacked.labels)
     per_node = np.repeat(per_graph, stacked.node_counts)
-    w2_grad = f.T @ per_node / h
+    np.divide(f.T @ per_node, h, out=grads.w2)
 
     def block_backward(block: slice, temp: np.ndarray) -> None:
         # The outer product stays one factor, as multiplying by its two
@@ -131,13 +126,12 @@ def _risk_and_loss_grads(
 
     workspace.each_block(nodes, block_backward)
 
-    def grad(rows: np.ndarray) -> np.ndarray:
-        # rows.T @ back has the bits of back.T @ rows and runs faster; out
-        # keeps the weight block C-ordered like every other.
-        return np.divide((rows.T @ f).T, h, out=np.empty((h, rows.shape[1])))
+    def grad(name: str) -> None:
+        # rows.T @ back has the bits of back.T @ rows and runs faster.
+        np.divide((stacked.rows[name].T @ f).T, h, out=getattr(grads, name))
 
-    grads = workspace.map(nodes, grad, list(stacked.rows.values()))
-    return risk, dataclasses.replace(params, w2=w2_grad, **dict(zip(stacked.rows, grads)))
+    workspace.map(nodes, grad, list(stacked.rows))
+    return risk
 
 
 @dataclass(frozen=True)
@@ -191,20 +185,31 @@ def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDatase
 
 
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
-    """Mean logistic loss of the model over the samples (no penalty)."""
+    """Mean logistic loss of the model over the samples (no penalty).
+
+    forward runs over chunks of whole graphs (Stacked.chunks) into one
+    workspace, so no N x h array of the whole set is made. A graph's output
+    depends on its own rows only, so the outputs, and the risk, have the
+    bits of one forward over all of them.
+    """
     prepared = _prepared(params, samples, model_config)
     stacked = prepared.stack.gather(prepared.graphs)
-    yhat, _ = forward(params, stacked, model_config)
+    chunks = stacked.chunks(params.width)
+    workspace = Workspace(max(len(chunk.rows["w1"]) for chunk in chunks), params.width)
+    yhat = np.concatenate([forward(params, chunk, model_config, workspace)[0] for chunk in chunks])
     return float(logistic_loss(yhat, stacked.labels).mean())
 
 
 def sgd_step(
-    params: Params, grads: Params, velocity: Params, config: TrainConfig
-) -> tuple[Params, Params]:
-    """Classical momentum update; returns the new (params, velocity)."""
-    new_velocity = velocity.map(lambda v, g: config.momentum * v + g, grads)
-    new_params = params.map(lambda p, v: p - config.learning_rate * v, new_velocity)
-    return new_params, new_velocity
+    params: ParamArrays, grads: ParamArrays, velocity: ParamArrays, config: TrainConfig
+) -> None:
+    """Classical momentum update, in place: v <- momentum*v + g, then
+    p <- p - lr*v, field by field."""
+    for name, v in vars(velocity).items():
+        v *= config.momentum
+        v += getattr(grads, name)
+        p = getattr(params, name)
+        p -= config.learning_rate * v
 
 
 def train(
@@ -217,10 +222,12 @@ def train(
 
     Each epoch gathers the permuted training graphs' rows once, into the same
     arrays every epoch, and every minibatch is a contiguous slice of them.
-    Every step writes into one workspace sized for the largest minibatch.
-    OpenBLAS runs on one thread per caller for the whole call; when no other
-    holder (a sweep pool, another train) has pinned it, the steps' row blocks
-    run on one lane per usable CPU, else on this thread alone.
+    Every step writes into one workspace sized for the largest minibatch,
+    and updates weights, velocity and gradients in arrays allocated once; the
+    weights become a Params on return. OpenBLAS runs on one thread per
+    caller for the whole call, which holds the cores (blas.hold_cores): when
+    no other holder (a sweep pool, another train) has them, the steps' row
+    blocks run on one lane per usable CPU, else on this thread alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not finite.
@@ -228,12 +235,16 @@ def train(
     prepared = _prepared(params, train_set, model_config)
     n = len(prepared)
     rng = np.random.default_rng(config.seed)
-    velocity = zeros_like_params(params)
+    weights = ParamArrays.like(params)
+    velocity = ParamArrays.like(params, np.zeros_like)
+    loss_grads = ParamArrays.like(params, np.empty_like)
+    grads = ParamArrays.like(params, np.empty_like)
+    decay = params.width * config.alpha
     history: list[float] = []
     rows = None
     counts = prepared.stack.node_counts[prepared.graphs]
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
-    with _single_threaded_blas() as alone, Workspace(
+    with hold_cores() as alone, Workspace(
         largest_batch, params.width, lanes=_usable_cpus() if alone else 1
     ) as workspace:
         for epoch in range(config.epochs):
@@ -244,17 +255,20 @@ def train(
                 # Float overflow on a diverging run is reported via the explicit
                 # non-finite check below, not as numpy warnings.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    risk, loss_grads = _risk_and_loss_grads(params, batch, model_config, workspace)
+                    risk = _risk_and_loss_grads(weights, batch, model_config, loss_grads, workspace)
                     if not np.isfinite(risk):
                         raise TrainingDivergenceError(
                             f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
                             f"(width {params.width}, lr {config.learning_rate})"
                         )
-                    grads = loss_grads.map(np.add, penalty_grads(params, config.alpha))
-                    params, velocity = sgd_step(params, grads, velocity, config)
+                    # The L2 decay's gradient w / (h alpha), plus the loss's.
+                    for name, grad in vars(grads).items():
+                        np.divide(getattr(weights, name), decay, out=grad)
+                        grad += getattr(loss_grads, name)
+                    sgd_step(weights, grads, velocity, config)
                 epoch_loss += risk * len(batch.labels)
             history.append(epoch_loss / n)
-    return params, history
+    return type(params)(**vars(weights)), history
 
 
 def measure_generalization(
@@ -278,50 +292,3 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_thread_setter():
-    """openblas_set_num_threads_local of the OpenBLAS NumPy loaded, or None
-    when NumPy uses another BLAS."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-# How many blocks (sweep pools, train calls) hold the cores, and the
-# process-wide OpenBLAS thread count from before the first of them.
-_blas_lock = threading.Lock()
-_blas_pins = 0
-_blas_threads_before = 0
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Run the block with one OpenBLAS thread per calling thread; yields True
-    when no other block held the cores on entry, so this one has them all.
-
-    In pthread builds of OpenBLAS the setter changes the count for the whole
-    process, so the count from before the first of any overlapping blocks is
-    restored when the last one ends. Without OpenBLAS the holders are still
-    counted, and the BLAS runs as is.
-    """
-    global _blas_pins, _blas_threads_before
-    setter = _openblas_thread_setter()
-    with _blas_lock:
-        alone = _blas_pins == 0
-        if alone and setter is not None:
-            _blas_threads_before = setter(1)
-        _blas_pins += 1
-    try:
-        yield alone
-    finally:
-        with _blas_lock:
-            _blas_pins -= 1
-            if _blas_pins == 0 and setter is not None:
-                setter(_blas_threads_before)

@@ -4,11 +4,13 @@ They evaluate the same quantities as the library by another route: one hidden
 unit at one node in scalar arithmetic, the spectral norm by power iteration
 instead of an SVD, the forward and backward passes over the whole batch at
 once with a new array for every temporary, where the library runs them in
-row blocks on lanes and overwrites a workspace, and a batch's stack by
-concatenating its graphs' rows one graph at a time instead of gathering them
-from a prepared dataset. The risks and gradients of a list of samples, the
-node relabelling of a sample and the whole sweep from its config are built
-here from the library's parts.
+row blocks on lanes and overwrites a workspace, a risk by one forward over
+the whole set instead of one per chunk of graphs, the penalty gradient and
+the momentum step as new containers instead of arrays updated in place, and
+a batch's stack by concatenating its graphs' rows one graph at a time
+instead of gathering them from a prepared dataset. The risks and gradients
+of a list of samples, the node relabelling of a sample and the whole sweep
+from its config are built here from the library's parts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from gnnbound.data import GraphSample, ValidationError
 from gnnbound.models import (
     ModelConfig,
     Nonlinearity,
+    ParamArrays,
     Params,
     Stacked,
     check_shapes,
@@ -32,11 +35,12 @@ from gnnbound.models import (
 )
 from gnnbound.sweep import SweepConfig, SweepRow, resolve_dataset, run_sweep_on
 from gnnbound.training import (
+    TrainConfig,
+    _prepared,
     _risk_and_loss_grads,
     empirical_risk,
     logistic_loss,
     logistic_loss_grad,
-    penalty_grads,
 )
 
 SPECTRAL_TOL = 1e-12
@@ -152,6 +156,34 @@ def risk_and_loss_grads_out_of_place(
     return risk, dataclasses.replace(params, w2=f.T @ per_node / h, **grads)
 
 
+def empirical_risk_one_call(params: Params, samples, config: ModelConfig) -> float:
+    """training.empirical_risk as one gather, one forward over the whole set
+    and one mean."""
+    prepared = _prepared(params, samples, config)
+    stacked = prepared.stack.gather(prepared.graphs)
+    yhat, _ = forward(params, stacked, config)
+    return float(logistic_loss(yhat, stacked.labels).mean())
+
+
+def zeros_like_params(params: Params) -> Params:
+    return params.map(np.zeros_like)
+
+
+def penalty_grads(params: Params, alpha: float) -> Params:
+    """The gradient of the 1/(h alpha) L2 penalty: params / (h alpha)."""
+    divisor = params.width * alpha
+    return params.map(lambda w: w / divisor)
+
+
+def sgd_step(
+    params: Params, grads: Params, velocity: Params, config: TrainConfig
+) -> tuple[Params, Params]:
+    """training.sgd_step as new containers; returns the new (params, velocity)."""
+    new_velocity = velocity.map(lambda v, g: config.momentum * v + g, grads)
+    new_params = params.map(lambda p, v: p - config.learning_rate * v, new_velocity)
+    return new_params, new_velocity
+
+
 def stack(rows: Sequence[dict[str, np.ndarray]], labels: Sequence[int]) -> Stacked:
     """The stack of graphs with these prepared rows, concatenated graph by graph."""
     return Stacked(
@@ -184,9 +216,18 @@ def regularized_risk(params: Params, samples, config: ModelConfig, alpha: float)
     return empirical_risk(params, samples, config) + penalty(params, alpha)
 
 
+def risk_and_loss_grads(
+    params: Params, stacked: Stacked, config: ModelConfig, workspace=None
+) -> tuple[float, Params]:
+    """training._risk_and_loss_grads with its gradient returned as a new container."""
+    grads = ParamArrays.like(params, np.empty_like)
+    risk = _risk_and_loss_grads(params, stacked, config, grads, workspace)
+    return risk, type(params)(**vars(grads))
+
+
 def grad_empirical_risk(params: Params, batch, config: ModelConfig) -> Params:
     """Analytic gradient of the batch-average logistic loss."""
-    _, grads = _risk_and_loss_grads(params, stack_samples(params, batch, config), config)
+    _, grads = risk_and_loss_grads(params, stack_samples(params, batch, config), config)
     return grads
 
 

@@ -52,7 +52,8 @@ from gnnbound.bounds import BoundInputs, ModelStats, fd_bound, rademacher_terms
 from gnnbound.report import emit_reports, recompute_bounds_from_record
 from gnnbound.sweep import SweepConfig, resolve_dataset, run_sweep_on
 from gnnbound.synth import SbmSpec, generate_er, generate_sbm, make_dataset, preset_config
-from gnnbound.training import TrainConfig, _single_threaded_blas
+from gnnbound.blas import single_threaded_blas
+from gnnbound.training import TrainConfig
 from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm
 
 ALPHA = 100.0
@@ -178,7 +179,7 @@ def mpgnn_trend_rows(sbm1_context):
 def one_blas_thread():
     """Run the test on one BLAS thread: the clocked criteria then do not wait
     on BLAS threads that another process on the cores has descheduled."""
-    with _single_threaded_blas():
+    with single_threaded_blas():
         yield
 
 

@@ -29,7 +29,7 @@ from gnnbound.models import (
     Readout,
     init_params,
 )
-from gnnbound.training import zeros_like_params
+from oracles import zeros_like_params
 
 GCN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 MPGNN = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=1)

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gnnbound.blas as blas_module
+import gnnbound.filters as filters_module
 import gnnbound.models as models_module
 import gnnbound.sweep as sweep_module
 import gnnbound.training as training_module
@@ -183,9 +185,9 @@ class TestSweep:
             seen.append(threads())
             return run_coordinate(*args)
 
-        def recording_step(params, stacked, config, workspace):
+        def recording_step(params, stacked, config, grads, workspace):
             steps.append((threads(), len(workspace.runs(len(stacked.rows["w1"])))))
-            return risk_and_loss_grads(params, stacked, config, workspace)
+            return risk_and_loss_grads(params, stacked, config, grads, workspace)
 
         monkeypatch.setattr(sweep_module, "_run_coordinate", recording)
         monkeypatch.setattr(training_module, "_risk_and_loss_grads", recording_step)
@@ -196,7 +198,8 @@ class TestSweep:
         seen.clear()
         steps.clear()
         sequential = run_sweep(tiny_config())
-        assert seen == [before] * 4
+        # The whole sweep is pinned, and each train still has the cores.
+        assert seen == [1] * 4
         assert steps and set(steps) == {(1, 2)}
         assert threads() == before
         for got in (rows, sequential):
@@ -229,6 +232,59 @@ class TestSweep:
         for rows in results.values():
             assert [row_key(r) for r in rows] == [row_key(r) for r in tiny_rows]
         assert len(results) == 4
+
+    def test_filter_report_ranks_on_one_blas_thread_and_keeps_the_count(self, monkeypatch):
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        seen = []
+        numerical_rank = filters_module.numerical_rank
+
+        def recording(matrix):
+            seen.append(threads())
+            return numerical_rank(matrix)
+
+        monkeypatch.setattr(filters_module, "numerical_rank", recording)
+        dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
+        report = filter_norm_report(dataset, FilterKind.SYM_NORM)
+        assert seen == [1] * 6
+        assert threads() == before
+        monkeypatch.undo()
+        assert filter_norm_report(dataset, FilterKind.SYM_NORM) == report
+
+    def test_overlapping_filter_reports_and_sweeps_release_every_pin_and_hold(self, tiny_rows):
+        # More callers than cores, switching often: a lost update of a count
+        # would leave a pin (the thread count not restored) or a hold.
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
+        reports, sweeps = [], []
+
+        def caller(i):
+            if i % 2:
+                reports.extend(filter_norm_report(dataset, kind) for kind in FilterKind)
+            else:
+                sweeps.append(run_sweep(tiny_config(workers=1 + i % 4)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert threads() == before
+        assert (blas_module._pins, blas_module._holds) == (0, 0)
+        assert len(reports) == 3 * len(FilterKind) and len(sweeps) == 3
+        for rows in sweeps:
+            assert [row_key(r) for r in rows] == [row_key(r) for r in tiny_rows]
 
     def test_rows_carry_bound_reports(self, tiny_rows):
         for row in tiny_rows:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,15 +23,17 @@ from conftest import (
     random_sample,
     sample_from_edges,
 )
-from gnnbound.data import split_dataset
+from gnnbound.data import GraphDataset, split_dataset
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
     ModelConfig,
     ModelKind,
     Nonlinearity,
+    ParamArrays,
     Readout,
     Stacked,
+    UnitRows,
     Workspace,
     forward,
     init_params,
@@ -38,28 +41,30 @@ from gnnbound.models import (
 from gnnbound.training import (
     TrainConfig,
     TrainingDivergenceError,
-    _risk_and_loss_grads,
     empirical_risk,
     logistic_loss,
     logistic_loss_grad,
     measure_generalization,
-    penalty_grads,
     prepare_dataset,
     sgd_step,
     train,
-    zeros_like_params,
 )
 from gnnbound.synth import make_dataset, preset_config
 from oracles import (
+    empirical_risk_one_call,
     forward_graph,
     forward_out_of_place,
     grad_empirical_risk,
     grad_regularized_risk,
     penalty,
+    penalty_grads,
     regularized_risk,
+    risk_and_loss_grads,
     risk_and_loss_grads_out_of_place,
     stack_samples,
+    zeros_like_params,
 )
+from oracles import sgd_step as sgd_step_out_of_place
 
 GCN_SYM = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 
@@ -217,7 +222,7 @@ def assert_kernel_matches_out_of_place(params, stacked, config, lanes):
         assert np.array_equal(yhat, want_yhat)
         assert np.array_equal(f, want_f)
 
-        risk, grads = _risk_and_loss_grads(params, stacked, config, workspace)
+        risk, grads = risk_and_loss_grads(params, stacked, config, workspace)
     want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
     assert risk == want_risk
     for field in dataclasses.fields(grads):
@@ -275,34 +280,56 @@ class TestInPlaceKernel:
             sys.setswitchinterval(switch)
 
 
+def writable(params) -> ParamArrays:
+    """A copy of a container's fields (or of ParamArrays) as writable arrays."""
+    if isinstance(params, ParamArrays):
+        return ParamArrays(**{name: w.copy() for name, w in vars(params).items()})
+    return ParamArrays.like(params)
+
+
+def step_in_place(params, grads, velocity, config):
+    """training.sgd_step on writable copies of its inputs; returns the
+    updated (params, velocity) arrays."""
+    params, velocity = writable(params), writable(velocity)
+    sgd_step(params, writable(grads), velocity, config)
+    return params, velocity
+
+
 class TestSgdStep:
+    """training.sgd_step updates arrays in place; the oracle's sgd_step
+    builds new containers from momentum * v + g and p - lr * v. Each test
+    checks both."""
+
     def _config(self, **kwargs):
         return TrainConfig(**{"learning_rate": 1.0, "momentum": 0.0, **kwargs})
 
-    def test_plain_step_subtracts_gradient(self):
+    @pytest.mark.parametrize("step", [sgd_step_out_of_place, step_in_place])
+    def test_plain_step_subtracts_gradient(self, step):
         params = GcnParams(w1=np.array([[1.0, 2.0]]), w2=np.array([3.0]))
         grads = GcnParams(w1=params.w1.copy(), w2=params.w2.copy())
         velocity = zeros_like_params(params)
-        new_params, new_velocity = sgd_step(params, grads, velocity, self._config())
+        new_params, new_velocity = step(params, grads, velocity, self._config())
         assert np.array_equal(new_params.w1, np.zeros((1, 2)))
         assert np.array_equal(new_params.w2, np.zeros(1))
         assert np.array_equal(new_velocity.w1, grads.w1)
 
-    def test_two_momentum_steps(self):
+    @pytest.mark.parametrize("step", [sgd_step_out_of_place, step_in_place])
+    def test_two_momentum_steps(self, step):
         params = GcnParams(w1=np.array([[4.0]]), w2=np.array([-2.0]))
         g = GcnParams(w1=np.array([[0.5]]), w2=np.array([0.25]))
         config = TrainConfig(learning_rate=0.1, momentum=0.9)
         velocity = zeros_like_params(params)
-        p1, v1 = sgd_step(params, g, velocity, config)
-        p2, v2 = sgd_step(p1, g, v1, config)
+        p1, v1 = step(params, g, velocity, config)
+        p2, v2 = step(p1, g, v1, config)
         assert np.array_equal(v1.w1, g.w1)
         assert np.array_equal(v2.w1, 0.9 * g.w1 + g.w1)
         assert np.array_equal(p2.w1, (params.w1 - 0.1 * v1.w1) - 0.1 * v2.w1)
 
-    def test_zero_gradient_leaves_params_unchanged(self):
+    @pytest.mark.parametrize("step", [sgd_step_out_of_place, step_in_place])
+    def test_zero_gradient_leaves_params_unchanged(self, step):
         params = GcnParams(w1=np.array([[1.5]]), w2=np.array([2.5]))
         zero = zeros_like_params(params)
-        new_params, new_velocity = sgd_step(params, zero, zero, self._config(momentum=0.9))
+        new_params, new_velocity = step(params, zero, zero, self._config(momentum=0.9))
         assert np.array_equal(new_params.w1, params.w1)
         assert np.array_equal(new_velocity.w1, zero.w1)
 
@@ -310,8 +337,40 @@ class TestSgdStep:
         params = GcnParams(w1=np.array([[1.0]]), w2=np.array([1.0]))
         grads = GcnParams(w1=np.array([[0.5]]), w2=np.array([0.5]))
         velocity = zeros_like_params(params)
-        sgd_step(params, grads, velocity, self._config())
+        sgd_step_out_of_place(params, grads, velocity, self._config())
         assert params.w1[0, 0] == 1.0 and velocity.w1[0, 0] == 0.0
+
+    def test_in_place_step_writes_params_and_velocity_only(self):
+        params = ParamArrays(w1=np.array([[1.0]]), w2=np.array([1.0]))
+        grads = ParamArrays(w1=np.array([[0.5]]), w2=np.array([0.5]))
+        velocity = ParamArrays(w1=np.zeros((1, 1)), w2=np.zeros(1))
+        arrays = {name: (getattr(params, name), getattr(velocity, name)) for name in ("w1", "w2")}
+        assert sgd_step(params, grads, velocity, self._config()) is None
+        assert params.w1[0, 0] == 0.5 and velocity.w1[0, 0] == 0.5
+        assert grads.w1[0, 0] == 0.5 and grads.w2[0] == 0.5
+        for name, (p, v) in arrays.items():
+            assert getattr(params, name) is p and getattr(velocity, name) is v
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_in_place_steps_equal_the_out_of_place_expressions(self, rng, model):
+        # Four steps with fresh gradients; after each, every field must hold
+        # momentum * v + g and p - lr * v bit for bit.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=5)
+        cfg = TrainConfig(learning_rate=0.037, momentum=0.9)
+        params = init_params(config, 3, seed=7)
+        velocity = zeros_like_params(params)
+        arrays, arrays_velocity = ParamArrays.like(params), ParamArrays.like(velocity)
+        for _ in range(4):
+            grads = params.map(lambda w: rng.standard_normal(w.shape))
+            want_velocity = velocity.map(lambda v, g: cfg.momentum * v + g, grads)
+            want_params = params.map(lambda p, v: p - cfg.learning_rate * v, want_velocity)
+            params, velocity = sgd_step_out_of_place(params, grads, velocity, cfg)
+            sgd_step(arrays, ParamArrays.like(grads), arrays_velocity, cfg)
+            for field in dataclasses.fields(params):
+                name = field.name
+                assert np.array_equal(getattr(arrays_velocity, name), getattr(want_velocity, name))
+                assert np.array_equal(getattr(arrays, name), getattr(want_params, name))
+                assert np.array_equal(getattr(params, name), getattr(want_params, name))
 
 
 class TestTrain:
@@ -337,10 +396,52 @@ class TestTrain:
         order = np.random.default_rng(21).permutation(len(samples))
         batch = [samples[i] for i in order]
         grads = grad_regularized_risk(params, batch, config, cfg.alpha)
-        manual, _ = sgd_step(params, grads, zeros_like_params(params), cfg)
+        manual, _ = sgd_step_out_of_place(params, grads, zeros_like_params(params), cfg)
         assert np.array_equal(trained.w1, manual.w1)
         assert np.array_equal(trained.w2, manual.w2)
         assert history == [empirical_risk(params, batch, config)]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_steps_equal_the_out_of_place_updates(self, rng, model):
+        # Two epochs of three minibatches: every step's state, updated in
+        # place, must equal the oracle's new containers bit for bit.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=4)
+        samples = [random_sample(rng, int(n), 2) for n in rng.integers(2, 9, size=6)]
+        params = init_params(config, 2, seed=9)
+        cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=2, seed=17)
+        trained, history = train(params, samples, cfg, config)
+
+        order = np.random.default_rng(cfg.seed)
+        want, velocity, want_history = params, zeros_like_params(params), []
+        for _ in range(cfg.epochs):
+            shuffled = [samples[i] for i in order.permutation(len(samples))]
+            loss = 0.0
+            for lo in range(0, len(samples), cfg.batch_size):
+                batch = shuffled[lo : lo + cfg.batch_size]
+                loss += empirical_risk_one_call(want, batch, config) * len(batch)
+                grads = grad_regularized_risk(want, batch, config, cfg.alpha)
+                want, velocity = sgd_step_out_of_place(want, grads, velocity, cfg)
+            want_history.append(loss / len(samples))
+        assert history == want_history
+        for field in dataclasses.fields(trained):
+            assert np.array_equal(getattr(trained, field.name), getattr(want, field.name))
+
+    def test_no_step_builds_a_container(self, rng, monkeypatch):
+        params, samples, config = self._setup(rng)
+        built = []
+        post_init = UnitRows.__post_init__
+
+        def counting(self):
+            built.append(type(self))
+            post_init(self)
+
+        monkeypatch.setattr(UnitRows, "__post_init__", counting)
+        counts = []
+        for epochs in (1, 5):
+            built.clear()
+            train(params, samples, TrainConfig(epochs=epochs, batch_size=2), config)
+            counts.append(len(built))
+        assert counts[0] == counts[1] == 1
 
     def test_history_has_one_entry_per_epoch(self, rng):
         params, samples, config = self._setup(rng)
@@ -457,6 +558,59 @@ class TestTrain:
         params, _, config = self._setup(rng)
         with pytest.raises(ValueError):
             train(params, [], TrainConfig(), config)
+
+
+class TestChunkedRisk:
+    """empirical_risk runs forward over chunks of whole graphs; its risk must
+    equal that of one forward over the whole set (==)."""
+
+    @staticmethod
+    def _check(params, samples, config):
+        chunks = prepare_dataset(GraphDataset.from_samples(samples, name=""), config).stack.chunks(
+            config.width
+        )
+        assert len(samples) == 1 or all(len(c.rows["w1"]) > 1 for c in chunks)
+        assert empirical_risk(params, samples, config) == empirical_risk_one_call(
+            params, samples, config
+        )
+        return [len(c.labels) for c in chunks]
+
+    @pytest.mark.parametrize("readout", list(Readout))
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_chunks_equal_one_forward(self, rng, monkeypatch, model, readout):
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3,
+                             readout=readout)
+        params = init_params(config, 2, seed=5).map(lambda w: 3.0 * w)
+        # Chunks of at most 12 rows.
+        monkeypatch.setattr(models_module, "_CHUNK_BYTES", 12 * 8 * config.width)
+        # Eleven graphs of 2 to 9 nodes: no chunk count divides the graph count.
+        mixed = [random_sample(rng, int(n), 2) for n in rng.integers(2, 10, size=11)]
+        assert len(self._check(params, mixed, config)) > 2
+        # One graph, larger than a chunk, and one graph alone.
+        assert self._check(params, [random_sample(rng, 30, 2)], config) == [1]
+        assert self._check(params, [random_sample(rng, 5, 2)], config) == [1]
+        # A graph larger than a chunk among others.
+        sizes = (4, 30, 3, 12, 2)
+        assert len(self._check(params, [random_sample(rng, n, 2) for n in sizes], config)) > 2
+        # One-node graphs that would sit alone in a chunk, first and last.
+        sizes = (1, 12, 12, 1)
+        assert self._check(params, [random_sample(rng, n, 2) for n in sizes], config) == [2, 2]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_no_split_sized_array_at_width_256(self, model):
+        # 140 sbm1 graphs of 100 nodes: one 14,000 x 256 float64 array is 28.7 MB.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=256)
+        prepared = prepare_dataset(make_dataset(preset_config("sbm1", seed=0)), config)
+        split = prepared.take(np.arange(140))
+        params = init_params(config, prepared.feature_dim, seed=1)
+        tracemalloc.start()
+        try:
+            risk = empirical_risk(params, split, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14_000 * 256 * 8
+        assert risk == empirical_risk_one_call(params, split, config)
 
 
 class TestMeasureGeneralization:
