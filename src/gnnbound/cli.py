@@ -240,7 +240,7 @@ def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
     return _build(SweepConfig, {**fields, "train": train}, table, source)
 
 
-def _synth_config_from_file(path: Path, seed_override: int | None) -> SynthConfig:
+def _synth_config_from_file(path: Path, overrides: dict) -> SynthConfig:
     source = str(path)
     values = parse_config_file(path)
     kind = values.pop("model", None)
@@ -249,21 +249,21 @@ def _synth_config_from_file(path: Path, seed_override: int | None) -> SynthConfi
     if kind not in SPEC_TABLES:
         raise ConfigError(f"{source}: model must be one of: sbm, er, got {kind!r}")
     table = SPEC_TABLES[kind]
-    fields = {"name": path.stem, **read_config(values, table, source)}
-    if seed_override is not None:
-        fields["seed"] = seed_override
+    fields = {"name": path.stem, **read_config(values, table, source), **overrides}
     fields["model"] = _build(_SPEC_CLASSES[kind], fields, table, source)
     return _build(SynthConfig, fields, table, source)
 
 
 def cmd_gen_data(args) -> int:
+    # Each flag that is given sets its own field; the others keep the spec
+    # file's value, or the preset default.
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "n_graphs", "feature_dim")
+        if getattr(args, name) is not None
+    }
     if args.source in PRESET_NAMES:
-        config = preset_config(
-            args.source,
-            seed=args.seed if args.seed is not None else SynthConfig.seed,
-            n_graphs=args.n_graphs,
-            feature_dim=args.feature_dim,
-        )
+        config = preset_config(args.source, **overrides)
     else:
         source_path = Path(args.source)
         if not source_path.exists():
@@ -271,11 +271,7 @@ def cmd_gen_data(args) -> int:
                 f"{args.source!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
                 f"nor an existing generator spec file"
             )
-        config = _synth_config_from_file(source_path, args.seed)
-        if args.override_size:
-            config = dataclasses.replace(
-                config, n_graphs=args.n_graphs, feature_dim=args.feature_dim
-            )
+        config = _synth_config_from_file(source_path, overrides)
     dataset = make_dataset(config)
     save_dataset(dataset, args.out)
     stats = dataset_stats(dataset)
@@ -381,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("source", help=f"preset ({', '.join(PRESET_NAMES)}) or generator spec file")
     gen.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
     gen.add_argument("--out", required=True, help="output dataset JSON path")
-    gen.add_argument("--n-graphs", type=int, default=SynthConfig.n_graphs, dest="n_graphs")
-    gen.add_argument("--feature-dim", type=int, default=SynthConfig.feature_dim, dest="feature_dim")
+    spec_or = "default: the spec file's, else"
+    gen.add_argument("--n-graphs", type=int, help=f"graph count ({spec_or} {SynthConfig.n_graphs})")
     gen.add_argument(
-        "--override-size",
-        action="store_true",
-        help="let --n-graphs/--feature-dim override a spec file's values",
+        "--feature-dim", type=int, help=f"feature dimension ({spec_or} {SynthConfig.feature_dim})"
     )
     gen.set_defaults(handler=cmd_gen_data)
 

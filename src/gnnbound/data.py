@@ -52,7 +52,11 @@ def frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphSample:
-    """One undirected graph: N x N adjacency, N x k features, label in {-1,+1}."""
+    """One undirected graph: N x N adjacency, N x k features, label in {-1,+1}.
+
+    Construction checks every invariant of the module docstring and raises
+    ValidationError listing each one that is violated.
+    """
 
     adjacency: np.ndarray
     features: np.ndarray
@@ -68,6 +72,20 @@ class GraphSample:
             raise ValidationError("a graph must have at least one node")
         if self.features.ndim != 2 or self.features.shape[0] != self.adjacency.shape[0]:
             raise ValidationError("features must have one row per node")
+        adj = self.adjacency
+        violations = []
+        if not np.all((adj == 0.0) | (adj == 1.0)):
+            violations.append("adjacency entries must be 0 or 1")
+        if np.any(np.diagonal(adj) != 0.0):
+            violations.append("nonzero diagonal (self-loops are not allowed)")
+        if not np.array_equal(adj, adj.T):
+            violations.append("asymmetric adjacency (graphs are undirected)")
+        if not np.all(np.isfinite(self.features)):
+            violations.append("non-finite feature values")
+        if self.label not in (-1, 1):
+            violations.append("label must be -1 or +1")
+        if violations:
+            raise ValidationError("; ".join(violations))
 
     @property
     def node_count(self) -> int:
@@ -128,30 +146,6 @@ class DatasetStats:
     d_min: int
     b_f: float
     feature_dim: int
-
-
-def validate_sample(sample: GraphSample) -> list[str]:
-    """Return a list of invariant violations (empty means the sample is valid)."""
-    violations = []
-    adj = sample.adjacency
-    if not np.all(np.isin(adj, (0.0, 1.0))):
-        violations.append("adjacency entries must be 0 or 1")
-    if np.any(np.diagonal(adj) != 0.0):
-        violations.append("nonzero diagonal (self-loops are not allowed)")
-    if not np.array_equal(adj, adj.T):
-        violations.append("asymmetric adjacency (graphs are undirected)")
-    if not np.all(np.isfinite(sample.features)):
-        violations.append("non-finite feature values")
-    if sample.label not in (-1, 1):
-        violations.append("label must be -1 or +1")
-    return violations
-
-
-def require_valid(sample: GraphSample, context: str = "sample") -> None:
-    """Raise ValidationError listing every violated invariant."""
-    violations = validate_sample(sample)
-    if violations:
-        raise ValidationError(f"{context}: " + "; ".join(violations))
 
 
 def degrees(sample: GraphSample) -> np.ndarray:
@@ -303,9 +297,10 @@ def _record_to_sample(record: dict, feature_dim: int, context: str) -> GraphSamp
     label = record["label"]
     if not isinstance(label, int) or label not in (-1, 1):
         raise ValidationError(f"{context}: label must be -1 or +1, got {label!r}")
-    sample = GraphSample(adjacency=adjacency, features=features, label=label)
-    require_valid(sample, context)
-    return sample
+    try:
+        return GraphSample(adjacency=adjacency, features=features, label=label)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from exc
 
 
 def load_dataset(path) -> GraphDataset:

@@ -90,15 +90,13 @@ def fro_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Number of singular values exceeding rel_tol times the largest one."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Number of singular values exceeding RANK_REL_TOL times the largest one."""
     matrix = np.asarray(matrix, dtype=np.float64)
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:
         return 0
-    return int((singular > rel_tol * singular[0]).sum())
+    return int((singular > RANK_REL_TOL * singular[0]).sum())
 
 
 def theoretical_inf_bound(kind: FilterKind, d_max: int, d_min: int) -> float | None:

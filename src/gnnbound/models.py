@@ -253,35 +253,15 @@ class Stacked:
             gathered.rows[name] = np.take(rows, nodes, axis=0, out=target, mode="clip")
         return gathered
 
-    def _graphs(self, lo: int, hi: int) -> "Stacked":
-        """Graphs lo to hi - 1, as a view of these rows."""
-        counts = self.node_counts[lo:hi]
-        nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
-        return Stacked({name: rows[nodes] for name, rows in self.rows.items()}, self.labels[lo:hi], counts)
-
     def batches(self, size: int) -> Iterator["Stacked"]:
         """Consecutive runs of size graphs (the last may be shorter), each a
         view of these rows."""
         for lo in range(0, len(self.labels), size):
-            yield self._graphs(lo, lo + size)
-
-    def chunks(self, width: int) -> list["Stacked"]:
-        """Consecutive runs of whole graphs whose nodes x width float64 rows
-        fill at most _CHUNK_BYTES, each a view of these rows; a larger graph
-        is a chunk of its own. No chunk has one row unless the stack has one
-        row, as forward rounds a single row differently (_blocks): a one-row
-        chunk takes the next graph too, and a one-row tail joins the chunk
-        before it."""
-        limit = _CHUNK_BYTES // (8 * width)
-        starts, filled = [0], 0
-        for q, count in enumerate(self.node_counts):
-            if filled > 1 and filled + count > limit:
-                starts.append(q)
-                filled = 0
-            filled += count
-        if filled == 1 and len(starts) > 1:
-            starts.pop()
-        return [self._graphs(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(self.labels)])]
+            graphs = slice(lo, lo + size)
+            counts = self.node_counts[graphs]
+            nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
+            rows = {name: field[nodes] for name, field in self.rows.items()}
+            yield Stacked(rows, self.labels[graphs], counts)
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
@@ -294,11 +274,6 @@ def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
 # Row blocks of about this many bytes of an N x h float64 array stay in L2
 # between the passes of a block's elementwise chain.
 _BLOCK_BYTES = 256 * 1024
-
-
-# A risk runs forward over chunks of whole graphs whose f takes about this
-# many bytes, so it never holds an N x h array of a whole split.
-_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def _block_rows(width: int) -> int:
@@ -320,24 +295,28 @@ class Workspace:
     """The buffers a forward and backward write into, and the lanes that run
     their row blocks.
 
-    f holds the outer-nonlinearity outputs of up to `nodes` rows, and each lane
-    has one block temp. Lane 0 is the calling thread; the others are the
-    threads of a pool that lives while the workspace is entered. Every lane
-    task runs in a copy of the caller's context, so np.errstate holds there.
+    f holds the outer-nonlinearity outputs of up to `nodes` rows, for a
+    backward to read; a workspace for forwards alone has nodes = 0 and no f.
+    Each lane has scratch for one block: an out buffer, which takes a
+    block's outer outputs when there is no f, and the product temp. Lane 0 is
+    the calling thread; the others are the threads of a pool that lives while
+    the workspace is entered. Every lane task runs in a copy of the caller's
+    context, so np.errstate holds there.
     """
 
     def __init__(self, nodes: int, width: int, lanes: int = 1):
-        self.f = np.empty((nodes, width))
+        self.width = width
+        self.f = np.empty((nodes, width)) if nodes > 0 else None
         # A block has at most one row more than _block_rows: a merged tail.
-        rows = min(_block_rows(width) + 1, nodes)
-        self.temps = [np.empty((rows, width)) for _ in range(lanes)]
+        rows = _block_rows(width) + 1
+        self._scratch = [(np.empty((rows, width)), np.empty((rows, width))) for _ in range(lanes)]
         self._pool = None
-        self._runs: dict[int, list[list[tuple[slice, np.ndarray]]]] = {}
+        self._runs: dict[int, list[list[tuple[slice, np.ndarray, np.ndarray]]]] = {}
 
     def __enter__(self) -> "Workspace":
         self._runs.clear()
-        if len(self.temps) > 1:
-            self._pool = ThreadPoolExecutor(max_workers=len(self.temps) - 1)
+        if len(self._scratch) > 1:
+            self._pool = ThreadPoolExecutor(max_workers=len(self._scratch) - 1)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -346,21 +325,28 @@ class Workspace:
             self._pool = None
         self._runs.clear()
 
-    def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray]]]:
+    def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray, np.ndarray]]]:
         """The row blocks of a step over nodes rows, dealt to its lanes in
-        contiguous runs, each block with its lane's temp cut to its rows. A
-        step has lanes only while the workspace is entered, and each lane
-        takes at least two blocks: with one each, a full block beside a short
-        tail and the dispatch cost more than the second lane saves."""
+        contiguous runs. Each block comes with its out buffer (its rows of f,
+        or its lane's out scratch cut to its rows when there is no f) and its
+        lane's temp cut to its rows. A step has lanes only while the workspace
+        is entered, and each lane takes at least two blocks: with one each, a
+        full block beside a short tail and the dispatch cost more than the
+        second lane saves."""
         runs = self._runs.get(nodes)
         if runs is None:
-            blocks = _blocks(nodes, self.f.shape[1])
-            lanes = len(self.temps) if self._pool is not None else 1
+            blocks = _blocks(nodes, self.width)
+            lanes = len(self._scratch) if self._pool is not None else 1
             lanes = max(1, min(lanes, len(blocks) // 2))
+
+            def cut(block: slice, out: np.ndarray, temp: np.ndarray):
+                rows = block.stop - block.start
+                return block, out[:rows] if self.f is None else self.f[block], temp[:rows]
+
             runs = self._runs[nodes] = [
-                [(block, temp[: block.stop - block.start]) for block in
+                [cut(block, *scratch) for block in
                  blocks[i * len(blocks) // lanes : (i + 1) * len(blocks) // lanes]]
-                for i, temp in zip(range(lanes), self.temps)
+                for i, scratch in zip(range(lanes), self._scratch)
             ]
         return runs
 
@@ -377,12 +363,12 @@ class Workspace:
         return [first] + [future.result() for future in futures]
 
     def each_block(self, nodes: int, fn) -> None:
-        """fn(block, temp) for every row block of a step over nodes rows,
-        each lane taking its run of blocks with its own temp."""
+        """fn(block, out, temp) for every row block of a step over nodes
+        rows, each lane taking its run of blocks with its own scratch."""
 
         def lane(run):
-            for block, temp in run:
-                fn(block, temp)
+            for block, out, temp in run:
+                fn(block, out, temp)
 
         self.map(nodes, lane, self.runs(nodes))
 
@@ -391,27 +377,25 @@ def forward(
     params: Params | ParamArrays,
     stacked: Stacked,
     config: ModelConfig,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs yhat, one per stacked graph, and the N x h outer-nonlinearity outputs f.
+    workspace: Workspace,
+) -> np.ndarray:
+    """Outputs yhat, one per stacked graph.
 
-    f is workspace.f[:N], which the caller may overwrite; without a workspace
-    a single-lane one is made for this call. Each row block runs its
-    pre-activation gemms, the outer nonlinearity and its nodes' share of
-    f @ w2 while it is in cache; the sums over nodes run once over the batch.
-    The caller checks that params match config (check_shapes).
+    Each row block runs its pre-activation gemms, the outer nonlinearity and
+    its nodes' share of f @ w2 while it is in cache; the sums over nodes run
+    once over the batch. The outer outputs f of the N rows are left in
+    workspace.f[:N] when the workspace has f, for a backward to overwrite;
+    without f, each block's stay in its lane's scratch. The caller checks
+    that params match config (check_shapes).
     """
     nodes = len(stacked.rows["w1"])
-    if workspace is None:
-        workspace = Workspace(nodes, params.width)
-    f = workspace.f[:nodes]
     (first_rows, first_weights), *rest = [
         (rows, getattr(params, name).T) for name, rows in stacked.rows.items()
     ]
     node_values = np.empty(nodes)
 
-    def block_forward(block: slice, temp: np.ndarray) -> None:
-        z = np.matmul(first_rows[block], first_weights, out=f[block])
+    def block_forward(block: slice, out: np.ndarray, temp: np.ndarray) -> None:
+        z = np.matmul(first_rows[block], first_weights, out=out)
         for rows, weights in rest:
             z += np.matmul(rows[block], weights, out=temp)
         np.matmul(config.outer.apply_in_place(z), params.w2, out=node_values[block])
@@ -419,7 +403,7 @@ def forward(
     workspace.each_block(nodes, block_forward)
     node_values /= params.width
     sums = np.add.reduceat(node_values, stacked.starts)
-    return sums * readout_scale(stacked, config.readout), f
+    return sums * readout_scale(stacked, config.readout)
 
 
 def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:

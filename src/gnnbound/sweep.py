@@ -79,8 +79,12 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("betas", "widths", "seeds", "models", "filters", "readouts"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            # A repeated value would run identical rows and count them twice.
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
         if any(w < 1 for w in self.widths):
             raise ValueError("widths must be >= 1")
         if any(not 0.0 < b < 1.0 for b in self.betas):

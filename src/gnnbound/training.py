@@ -97,19 +97,19 @@ def _risk_and_loss_grads(
     stacked: Stacked,
     config: ModelConfig,
     grads: ParamArrays,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> float:
     """Batch-average empirical risk; its gradient (no penalty term) is
     written into grads.
 
-    The forward's f becomes the backpropagated signal in place, block by
-    block on the workspace's lanes. Every sum over nodes is one call over the
-    whole batch: splitting one changes its summation order and so its bits.
+    The forward's f, in workspace.f, becomes the backpropagated signal in
+    place, block by block on the workspace's lanes. Every sum over nodes is
+    one call over the whole batch: splitting one changes its summation order
+    and so its bits.
     """
     nodes = len(stacked.rows["w1"])
-    if workspace is None:
-        workspace = Workspace(nodes, params.width)
-    yhat, f = forward(params, stacked, config, workspace)
+    yhat = forward(params, stacked, config, workspace)
+    f = workspace.f[:nodes]
     h = params.width
     risk = float(logistic_loss(yhat, stacked.labels).mean())
 
@@ -118,10 +118,10 @@ def _risk_and_loss_grads(
     per_node = np.repeat(per_graph, stacked.node_counts)
     np.divide(f.T @ per_node, h, out=grads.w2)
 
-    def block_backward(block: slice, temp: np.ndarray) -> None:
+    def block_backward(block: slice, out: np.ndarray, temp: np.ndarray) -> None:
         # The outer product stays one factor, as multiplying by its two
         # vectors in turn rounds differently.
-        back = config.outer.derivative_in_place(f[block])
+        back = config.outer.derivative_in_place(out)
         back *= np.multiply(per_node[block, None], params.w2[None, :], out=temp)
 
     workspace.each_block(nodes, block_backward)
@@ -187,16 +187,13 @@ def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDatase
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     """Mean logistic loss of the model over the samples (no penalty).
 
-    forward runs over chunks of whole graphs (Stacked.chunks) into one
-    workspace, so no N x h array of the whole set is made. A graph's output
-    depends on its own rows only, so the outputs, and the risk, have the
-    bits of one forward over all of them.
+    One forward over the whole set, on a workspace without f: each row
+    block's outer outputs stay in scratch, so no N x h array of the set is
+    made.
     """
     prepared = _prepared(params, samples, model_config)
     stacked = prepared.stack.gather(prepared.graphs)
-    chunks = stacked.chunks(params.width)
-    workspace = Workspace(max(len(chunk.rows["w1"]) for chunk in chunks), params.width)
-    yhat = np.concatenate([forward(params, chunk, model_config, workspace)[0] for chunk in chunks])
+    yhat = forward(params, stacked, model_config, Workspace(0, params.width))
     return float(logistic_loss(yhat, stacked.labels).mean())
 
 

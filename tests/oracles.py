@@ -3,14 +3,13 @@
 They evaluate the same quantities as the library by another route: one hidden
 unit at one node in scalar arithmetic, the spectral norm by power iteration
 instead of an SVD, the forward and backward passes over the whole batch at
-once with a new array for every temporary, where the library runs them in
-row blocks on lanes and overwrites a workspace, a risk by one forward over
-the whole set instead of one per chunk of graphs, the penalty gradient and
-the momentum step as new containers instead of arrays updated in place, and
-a batch's stack by concatenating its graphs' rows one graph at a time
-instead of gathering them from a prepared dataset. The risks and gradients
-of a list of samples, the node relabelling of a sample and the whole sweep
-from its config are built here from the library's parts.
+once with a new array for every temporary (a risk too), where the library
+runs them in row blocks on lanes and overwrites a workspace, the penalty
+gradient and the momentum step as new containers instead of arrays updated
+in place, and a batch's stack by concatenating its graphs' rows one graph at
+a time instead of gathering them from a prepared dataset. The risks and
+gradients of a list of samples, the node relabelling of a sample and the
+whole sweep from its config are built here from the library's parts.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from gnnbound.models import (
     ParamArrays,
     Params,
     Stacked,
+    Workspace,
     check_shapes,
     forward,
     prepare_sample,
@@ -157,11 +157,11 @@ def risk_and_loss_grads_out_of_place(
 
 
 def empirical_risk_one_call(params: Params, samples, config: ModelConfig) -> float:
-    """training.empirical_risk as one gather, one forward over the whole set
-    and one mean."""
+    """training.empirical_risk as one gather, one out-of-place forward over
+    the whole set and one mean."""
     prepared = _prepared(params, samples, config)
     stacked = prepared.stack.gather(prepared.graphs)
-    yhat, _ = forward(params, stacked, config)
+    yhat, _ = forward_out_of_place(params, stacked, config)
     return float(logistic_loss(yhat, stacked.labels).mean())
 
 
@@ -201,8 +201,8 @@ def stack_samples(params: Params, samples: Sequence[GraphSample], config: ModelC
 
 def forward_graph(params: Params, sample: GraphSample, config: ModelConfig) -> float:
     """Model output yhat for one sample."""
-    yhat, _ = forward(params, stack_samples(params, [sample], config), config)
-    return float(yhat[0])
+    stacked = stack_samples(params, [sample], config)
+    return float(forward(params, stacked, config, Workspace(0, params.width))[0])
 
 
 def penalty(params: Params, alpha: float) -> float:
@@ -219,7 +219,10 @@ def regularized_risk(params: Params, samples, config: ModelConfig, alpha: float)
 def risk_and_loss_grads(
     params: Params, stacked: Stacked, config: ModelConfig, workspace=None
 ) -> tuple[float, Params]:
-    """training._risk_and_loss_grads with its gradient returned as a new container."""
+    """training._risk_and_loss_grads with its gradient returned as a new
+    container, on a single-lane workspace of its own unless one is given."""
+    if workspace is None:
+        workspace = Workspace(len(stacked.rows["w1"]), params.width)
     grads = ParamArrays.like(params, np.empty_like)
     risk = _risk_and_loss_grads(params, stacked, config, grads, workspace)
     return risk, type(params)(**vars(grads))

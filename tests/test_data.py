@@ -14,44 +14,54 @@ from gnnbound.data import (
     dataset_stats,
     degrees,
     load_dataset,
-    require_valid,
     save_dataset,
     split_dataset,
-    validate_sample,
 )
 from oracles import permute_sample
 
 
 class TestValidation:
+    """A GraphSample that breaks an invariant cannot be built: the error
+    lists every violation."""
+
     def test_triangle_is_valid(self, triangle):
-        assert validate_sample(triangle) == []
-        require_valid(triangle)
+        assert triangle.node_count == 3 and triangle.label == 1
 
     def test_self_loop_rejected(self):
-        adj = np.eye(2)
-        sample = GraphSample(adjacency=adj, features=np.ones((2, 1)), label=1)
-        violations = validate_sample(sample)
-        assert any("self-loops" in v for v in violations)
-        with pytest.raises(ValidationError):
-            require_valid(sample)
+        with pytest.raises(ValidationError, match="self-loops"):
+            GraphSample(adjacency=np.eye(2), features=np.ones((2, 1)), label=1)
 
     def test_asymmetric_rejected(self):
         adj = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sample = GraphSample(adjacency=adj, features=np.ones((2, 1)), label=1)
-        assert any("asymmetric" in v for v in validate_sample(sample))
+        with pytest.raises(ValidationError, match="asymmetric"):
+            GraphSample(adjacency=adj, features=np.ones((2, 1)), label=1)
 
     def test_nonbinary_entries_rejected(self):
         adj = np.array([[0.0, 0.5], [0.5, 0.0]])
-        sample = GraphSample(adjacency=adj, features=np.ones((2, 1)), label=1)
-        assert any("0 or 1" in v for v in validate_sample(sample))
+        with pytest.raises(ValidationError, match="0 or 1"):
+            GraphSample(adjacency=adj, features=np.ones((2, 1)), label=1)
 
-    def test_bad_label_rejected(self):
-        sample = sample_from_edges(2, [(0, 1)], label=0)
-        assert any("label" in v for v in validate_sample(sample))
+    @pytest.mark.parametrize("label", [0, 5, -2])
+    def test_bad_label_rejected(self, label):
+        with pytest.raises(ValidationError, match="label must be -1 or \\+1"):
+            sample_from_edges(2, [(0, 1)], label=label)
 
     def test_nonfinite_features_rejected(self):
-        sample = sample_from_edges(2, [(0, 1)], features=[[np.nan], [1.0]])
-        assert any("non-finite" in v for v in validate_sample(sample))
+        with pytest.raises(ValidationError, match="non-finite"):
+            sample_from_edges(2, [(0, 1)], features=[[np.nan], [1.0]])
+
+    def test_every_violation_listed(self):
+        # Weighted, asymmetric, with a self-loop: the adjacency a weighted
+        # digraph would give.
+        adj = np.array([[2.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValidationError) as caught:
+            GraphSample(adjacency=adj, features=np.ones((2, 1)), label=0)
+        assert str(caught.value).split("; ") == [
+            "adjacency entries must be 0 or 1",
+            "nonzero diagonal (self-loops are not allowed)",
+            "asymmetric adjacency (graphs are undirected)",
+            "label must be -1 or +1",
+        ]
 
     def test_nonsquare_adjacency_raises_on_construction(self):
         with pytest.raises(ValidationError):
@@ -255,6 +265,16 @@ class TestPersistence:
             '"edges": [], "features": [[1.0]], "label": 0}]}'
         )
         with pytest.raises(ValidationError):
+            load_dataset(path)
+
+    def test_invalid_sample_named_by_path_and_graph(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "x", "feature_dim": 1, "graphs": [{"n": 1, "edges": [], '
+            '"features": [[1.0]], "label": 1}, {"n": 1, "edges": [], '
+            '"features": [[NaN]], "label": 1}]}'
+        )
+        with pytest.raises(ValidationError, match=r"nan\.json: graph 1: non-finite feature values$"):
             load_dataset(path)
 
     def test_feature_shape_mismatch_raises(self, tmp_path):

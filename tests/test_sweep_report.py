@@ -336,6 +336,19 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
 
+    @pytest.mark.parametrize("name, values", [
+        ("betas", (0.7, 0.7)),
+        ("widths", (4, 4)),
+        ("seeds", (0, 1, 0)),
+        ("models", (ModelKind.GCN, ModelKind.GCN)),
+        ("filters", (FilterKind.SYM_NORM, FilterKind.SYM_NORM)),
+        ("readouts", (Readout.SUM, Readout.SUM)),
+    ])
+    def test_repeated_grid_value_rejected_by_field_name(self, name, values):
+        # A repeated value would run identical rows and count them as seeds.
+        with pytest.raises(ValueError, match=f"^{name} "):
+            tiny_config(**{name: values})
+
     def test_json_value_is_json_ready(self):
         text = json.dumps(to_json_value(tiny_config()))
         assert "er5" in text
@@ -617,6 +630,24 @@ class TestCli:
         assert ds[0].node_count == 7
         capsys.readouterr()
 
+    def test_gen_data_size_flags_override_only_their_own_spec_fields(self, tmp_path, capsys):
+        spec = self._write(tmp_path / "gen.cfg", "\n".join([
+            "model = er", "nodes = 4", "edge_prob = 0.5", "n_graphs = 3", "feature_dim = 4",
+        ]))
+        out = tmp_path / "ds.json"
+
+        def generated(*flags):
+            assert main(["gen-data", spec, "--out", str(out), *flags]) == 0
+            from gnnbound.data import load_dataset
+            ds = load_dataset(out)
+            return len(ds), ds.feature_dim
+
+        assert generated() == (3, 4)
+        assert generated("--n-graphs", "5") == (5, 4)
+        assert generated("--feature-dim", "2") == (3, 2)
+        assert generated("--n-graphs", "5", "--feature-dim", "2") == (5, 2)
+        capsys.readouterr()
+
     def test_train_command_prints_run(self, tmp_path, capsys):
         config = self._write(tmp_path / "train.cfg", "\n".join([
             "dataset = er5",
@@ -693,8 +724,9 @@ class TestCli:
     @pytest.mark.parametrize("command, text, key", [
         ("train", "dataset = er5\nlr = -1\n", "lr"),
         ("sweep", "dataset = er5\nworkers = 0\n", "workers"),
+        ("sweep", "dataset = er5\nwidths = 4, 4\n", "widths"),
         ("gen-data", "model = er\nnodes = 0\nedge_prob = 0.5\n", "nodes"),
-    ], ids=["train-lr", "sweep-workers", "gen-data-nodes"])
+    ], ids=["train-lr", "sweep-workers", "sweep-widths", "gen-data-nodes"])
     def test_value_its_config_rejects_names_file_and_key(self, tmp_path, capsys, command,
                                                          text, key):
         config = self._write(tmp_path / "run.cfg", text)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gnnbound.data import dataset_stats, validate_sample
+from gnnbound.data import dataset_stats
 from gnnbound.synth import (
     PRESET_NAMES,
     ErSpec,
@@ -133,7 +133,6 @@ class TestMakeDataset:
         assert ds.name == "tiny"
         assert ds.feature_dim == 3
         for sample in ds:
-            assert validate_sample(sample) == []
             assert sample.node_count == 6
             assert sample.label in (-1, 1)
 

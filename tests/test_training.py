@@ -23,7 +23,7 @@ from conftest import (
     random_sample,
     sample_from_edges,
 )
-from gnnbound.data import GraphDataset, split_dataset
+from gnnbound.data import split_dataset
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -216,11 +216,13 @@ def block_rows(monkeypatch, rows: int, width: int) -> None:
 def assert_kernel_matches_out_of_place(params, stacked, config, lanes):
     rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
     nodes = len(stacked.rows["w1"])
+    want_yhat, want_f = forward_out_of_place(params, stacked, config)
+    with Workspace(0, params.width, lanes) as workspace:
+        assert workspace.f is None
+        assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
     with Workspace(nodes, params.width, lanes) as workspace:
-        yhat, f = forward(params, stacked, config, workspace)
-        want_yhat, want_f = forward_out_of_place(params, stacked, config)
-        assert np.array_equal(yhat, want_yhat)
-        assert np.array_equal(f, want_f)
+        assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
+        assert np.array_equal(workspace.f[:nodes], want_f)
 
         risk, grads = risk_and_loss_grads(params, stacked, config, workspace)
     want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
@@ -561,40 +563,42 @@ class TestTrain:
 
 
 class TestChunkedRisk:
-    """empirical_risk runs forward over chunks of whole graphs; its risk must
-    equal that of one forward over the whole set (==)."""
+    """empirical_risk runs one forward over the whole set in row blocks, whose
+    outer outputs stay in scratch; its risk must equal that of one
+    out-of-place forward over the whole set (==)."""
 
     @staticmethod
     def _check(params, samples, config):
-        chunks = prepare_dataset(GraphDataset.from_samples(samples, name=""), config).stack.chunks(
-            config.width
-        )
-        assert len(samples) == 1 or all(len(c.rows["w1"]) > 1 for c in chunks)
+        nodes = sum(sample.node_count for sample in samples)
+        blocks = models_module._blocks(nodes, config.width)
+        assert nodes == 1 or all(block.stop - block.start > 1 for block in blocks)
         assert empirical_risk(params, samples, config) == empirical_risk_one_call(
             params, samples, config
         )
-        return [len(c.labels) for c in chunks]
+        return [block.stop - block.start for block in blocks]
 
     @pytest.mark.parametrize("readout", list(Readout))
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_chunks_equal_one_forward(self, rng, monkeypatch, model, readout):
+    def test_blocks_across_graphs_equal_one_forward(self, rng, monkeypatch, model, readout):
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3,
                              readout=readout)
         params = init_params(config, 2, seed=5).map(lambda w: 3.0 * w)
-        # Chunks of at most 12 rows.
-        monkeypatch.setattr(models_module, "_CHUNK_BYTES", 12 * 8 * config.width)
-        # Eleven graphs of 2 to 9 nodes: no chunk count divides the graph count.
+        # Blocks of 4 rows, so most blocks end inside a graph.
+        block_rows(monkeypatch, 4, config.width)
+        # Eleven graphs of 2 to 9 nodes.
         mixed = [random_sample(rng, int(n), 2) for n in rng.integers(2, 10, size=11)]
         assert len(self._check(params, mixed, config)) > 2
-        # One graph, larger than a chunk, and one graph alone.
-        assert self._check(params, [random_sample(rng, 30, 2)], config) == [1]
-        assert self._check(params, [random_sample(rng, 5, 2)], config) == [1]
-        # A graph larger than a chunk among others.
-        sizes = (4, 30, 3, 12, 2)
-        assert len(self._check(params, [random_sample(rng, n, 2) for n in sizes], config)) > 2
-        # One-node graphs that would sit alone in a chunk, first and last.
-        sizes = (1, 12, 12, 1)
-        assert self._check(params, [random_sample(rng, n, 2) for n in sizes], config) == [2, 2]
+        # One graph of many blocks with a one-row tail, and one graph inside a block.
+        assert self._check(params, [random_sample(rng, 29, 2)], config) == [4] * 6 + [5]
+        assert self._check(params, [random_sample(rng, 3, 2)], config) == [3]
+        # One-node graphs first and last: the last one is a one-row tail,
+        # which joins the block before it.
+        sizes = (1, 6, 4, 1)
+        assert self._check(params, [random_sample(rng, n, 2) for n in sizes], config) == [4, 4, 4]
+        # One-node graphs alone: one, two, and five, whose one-row tail joins.
+        for count, blocks in ((1, [1]), (2, [2]), (5, [5])):
+            ones = [random_sample(rng, 1, 2) for _ in range(count)]
+            assert self._check(params, ones, config) == blocks
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_no_split_sized_array_at_width_256(self, model):
