@@ -1,11 +1,8 @@
-"""The OpenBLAS thread pin and the core hold that sweeps, trainings and filter
-reports share.
+"""The OpenBLAS thread pin that sweeps, trainings and filter reports take
+for their whole call, so that idle BLAS threads never spin beside them.
 
-A pin runs every matrix product on the thread that calls it. A sweep (at any
-worker count) and a filter report pin OpenBLAS for their whole call, so its
-threads never spin beside work that does not use them. A hold says who runs
-on the cores: a sweep pool's threads, or a training's lanes. A training
-that finds no other holder has the cores to itself.
+The main thread owns the cores: only it pins. The count is process-wide, so
+a sweep pool's threads run pinned under the main thread's pin.
 """
 
 from __future__ import annotations
@@ -33,49 +30,28 @@ def _openblas_thread_setter():
     return None
 
 
-# How many blocks pin OpenBLAS and how many hold the cores, and the
-# process-wide OpenBLAS thread count from before the first pin.
-_lock = threading.Lock()
-_pins = 0
-_holds = 0
-_threads_before = 0
+# The OpenBLAS thread count to restore when the main thread's outermost pin
+# ends; None outside a pin.
+_restore: int | None = None
+
+
+def on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
 
 
 @contextmanager
 def single_threaded_blas():
-    """Run the block with one OpenBLAS thread per calling thread.
-
-    In pthread builds of OpenBLAS the setter changes the count for the whole
-    process, so the count from before the first of any overlapping pins is
-    restored when the last one ends. Without OpenBLAS the BLAS runs as is.
-    """
-    global _pins, _threads_before
+    """Run the block with one OpenBLAS thread when called on the main thread
+    outside another pin, restoring the count from before on exit. Anywhere
+    else, and without OpenBLAS, the block runs with the count as it is."""
+    global _restore
     setter = _openblas_thread_setter()
-    with _lock:
-        if _pins == 0 and setter is not None:
-            _threads_before = setter(1)
-        _pins += 1
+    if setter is None or _restore is not None or not on_main_thread():
+        yield
+        return
+    _restore = setter(1)
     try:
         yield
     finally:
-        with _lock:
-            _pins -= 1
-            if _pins == 0 and setter is not None:
-                setter(_threads_before)
-
-
-@contextmanager
-def hold_cores():
-    """Run the block pinned (single_threaded_blas) and holding the cores;
-    yields True when no other block held them on entry, so this one has them
-    all. Only a sweep pool and a training hold the cores."""
-    global _holds
-    with single_threaded_blas():
-        with _lock:
-            alone = _holds == 0
-            _holds += 1
-        try:
-            yield alone
-        finally:
-            with _lock:
-                _holds -= 1
+        setter(_restore)
+        _restore = None

@@ -28,6 +28,7 @@ from .data import (
     DatasetFormatError,
     ValidationError,
     dataset_stats,
+    load_dataset,
     save_dataset,
     to_json_value,
     train_size,
@@ -240,7 +241,18 @@ def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
     return _build(SweepConfig, {**fields, "train": train}, table, source)
 
 
-def _synth_config_from_file(path: Path, overrides: dict) -> SynthConfig:
+def _flagged(config, args, *fields: str):
+    """config with each field whose flag (--field-name) is given set to the
+    flag's value; the others keep config's. A value the config class rejects
+    is reported under the flag of the field its error message starts with."""
+    given = {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
+    try:
+        return dataclasses.replace(config, **given)
+    except ValueError as exc:
+        raise ConfigError(f"--{str(exc).split(' ', 1)[0].replace('_', '-')}: {exc}") from exc
+
+
+def _synth_config_from_file(path: Path) -> SynthConfig:
     source = str(path)
     values = parse_config_file(path)
     kind = values.pop("model", None)
@@ -249,21 +261,14 @@ def _synth_config_from_file(path: Path, overrides: dict) -> SynthConfig:
     if kind not in SPEC_TABLES:
         raise ConfigError(f"{source}: model must be one of: sbm, er, got {kind!r}")
     table = SPEC_TABLES[kind]
-    fields = {"name": path.stem, **read_config(values, table, source), **overrides}
+    fields = {"name": path.stem, **read_config(values, table, source)}
     fields["model"] = _build(_SPEC_CLASSES[kind], fields, table, source)
     return _build(SynthConfig, fields, table, source)
 
 
 def cmd_gen_data(args) -> int:
-    # Each flag that is given sets its own field; the others keep the spec
-    # file's value, or the preset default.
-    overrides = {
-        name: getattr(args, name)
-        for name in ("seed", "n_graphs", "feature_dim")
-        if getattr(args, name) is not None
-    }
     if args.source in PRESET_NAMES:
-        config = preset_config(args.source, **overrides)
+        config = preset_config(args.source)
     else:
         source_path = Path(args.source)
         if not source_path.exists():
@@ -271,8 +276,8 @@ def cmd_gen_data(args) -> int:
                 f"{args.source!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
                 f"nor an existing generator spec file"
             )
-        config = _synth_config_from_file(source_path, overrides)
-    dataset = make_dataset(config)
+        config = _synth_config_from_file(source_path)
+    dataset = make_dataset(_flagged(config, args, "seed", "n_graphs", "feature_dim"))
     save_dataset(dataset, args.out)
     stats = dataset_stats(dataset)
     print(
@@ -295,12 +300,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _sweep_config(args.config, SWEEP_TABLE)
-    if args.workers is not None:
-        try:
-            config = dataclasses.replace(config, workers=args.workers)
-        except ValueError as exc:
-            raise ConfigError(f"--workers: {exc}") from exc
+    config = _flagged(_sweep_config(args.config, SWEEP_TABLE), args, "workers")
     dataset = _resolve(config)
     stats = dataset_stats(dataset)
     filter_reports = {
@@ -355,7 +355,11 @@ def cmd_filters(args) -> int:
         kind = parser.convert(args.kind)
     except ValueError as exc:
         raise ConfigError(f"--kind must be {parser.what}, got {args.kind!r}") from exc
-    dataset = resolve_dataset(args.dataset, args.seed, args.n_graphs, args.feature_dim)
+    if args.dataset in PRESET_NAMES:
+        config = _flagged(preset_config(args.dataset), args, "seed", "n_graphs", "feature_dim")
+        dataset = make_dataset(config)
+    else:
+        dataset = load_dataset(args.dataset)
     _print_json(filter_norm_report(dataset, kind))
     return 0
 

@@ -267,25 +267,36 @@ def save_dataset(dataset: GraphDataset, path) -> None:
         handle.write("\n")
 
 
-def _record_to_sample(record: dict, feature_dim: int, context: str) -> GraphSample:
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer: Python counts booleans as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
+    if not isinstance(record, dict):
+        raise DatasetFormatError(f"{context}: must be an object")
     for key in ("n", "edges", "features", "label"):
         if key not in record:
             raise DatasetFormatError(f"{context}: missing field '{key}'")
     n = record["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DatasetFormatError(f"{context}: 'n' must be a positive integer")
-    features = np.asarray(record["features"], dtype=np.float64)
-    if features.ndim != 2 or features.shape != (n, feature_dim):
-        raise DatasetFormatError(
-            f"{context}: features must be {n} rows of {feature_dim} reals"
-        )
+    bad_features = DatasetFormatError(f"{context}: features must be {n} rows of {feature_dim} reals")
+    try:
+        features = np.asarray(record["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise bad_features from exc
+    if features.shape != (n, feature_dim):
+        raise bad_features
+    if not isinstance(record["edges"], list):
+        raise DatasetFormatError(f"{context}: 'edges' must be a list of [i, j] pairs")
     adjacency = np.zeros((n, n), dtype=np.float64)
     seen = set()
     for pair in record["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise DatasetFormatError(f"{context}: edge entries must be [i, j] pairs")
         i, j = pair
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < n):
             raise DatasetFormatError(
                 f"{context}: edge [{i}, {j}] must satisfy 0 <= i < j < n={n}"
             )
@@ -295,8 +306,8 @@ def _record_to_sample(record: dict, feature_dim: int, context: str) -> GraphSamp
         adjacency[i, j] = 1.0
         adjacency[j, i] = 1.0
     label = record["label"]
-    if not isinstance(label, int) or label not in (-1, 1):
-        raise ValidationError(f"{context}: label must be -1 or +1, got {label!r}")
+    if not _is_int(label):
+        raise DatasetFormatError(f"{context}: label must be the integer -1 or +1, got {label!r}")
     try:
         return GraphSample(adjacency=adjacency, features=features, label=label)
     except ValidationError as exc:
@@ -318,7 +329,7 @@ def load_dataset(path) -> GraphDataset:
         if key not in document:
             raise DatasetFormatError(f"{path}: missing top-level field '{key}'")
     feature_dim = document["feature_dim"]
-    if not isinstance(feature_dim, int) or feature_dim < 1:
+    if not _is_int(feature_dim) or feature_dim < 1:
         raise DatasetFormatError(f"{path}: 'feature_dim' must be a positive integer")
     graphs = document["graphs"]
     if not isinstance(graphs, list) or not graphs:

@@ -131,8 +131,8 @@ def theoretical_fro_bound(kind: FilterKind, rank_max: int) -> float | None:
 @single_threaded_blas()
 def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
     """Norm maxima over every sample's filter matrix, with g_max = min of the
-    two. The ranks' SVDs run on one OpenBLAS thread, whose idle siblings
-    would otherwise spin beside them."""
+    two. On the main thread the ranks' SVDs run on one OpenBLAS thread,
+    whose idle siblings would otherwise spin beside them."""
     inf_max = 0.0
     fro_max = 0.0
     rank_max = 0

@@ -189,8 +189,9 @@ def init_params(config: ModelConfig, feature_dim: int, seed: int) -> Params:
 
     Entries are zero-mean normals with variance 1/k for the input-side rows
     (w1, w3) and 1/h for the output weights (w2), drawn in field order. The
-    scaling keeps unit outputs and the extracted weight statistics O(1) at
-    every width, so bound magnitudes are comparable across the width sweep.
+    rows of w1 and w3, and w2, have norms near 1 at every width h, but max
+    |w2| falls about as sqrt(2 ln h / h), and the output, which divides its
+    sum over units by h, is O(1/h).
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")

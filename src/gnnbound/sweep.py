@@ -11,13 +11,11 @@ iteration order. A sweep over k seeds therefore produces exactly the union of
 the k single-seed sweeps, and parallel execution yields the same rows as
 sequential (only wall_time_s, a measurement, varies).
 
-OpenBLAS runs each matrix product on its calling thread alone for the whole
-sweep, at any worker count (blas.single_threaded_blas). With workers > 1 the
-coordinates are handed to a thread pool widest first, so the longest runs do
-not form the tail, and the pool holds the cores while it is up: the pool's
-threads share them, and each training runs on its pool thread. With
-workers = 1 each training has the cores to itself and runs the row blocks of
-its steps on one lane per usable CPU (training.train).
+A sweep on the main thread pins OpenBLAS for its whole call
+(blas.single_threaded_blas). With workers > 1 a thread pool takes the
+coordinates widest first, so the longest runs do not form the tail, and each
+training runs on its pool thread. With workers = 1 each training runs on the
+main thread, which owns the cores, on one lane per usable CPU (train).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .blas import hold_cores, single_threaded_blas
+from .blas import single_threaded_blas
 from .bounds import DEFAULT_DELTA, BoundInputs, BoundReport, bound_report
 from .data import GraphDataset, dataset_stats, load_dataset, split_dataset
 from .filters import FilterKind, FilterNormReport, filter_norm_report
@@ -87,6 +85,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must not repeat a value")
         if any(w < 1 for w in self.widths):
             raise ValueError("widths must be >= 1")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be >= 0")
+        if self.data_seed < 0:
+            raise ValueError("data_seed must be >= 0")
         if any(not 0.0 < b < 1.0 for b in self.betas):
             raise ValueError("betas must lie strictly between 0 and 1")
         if self.n_graphs < 2:
@@ -246,7 +248,7 @@ def run_sweep_on(
     stats and filter_reports may be passed in when the caller has already
     computed them (they are pure functions of the dataset). The graphs are
     prepared into one stack per (model, filter), and every coordinate's
-    split indexes into it. OpenBLAS runs on one thread for the whole call.
+    split indexes into it. The main thread pins OpenBLAS for the call.
     """
     if stats is None:
         stats = dataset_stats(dataset)
@@ -267,6 +269,6 @@ def run_sweep_on(
     if config.workers == 1:
         return [one(coord) for coord in coords]
     widest_first = sorted(range(len(coords)), key=lambda i: -coords[i][4])
-    with hold_cores(), ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
         rows = dict(zip(widest_first, pool.map(one, [coords[i] for i in widest_first])))
     return [rows[i] for i in range(len(coords))]

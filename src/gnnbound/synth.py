@@ -93,6 +93,8 @@ class SynthConfig:
             raise ValueError("n_graphs must be >= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _symmetric_from_upper(n: int, upper_edges: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blas import hold_cores
+from .blas import on_main_thread, single_threaded_blas
 from .data import GraphDataset, GraphSample
 from .models import (
     ModelConfig,
@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -221,10 +223,10 @@ def train(
     arrays every epoch, and every minibatch is a contiguous slice of them.
     Every step writes into one workspace sized for the largest minibatch,
     and updates weights, velocity and gradients in arrays allocated once; the
-    weights become a Params on return. OpenBLAS runs on one thread per
-    caller for the whole call, which holds the cores (blas.hold_cores): when
-    no other holder (a sweep pool, another train) has them, the steps' row
-    blocks run on one lane per usable CPU, else on this thread alone.
+    weights become a Params on return. The main thread owns the cores: there
+    OpenBLAS is pinned for the call (blas.single_threaded_blas) and the
+    steps' row blocks run on one lane per usable CPU, elsewhere (a sweep
+    pool's thread) on the calling thread alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not finite.
@@ -241,9 +243,8 @@ def train(
     rows = None
     counts = prepared.stack.node_counts[prepared.graphs]
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
-    with hold_cores() as alone, Workspace(
-        largest_batch, params.width, lanes=_usable_cpus() if alone else 1
-    ) as workspace:
+    lanes = _usable_cpus() if on_main_thread() else 1
+    with single_threaded_blas(), Workspace(largest_batch, params.width, lanes) as workspace:
         for epoch in range(config.epochs):
             shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
             rows = shuffled.rows

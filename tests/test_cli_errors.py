@@ -1,0 +1,106 @@
+"""Bad input to the command line ends in one `error:` line that names the
+file, key or flag at fault, never in a traceback."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gnnbound.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GRAPH = {"n": 2, "edges": [[0, 1]], "features": [[1.0], [1.0]], "label": 1}
+FILTERS = ["filters", "--kind", "sym-norm", "--dataset"]
+
+
+def dataset(graph=None, **top) -> str:
+    return json.dumps({"name": "x", "feature_dim": 1, "graphs": [graph or GRAPH], **top})
+
+
+# id: (files to write into the run directory, argv, the start of the error
+# line); "{dir}" stands for the run directory.
+CASES = {
+    "dataset-graph-not-object": (
+        {"bad.json": dataset(5)}, FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: "),
+    "dataset-edges-not-list": (
+        {"bad.json": dataset({**GRAPH, "edges": 5})}, FILTERS + ["{dir}/bad.json"],
+        "{dir}/bad.json: graph 0: 'edges' "),
+    "dataset-n-bool": (
+        {"bad.json": dataset({**GRAPH, "n": True, "edges": [], "features": [[1.0]]})},
+        FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: 'n' "),
+    "dataset-label-bool": (
+        {"bad.json": dataset({**GRAPH, "label": True})}, FILTERS + ["{dir}/bad.json"],
+        "{dir}/bad.json: graph 0: label "),
+    "dataset-feature-text": (
+        {"bad.json": dataset({**GRAPH, "features": [["x"], [1.0]]})},
+        FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
+    "dataset-feature-dim-bool": (
+        {"bad.json": dataset(feature_dim=True)}, FILTERS + ["{dir}/bad.json"],
+        "{dir}/bad.json: 'feature_dim' "),
+    "sweep-dataset-label-bool": (
+        {"bad.json": dataset({**GRAPH, "label": True}),
+         "run.cfg": "dataset = {dir}/bad.json\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/bad.json: graph 0: label "),
+    "sweep-seeds": (
+        {"run.cfg": "dataset = er5\nseeds = 0, -1\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/run.cfg: seeds: seeds must be >= 0"),
+    "sweep-data-seed": (
+        {"run.cfg": "dataset = er5\ndata_seed = -3\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/run.cfg: data_seed: data_seed must be >= 0"),
+    "train-seed": (
+        {"run.cfg": "dataset = er5\nseed = -1\n"}, ["train", "--config", "{dir}/run.cfg"],
+        "{dir}/run.cfg: seed: seeds must be >= 0"),
+    "sweep-workers-flag": (
+        {"run.cfg": "dataset = er5\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out", "--workers", "0"],
+        "--workers: workers must be >= 1"),
+    "gen-data-seed-flag": (
+        {}, ["gen-data", "er5", "--out", "{dir}/d.json", "--seed", "-2"],
+        "--seed: seed must be >= 0"),
+    "gen-data-n-graphs-flag": (
+        {}, ["gen-data", "sbm1", "--out", "{dir}/d.json", "--n-graphs", "0"],
+        "--n-graphs: n_graphs must be >= 1"),
+    "gen-data-feature-dim-flag": (
+        {}, ["gen-data", "sbm1", "--out", "{dir}/d.json", "--feature-dim", "0"],
+        "--feature-dim: feature_dim must be >= 1"),
+    "gen-data-spec-feature-dim-flag": (
+        {"spec.cfg": "model = er\nnodes = 4\nedge_prob = 0.5\n"},
+        ["gen-data", "{dir}/spec.cfg", "--out", "{dir}/d.json", "--feature-dim", "0"],
+        "--feature-dim: feature_dim must be >= 1"),
+    "filters-seed-flag": (
+        {}, FILTERS + ["er5", "--seed", "-1"], "--seed: seed must be >= 0"),
+    "filters-n-graphs-flag": (
+        {}, FILTERS + ["sbm1", "--n-graphs", "0"], "--n-graphs: n_graphs must be >= 1"),
+    "filters-feature-dim-flag": (
+        {}, FILTERS + ["sbm1", "--feature-dim", "0"], "--feature-dim: feature_dim must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_input_is_one_error_line_naming_its_source(tmp_path, case):
+    files, argv, expected = CASES[case]
+    directory = str(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.replace("{dir}", directory))
+    argv = [arg.replace("{dir}", directory) for arg in argv]
+    expected = "error: " + expected.replace("{dir}", directory)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-m", "gnnbound.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(expected) and done.stderr.count("\n") == 1
+
+
+def test_filters_runs_on_one_graph(capsys):
+    assert main(FILTERS + ["er5", "--n-graphs", "1", "--feature-dim", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "sym-norm"

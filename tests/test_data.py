@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -284,4 +287,26 @@ class TestPersistence:
             '"edges": [], "features": [[1.0]], "label": 1}]}'
         )
         with pytest.raises(DatasetFormatError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("graph, top, where", [
+        ({"graph": 5}, {}, "graph 0: "),
+        ({"edges": 5}, {}, "graph 0: "),
+        ({"edges": [[False, 1]]}, {}, "graph 0: "),
+        ({"n": True, "edges": [], "features": [[1.0]]}, {}, "graph 0: "),
+        ({"label": True}, {}, "graph 0: "),
+        ({"features": [["x"]]}, {}, "graph 0: "),
+        ({"features": {"a": 1}}, {}, "graph 0: "),
+        ({"features": [[1.0], [1.0, 2.0]]}, {}, "graph 0: "),
+        ({}, {"feature_dim": True}, ""),
+    ], ids=["graph-not-object", "edges-not-list", "edge-bool", "n-bool", "label-bool",
+            "feature-text", "features-object", "features-ragged", "feature-dim-bool"])
+    def test_malformed_value_is_a_format_error_naming_path_and_graph(self, tmp_path, graph,
+                                                                     top, where):
+        # A JSON boolean is not an integer here, though Python counts it as one.
+        record = {"n": 2, "edges": [[0, 1]], "features": [[1.0], [1.0]], "label": 1}
+        record = graph.get("graph", {**record, **graph})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x", "feature_dim": 1, "graphs": [record], **top}))
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(f"{path}: {where}")):
             load_dataset(path)

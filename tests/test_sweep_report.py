@@ -173,7 +173,7 @@ class TestSweep:
         if threads is None:
             pytest.skip("NumPy does not use OpenBLAS")
         before = threads()
-        # Two usable CPUs and blocks of 2 rows, so a train alone on the cores
+        # Two usable CPUs and blocks of 2 rows, so a train on the main thread
         # runs every step on two lanes.
         monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
@@ -198,7 +198,7 @@ class TestSweep:
         seen.clear()
         steps.clear()
         sequential = run_sweep(tiny_config())
-        # The whole sweep is pinned, and each train still has the cores.
+        # The whole sweep is pinned, and each train owns the cores.
         assert seen == [1] * 4
         assert steps and set(steps) == {(1, 2)}
         assert threads() == before
@@ -218,8 +218,8 @@ class TestSweep:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            # One sequential sweep among the pools: its trainings hold the
-            # cores on lanes while they run alone, and run one lane otherwise.
+            # One sequential sweep among the pools: off the main thread no
+            # sweep pins, and every training runs one lane.
             callers = [threading.Thread(target=sweep, args=(i, 1 + i % 3)) for i in range(4)]
             for caller in callers:
                 caller.start()
@@ -253,9 +253,11 @@ class TestSweep:
         monkeypatch.undo()
         assert filter_norm_report(dataset, FilterKind.SYM_NORM) == report
 
-    def test_overlapping_filter_reports_and_sweeps_release_every_pin_and_hold(self, tiny_rows):
-        # More callers than cores, switching often: a lost update of a count
-        # would leave a pin (the thread count not restored) or a hold.
+    def test_overlapping_filter_reports_and_sweeps_off_the_main_thread_keep_the_count(
+        self, tiny_rows
+    ):
+        # More callers than cores, switching often: none of them is on the
+        # main thread, so none may pin or leave a count to restore.
         threads = openblas_thread_count()
         if threads is None:
             pytest.skip("NumPy does not use OpenBLAS")
@@ -281,10 +283,81 @@ class TestSweep:
         finally:
             sys.setswitchinterval(switch)
         assert threads() == before
-        assert (blas_module._pins, blas_module._holds) == (0, 0)
+        assert blas_module._restore is None
         assert len(reports) == 3 * len(FilterKind) and len(sweeps) == 3
         for rows in sweeps:
             assert [row_key(r) for r in rows] == [row_key(r) for r in tiny_rows]
+
+    def _recording_steps(self, monkeypatch, threads):
+        """(OpenBLAS count, lanes) of each step, on two usable CPUs and blocks
+        of 2 rows, so a train on lanes runs every step on two."""
+        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
+        steps = []
+        risk_and_loss_grads = training_module._risk_and_loss_grads
+
+        def recording_step(params, stacked, config, grads, workspace):
+            steps.append((threads(), len(workspace.runs(len(stacked.rows["w1"])))))
+            return risk_and_loss_grads(params, stacked, config, grads, workspace)
+
+        monkeypatch.setattr(training_module, "_risk_and_loss_grads", recording_step)
+        return steps
+
+    @staticmethod
+    def _train_tiny():
+        dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
+        config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=4)
+        params = init_params(config, dataset.feature_dim, seed=0)
+        return training_module.train(params, dataset, TrainConfig(epochs=2, batch_size=6), config)
+
+    def test_train_on_the_main_thread_runs_lanes_under_a_pin(self, monkeypatch):
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        steps = self._recording_steps(monkeypatch, threads)
+        self._train_tiny()
+        assert steps and set(steps) == {(1, 2)}
+        assert threads() == before and blas_module._restore is None
+
+    def test_train_off_the_main_thread_runs_one_lane_and_keeps_the_count(self, monkeypatch):
+        threads = openblas_thread_count()
+        if threads is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        steps = self._recording_steps(monkeypatch, threads)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(self._train_tiny()))
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive() and len(results) == 1
+        assert steps and set(steps) == {(before, 1)}
+        assert threads() == before
+        monkeypatch.undo()
+        trained, history = self._train_tiny()
+        assert history == results[0][1]
+        assert all(np.array_equal(getattr(trained, name), getattr(results[0][0], name))
+                   for name in ("w1", "w2"))
+
+    def test_a_pin_nested_in_a_pin_restores_the_count_once_at_the_outer_exit(self, monkeypatch):
+        threads = openblas_thread_count()
+        setter = blas_module._openblas_thread_setter()
+        if threads is None or setter is None:
+            pytest.skip("NumPy does not use OpenBLAS")
+        before = threads()
+        calls = []
+
+        def recording(count):
+            calls.append(count)
+            return setter(count)
+
+        monkeypatch.setattr(blas_module, "_openblas_thread_setter", lambda: recording)
+        with blas_module.single_threaded_blas():
+            with blas_module.single_threaded_blas():
+                assert threads() == 1
+            assert threads() == 1 and calls == [1]
+        assert calls == [1, before]
+        assert threads() == before and blas_module._restore is None
 
     def test_rows_carry_bound_reports(self, tiny_rows):
         for row in tiny_rows:
@@ -348,6 +421,11 @@ class TestSweepConfigValidation:
         # A repeated value would run identical rows and count them as seeds.
         with pytest.raises(ValueError, match=f"^{name} "):
             tiny_config(**{name: values})
+
+    @pytest.mark.parametrize("name, value", [("seeds", (0, -1)), ("data_seed", -3)])
+    def test_negative_seed_rejected_by_field_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            tiny_config(**{name: value})
 
     def test_json_value_is_json_ready(self):
         text = json.dumps(to_json_value(tiny_config()))

@@ -205,6 +205,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SbmSpec(block_sizes=(2, 2), edge_prob=((0.5, 0.1), (0.2, 0.5)))
 
+    def test_negative_seed_rejected_by_field_name(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            preset_config("er5", seed=-2)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SynthConfig(model=ErSpec(3, 0.5), seed=-1)
+
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
             ErSpec(0, 0.5)

@@ -657,6 +657,10 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    def test_negative_seed_rejected_by_field_name(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            TrainConfig(seed=-1)
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.learning_rate, cfg.momentum, cfg.alpha) == (0.005, 0.9, 100.0)
