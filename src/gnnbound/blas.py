@@ -1,14 +1,17 @@
 """The OpenBLAS thread pin that sweeps, trainings and filter reports take
-for their whole call, so that idle BLAS threads never spin beside them.
+for their whole call, so that idle BLAS threads never spin beside them, and
+the lanes those calls may run on.
 
-The main thread owns the cores: only it pins. The count is process-wide, so
-a sweep pool's threads run pinned under the main thread's pin.
+The main thread owns the cores: only it pins, and only it runs on more than
+one lane. The count is process-wide, so a sweep pool's threads and a call's
+lanes run pinned under the main thread's pin.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -37,6 +40,19 @@ _restore: int | None = None
 
 def on_main_thread() -> bool:
     return threading.current_thread() is threading.main_thread()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def lane_count() -> int:
+    """The lanes a call may run its work on: one per usable CPU on the main
+    thread, one (the calling thread) anywhere else."""
+    return _usable_cpus() if on_main_thread() else 1
 
 
 @contextmanager

@@ -288,6 +288,9 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
         raise bad_features from exc
     if features.shape != (n, feature_dim):
         raise bad_features
+    # NumPy reads a JSON boolean or numeric text as a number.
+    if any(type(value) not in (int, float) for row in record["features"] for value in row):
+        raise bad_features
     if not isinstance(record["edges"], list):
         raise DatasetFormatError(f"{context}: 'edges' must be a list of [i, j] pairs")
     adjacency = np.zeros((n, n), dtype=np.float64)
@@ -314,15 +317,21 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
-def load_dataset(path) -> GraphDataset:
-    """Read a dataset document, validating structure and sample invariants."""
+def read_json(path, error: type[ValueError] = DatasetFormatError):
+    """The JSON document in path; invalid JSON raises error naming the path
+    and the line and column where parsing failed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise DatasetFormatError(
+        raise error(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_dataset(path) -> GraphDataset:
+    """Read a dataset document, validating structure and sample invariants."""
+    document = read_json(path)
     if not isinstance(document, dict):
         raise DatasetFormatError(f"{path}: top level must be an object")
     for key in ("name", "feature_dim", "graphs"):

@@ -23,11 +23,12 @@ maximum numerical rank r_max and the closed-form norm bounds:
 from __future__ import annotations
 
 import enum
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import single_threaded_blas
+from .blas import lane_count, single_threaded_blas
 from .data import GraphDataset, GraphSample, dataset_stats
 
 RANK_REL_TOL = 1e-8
@@ -90,13 +91,17 @@ def fro_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    """Number of singular values exceeding RANK_REL_TOL times the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int | np.ndarray:
+    """Number of singular values exceeding RANK_REL_TOL times the largest one
+    (0 for a zero matrix); for a stack of matrices, the array of their ranks.
+
+    One call takes a whole stack's SVDs, which release the GIL, and gives
+    each matrix the singular values of its own call.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int((singular > RANK_REL_TOL * singular[0]).sum())
+    ranks = (singular > RANK_REL_TOL * singular[..., :1]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def theoretical_inf_bound(kind: FilterKind, d_max: int, d_min: int) -> float | None:
@@ -128,19 +133,75 @@ def theoretical_fro_bound(kind: FilterKind, rank_max: int) -> float | None:
     raise ValueError(f"unknown filter kind: {kind!r}")
 
 
+# The most bytes of filtered matrices one run of graphs stacks; a graph
+# larger than this is a run of its own.
+_RUN_BYTES = 2 << 20
+
+
+def _runs(dataset: GraphDataset) -> list[list[GraphSample]]:
+    """The dataset cut into runs of consecutive graphs of one node count,
+    each at most _RUN_BYTES of filtered matrices."""
+    runs: list[list[GraphSample]] = []
+    for sample in dataset:
+        run = runs[-1] if runs else None
+        n = sample.node_count
+        if run is None or run[0].node_count != n or (len(run) + 1) * n * n * 8 > _RUN_BYTES:
+            runs.append([sample])
+        else:
+            run.append(sample)
+    return runs
+
+
+def _lane_maxima(
+    kind: FilterKind, runs: list[list[GraphSample]], buffer: np.ndarray
+) -> list[tuple[float, float, int]]:
+    """Largest inf norm, Frobenius norm and rank of each run's filter
+    matrices, which are stacked in turn in buffer, the ranks of a run from
+    one call."""
+    maxima = []
+    for run in runs:
+        n = run[0].node_count
+        stack = buffer[: len(run) * n * n].reshape(len(run), n, n)
+        inf_max = 0.0
+        fro_max = 0.0
+        for filtered, sample in zip(stack, run):
+            filtered[...] = apply_filter(kind, sample)
+            inf_max = max(inf_max, inf_norm(filtered))
+            fro_max = max(fro_max, fro_norm(filtered))
+        maxima.append((inf_max, fro_max, int(numerical_rank(stack).max())))
+    return maxima
+
+
 @single_threaded_blas()
 def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
     """Norm maxima over every sample's filter matrix, with g_max = min of the
-    two. On the main thread the ranks' SVDs run on one OpenBLAS thread,
-    whose idle siblings would otherwise spin beside them."""
-    inf_max = 0.0
-    fro_max = 0.0
-    rank_max = 0
-    for sample in dataset:
-        filtered = apply_filter(kind, sample)
-        inf_max = max(inf_max, inf_norm(filtered))
-        fro_max = max(fro_max, fro_norm(filtered))
-        rank_max = max(rank_max, numerical_rank(filtered))
+    two.
+
+    The graphs go in runs (see _runs), each filtered into its lane's stack
+    buffer, whose ranks take one call. On the main thread the runs are dealt
+    to one lane per usable CPU, the first lane being the calling thread, and
+    OpenBLAS is pinned to one thread, whose idle siblings would otherwise
+    spin beside them; elsewhere the calling thread takes them all. A maximum
+    does not depend on the order its terms come in.
+    """
+    runs = _runs(dataset)
+    lanes = min(lane_count(), len(runs))
+    # The buffers are allocated on the calling thread, so their memory goes
+    # back to its heap, not to a lane thread's, where nothing would reuse it.
+    size = max(len(run) * run[0].node_count ** 2 for run in runs)
+    buffers = [np.empty(size) for _ in range(lanes)]
+    if lanes == 1:
+        maxima = _lane_maxima(kind, runs, buffers[0])
+    else:
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            futures = [
+                pool.submit(_lane_maxima, kind, runs[lane::lanes], buffers[lane])
+                for lane in range(1, lanes)
+            ]
+            maxima = _lane_maxima(kind, runs[::lanes], buffers[0])
+            for future in futures:
+                maxima += future.result()
+    inf_max, fro_max, rank_max = (max(column) for column in zip(*maxima))
     stats = dataset_stats(dataset)
     return FilterNormReport(
         kind=kind,

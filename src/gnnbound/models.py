@@ -29,7 +29,7 @@ from typing import ClassVar, Iterator
 
 import numpy as np
 
-from .data import GraphSample, frozen_array
+from .data import GraphSample, frozen_array, read_json
 from .filters import FilterKind, apply_filter
 
 
@@ -431,8 +431,7 @@ def save_params(params: Params, path) -> None:
 
 
 def load_params(path) -> Params:
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
+    record = read_json(path, ValueError)
     try:
         cls = _CONTAINERS[ModelKind(record["model"])]
         return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})

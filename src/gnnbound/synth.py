@@ -25,6 +25,7 @@ implementation, not bit-identically across numpy major rewrites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,11 +98,33 @@ class SynthConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _symmetric_from_upper(n: int, upper_edges: np.ndarray) -> np.ndarray:
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    iu = np.triu_indices(n, k=1)
-    adjacency[iu] = upper_edges
-    return adjacency + adjacency.T
+class _PairTable(NamedTuple):
+    """The i<j node pairs of one draw of a model, as flat indices into its
+    n x n adjacency, and each pair's edge probability (one float for ER)."""
+
+    n: int
+    pairs: np.ndarray
+    prob: np.ndarray | float
+
+
+def _pair_table(model: SbmSpec | ErSpec) -> _PairTable:
+    n = model.node_count
+    rows, cols = np.triu_indices(n, k=1)
+    if isinstance(model, SbmSpec):
+        block = np.repeat(np.arange(len(model.block_sizes)), model.block_sizes)
+        prob = np.asarray(model.edge_prob)[block[rows], block[cols]]
+    else:
+        prob = model.edge_prob
+    return _PairTable(n, rows * n + cols, prob)
+
+
+def _draw_adjacency(table: _PairTable, rng: np.random.Generator) -> np.ndarray:
+    """One adjacency: each pair of the table is an edge, independently, with
+    its probability."""
+    upper = np.zeros(table.n * table.n)
+    upper[table.pairs] = rng.random(table.pairs.size) < table.prob
+    upper = upper.reshape(table.n, table.n)
+    return upper + upper.T
 
 
 def generate_sbm(spec: SbmSpec, seed) -> np.ndarray:
@@ -111,22 +134,12 @@ def generate_sbm(spec: SbmSpec, seed) -> np.ndarray:
     block_sizes[0] nodes form block 0, and so on); each unordered pair (i, j)
     is an edge independently with probability edge_prob[block(i)][block(j)].
     """
-    rng = _as_rng(seed)
-    n = spec.node_count
-    block = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
-    prob = np.asarray(spec.edge_prob)[block][:, block]
-    iu = np.triu_indices(n, k=1)
-    edges = rng.random(iu[0].size) < prob[iu]
-    return _symmetric_from_upper(n, edges.astype(np.float64))
+    return _draw_adjacency(_pair_table(spec), _as_rng(seed))
 
 
 def generate_er(spec: ErSpec, seed) -> np.ndarray:
     """Adjacency matrix of one Erdos-Renyi draw."""
-    rng = _as_rng(seed)
-    n = spec.node_count
-    n_pairs = n * (n - 1) // 2
-    edges = rng.random(n_pairs) < spec.edge_prob
-    return _symmetric_from_upper(n, edges.astype(np.float64))
+    return _draw_adjacency(_pair_table(spec), _as_rng(seed))
 
 
 def generate_features(n: int, k: int, seed) -> np.ndarray:
@@ -142,15 +155,14 @@ def make_dataset(config: SynthConfig) -> GraphDataset:
     """Generate the full dataset: topology, features, and labels per graph.
 
     Sequential single-stream generation from one seeded generator, so the
-    result is deterministic given config.seed.
+    result is deterministic given config.seed. The model's pair table is
+    built once per call and every graph is drawn from it.
     """
     rng = np.random.default_rng(config.seed)
+    table = _pair_table(config.model)
     samples = []
     for _ in range(config.n_graphs):
-        if isinstance(config.model, SbmSpec):
-            adjacency = generate_sbm(config.model, rng)
-        else:
-            adjacency = generate_er(config.model, rng)
+        adjacency = _draw_adjacency(table, rng)
         features = generate_features(adjacency.shape[0], config.feature_dim, rng)
         label = int(rng.integers(0, 2)) * 2 - 1
         samples.append(GraphSample(adjacency=adjacency, features=features, label=label))

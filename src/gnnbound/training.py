@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .blas import on_main_thread, single_threaded_blas
+from .blas import lane_count, single_threaded_blas
 from .data import GraphDataset, GraphSample
 from .models import (
     ModelConfig,
@@ -243,8 +242,7 @@ def train(
     rows = None
     counts = prepared.stack.node_counts[prepared.graphs]
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
-    lanes = _usable_cpus() if on_main_thread() else 1
-    with single_threaded_blas(), Workspace(largest_batch, params.width, lanes) as workspace:
+    with single_threaded_blas(), Workspace(largest_batch, params.width, lane_count()) as workspace:
         for epoch in range(config.epochs):
             shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
             rows = shuffled.rows
@@ -283,10 +281,3 @@ def measure_generalization(
         test_risk=test_risk,
         abs_gen_error=abs(test_risk - train_risk),
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where the OS cannot say)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -6,8 +6,11 @@ instead of an SVD, the forward and backward passes over the whole batch at
 once with a new array for every temporary (a risk too), where the library
 runs them in row blocks on lanes and overwrites a workspace, the penalty
 gradient and the momentum step as new containers instead of arrays updated
-in place, and a batch's stack by concatenating its graphs' rows one graph at
-a time instead of gathering them from a prepared dataset. The risks and
+in place, a batch's stack by concatenating its graphs' rows one graph at
+a time instead of gathering them from a prepared dataset, a random graph
+from its full edge-probability matrix and pairs made for it alone instead of
+from a pair table made once per dataset, and a filter norm report one matrix
+and one SVD at a time instead of in stacked runs on lanes. The risks and
 gradients of a list of samples, the node relabelling of a sample and the
 whole sweep from its config are built here from the library's parts.
 """
@@ -20,7 +23,17 @@ from typing import Sequence
 
 import numpy as np
 
-from gnnbound.data import GraphSample, ValidationError
+from gnnbound.data import GraphDataset, GraphSample, ValidationError, dataset_stats
+from gnnbound.filters import (
+    FilterKind,
+    FilterNormReport,
+    apply_filter,
+    fro_norm,
+    inf_norm,
+    numerical_rank,
+    theoretical_fro_bound,
+    theoretical_inf_bound,
+)
 from gnnbound.models import (
     ModelConfig,
     Nonlinearity,
@@ -110,6 +123,37 @@ def spectral_norm(
     # One Rayleigh-quotient refinement on the final iterate.
     eigenvalue = float(vec @ (gram @ vec))
     return float(np.sqrt(max(eigenvalue, 0.0)))
+
+
+def draw_adjacency(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One adjacency from an n x n edge-probability matrix: one uniform draw
+    per i<j pair, in np.triu_indices order, is an edge below its probability."""
+    upper = np.triu_indices(len(prob), k=1)
+    adjacency = np.zeros_like(prob)
+    adjacency[upper] = rng.random(upper[0].size) < prob[upper]
+    return adjacency + adjacency.T
+
+
+def filter_norm_report_per_graph(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
+    """The dataset's filter norm report from one filter matrix at a time."""
+    inf_max = 0.0
+    fro_max = 0.0
+    rank_max = 0
+    for sample in dataset:
+        filtered = apply_filter(kind, sample)
+        inf_max = max(inf_max, inf_norm(filtered))
+        fro_max = max(fro_max, fro_norm(filtered))
+        rank_max = max(rank_max, numerical_rank(filtered))
+    stats = dataset_stats(dataset)
+    return FilterNormReport(
+        kind=kind,
+        inf_norm_max=inf_max,
+        fro_norm_max=fro_max,
+        g_max=min(inf_max, fro_max),
+        rank_max=rank_max,
+        inf_bound=theoretical_inf_bound(kind, stats.d_max, stats.d_min),
+        fro_bound=theoretical_fro_bound(kind, rank_max),
+    )
 
 
 def apply_out_of_place(nl: Nonlinearity, x: np.ndarray) -> np.ndarray:

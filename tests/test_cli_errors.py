@@ -42,6 +42,13 @@ CASES = {
     "dataset-feature-dim-bool": (
         {"bad.json": dataset(feature_dim=True)}, FILTERS + ["{dir}/bad.json"],
         "{dir}/bad.json: 'feature_dim' "),
+    "dataset-feature-bool": (
+        {"bad.json": dataset({**GRAPH, "features": [[True], [0.5]]})},
+        FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
+    "params-invalid-json": (
+        {"p.json": "x", "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: invalid JSON at line 1, column 1: Expecting value"),
     "sweep-dataset-label-bool": (
         {"bad.json": dataset({**GRAPH, "label": True}),
          "run.cfg": "dataset = {dir}/bad.json\n"},

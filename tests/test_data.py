@@ -296,11 +296,14 @@ class TestPersistence:
         ({"n": True, "edges": [], "features": [[1.0]]}, {}, "graph 0: "),
         ({"label": True}, {}, "graph 0: "),
         ({"features": [["x"]]}, {}, "graph 0: "),
+        ({"features": [[True], [0.5]]}, {}, "graph 0: features "),
+        ({"features": [["0.5"], [1.0]]}, {}, "graph 0: features "),
         ({"features": {"a": 1}}, {}, "graph 0: "),
         ({"features": [[1.0], [1.0, 2.0]]}, {}, "graph 0: "),
         ({}, {"feature_dim": True}, ""),
     ], ids=["graph-not-object", "edges-not-list", "edge-bool", "n-bool", "label-bool",
-            "feature-text", "features-object", "features-ragged", "feature-dim-bool"])
+            "feature-text", "feature-bool", "feature-numeric-text", "features-object",
+            "features-ragged", "feature-dim-bool"])
     def test_malformed_value_is_a_format_error_naming_path_and_graph(self, tmp_path, graph,
                                                                      top, where):
         # A JSON boolean is not an integer here, though Python counts it as one.

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gnnbound.blas as blas_module
+import gnnbound.filters as filters_module
 from conftest import random_sample, sample_from_edges
 from gnnbound.data import GraphDataset, degrees, to_json_value
 from gnnbound.filters import (
@@ -19,7 +23,8 @@ from gnnbound.filters import (
     theoretical_fro_bound,
     theoretical_inf_bound,
 )
-from oracles import permute_sample, spectral_norm
+from gnnbound.synth import make_dataset, preset_config
+from oracles import filter_norm_report_per_graph, permute_sample, spectral_norm
 
 ALL_KINDS = list(FilterKind)
 
@@ -117,6 +122,14 @@ class TestNorms:
         assert numerical_rank(np.diag([1.0, 1e-20])) == 1
         assert numerical_rank(np.diag([1.0, 1e-3])) == 2
         assert numerical_rank(np.diag([1e6, 1e-3])) == 1
+
+    def test_stacked_ranks_equal_each_matrix_rank(self, rng):
+        stack = rng.standard_normal((5, 6, 6))
+        stack[1] = 0.0
+        stack[2] = np.outer(stack[2, 0], stack[2, 1])
+        stack[3, :, 4:] = 0.0
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [numerical_rank(m) for m in stack] == [6, 0, 1, 4, 6]
 
     def test_fro_rank_spectral_inequality(self, rng):
         for _ in range(50):
@@ -231,3 +244,89 @@ class TestNormReport:
             "kind", "inf_norm_max", "fro_norm_max", "g_max", "rank_max",
             "inf_bound", "fro_bound",
         }
+
+
+class TestNormReportRuns:
+    """filter_norm_report filters runs of graphs into stacks, on lanes on the
+    main thread; its report must equal the one-matrix-at-a-time oracle's (==)."""
+
+    @staticmethod
+    def mixed_dataset(rng) -> GraphDataset:
+        # Three node counts, interleaved, some repeated back to back.
+        sizes = [6, 6, 11, 3, 3, 3, 11, 6, 11, 11, 3, 6, 6, 6, 6, 3, 11]
+        return GraphDataset.from_samples(
+            [random_sample(rng, n, 2, edge_prob=0.4) for n in sizes], name="mixed"
+        )
+
+    def test_runs_break_at_every_size_change_and_at_the_byte_cap(self, rng, monkeypatch):
+        dataset = self.mixed_dataset(rng)
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", 3 * 6 * 6 * 8)
+        runs = filters_module._runs(dataset)
+        assert [[s.node_count for s in run] for run in runs] == [
+            [6, 6], [11], [3, 3, 3], [11], [6], [11], [11], [3], [6, 6, 6], [6], [3], [11]]
+        assert [s for run in runs for s in run] == list(dataset)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("run_bytes", [2 << 20, 2 * 11 * 11 * 8])
+    def test_report_equals_the_per_graph_oracle(self, rng, monkeypatch, lanes, run_bytes):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", run_bytes)
+        dataset = self.mixed_dataset(rng)
+        for kind in ALL_KINDS:
+            assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
+
+    def test_sbm1_report_equals_the_per_graph_oracle_on_two_lanes(self, monkeypatch):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        dataset = make_dataset(preset_config("sbm1", n_graphs=60))
+        for kind in ALL_KINDS:
+            assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
+
+    def test_every_graph_is_filtered_once(self, rng, monkeypatch):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 11 * 11 * 8)
+        calls = []
+        filter_one = filters_module.apply_filter
+
+        def counting(kind, sample):
+            calls.append(sample)
+            return filter_one(kind, sample)
+
+        monkeypatch.setattr(filters_module, "apply_filter", counting)
+        dataset = self.mixed_dataset(rng)
+        filter_norm_report(dataset, FilterKind.SYM_NORM)
+        assert sorted(map(id, calls)) == sorted(map(id, dataset))
+
+    def test_lanes_only_on_the_main_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 11 * 11 * 8)
+        pools = []
+        pool_type = filters_module.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(threading.current_thread())
+            return pool_type(*args, **kwargs)
+
+        monkeypatch.setattr(filters_module, "ThreadPoolExecutor", recording)
+        dataset = self.mixed_dataset(rng)
+        expected = filter_norm_report_per_graph(dataset, FilterKind.SUM_AGG)
+        got = []
+        caller = threading.Thread(target=lambda: got.append(
+            filter_norm_report(dataset, FilterKind.SUM_AGG)))
+        caller.start()
+        caller.join(timeout=60)
+        assert got == [expected] and pools == []
+        assert filter_norm_report(dataset, FilterKind.SUM_AGG) == expected
+        assert pools == [threading.main_thread()]
+
+    def test_holds_about_a_run_per_lane_of_filtered_matrices(self, monkeypatch):
+        # 200 sbm1 graphs are 16 MB of filtered matrices; two lanes of 2 MB
+        # runs, with their temporaries, stay well below 8 MB.
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        dataset = make_dataset(preset_config("sbm1"))
+        tracemalloc.start()
+        try:
+            filter_norm_report(dataset, FilterKind.SYM_NORM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20

@@ -175,7 +175,7 @@ class TestSweep:
         before = threads()
         # Two usable CPUs and blocks of 2 rows, so a train on the main thread
         # runs every step on two lanes.
-        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
         seen, steps = [], []
         run_coordinate = sweep_module._run_coordinate
@@ -241,14 +241,18 @@ class TestSweep:
         seen = []
         numerical_rank = filters_module.numerical_rank
 
-        def recording(matrix):
-            seen.append(threads())
-            return numerical_rank(matrix)
+        def recording(stack):
+            seen.append((threads(), len(stack)))
+            return numerical_rank(stack)
 
+        # Runs of two 20-node graphs on two lanes: the lanes' stacked rank
+        # calls run under the main thread's pin.
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 20 * 20 * 8)
         monkeypatch.setattr(filters_module, "numerical_rank", recording)
         dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
         report = filter_norm_report(dataset, FilterKind.SYM_NORM)
-        assert seen == [1] * 6
+        assert seen == [(1, 2)] * 3
         assert threads() == before
         monkeypatch.undo()
         assert filter_norm_report(dataset, FilterKind.SYM_NORM) == report
@@ -291,7 +295,7 @@ class TestSweep:
     def _recording_steps(self, monkeypatch, threads):
         """(OpenBLAS count, lanes) of each step, on two usable CPUs and blocks
         of 2 rows, so a train on lanes runs every step on two."""
-        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
         steps = []
         risk_and_loss_grads = training_module._risk_and_loss_grads

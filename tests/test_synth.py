@@ -19,6 +19,7 @@ from gnnbound.synth import (
     make_dataset,
     preset_config,
 )
+from oracles import draw_adjacency
 
 SBM1 = SbmSpec(block_sizes=(40, 60), edge_prob=((0.25, 0.13), (0.13, 0.37)))
 
@@ -151,6 +152,30 @@ class TestMakeDataset:
             assert np.array_equal(x.adjacency, y.adjacency)
             assert np.array_equal(x.features, y.features)
             assert x.label == y.label
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equals_a_per_graph_loop_on_the_same_generator(self, name):
+        # make_dataset draws every graph from one pair table; each draw must
+        # be the one generate_sbm / generate_er makes on its own.
+        config = preset_config(name, seed=3, n_graphs=6, feature_dim=4)
+        generate = generate_sbm if isinstance(config.model, SbmSpec) else generate_er
+        rng = np.random.default_rng(config.seed)
+        for sample in make_dataset(config):
+            assert np.array_equal(sample.adjacency, generate(config.model, rng))
+            assert np.array_equal(sample.features, generate_features(sample.node_count, 4, rng))
+            assert sample.label == int(rng.integers(0, 2)) * 2 - 1
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_draw_equals_one_from_the_full_probability_matrix(self, name):
+        model = preset_config(name).model
+        if isinstance(model, SbmSpec):
+            block = np.repeat(np.arange(len(model.block_sizes)), model.block_sizes)
+            prob, generate = np.asarray(model.edge_prob)[block][:, block], generate_sbm
+        else:
+            prob, generate = np.full((model.node_count,) * 2, model.edge_prob), generate_er
+        mine, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            assert np.array_equal(generate(model, mine), draw_adjacency(prob, theirs))
 
     def test_feature_rows_unit_norm_in_dataset(self):
         config = SynthConfig(model=ErSpec(5, 0.4), n_graphs=4, feature_dim=16, seed=2)

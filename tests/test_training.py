@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gnnbound.blas as blas_module
 import gnnbound.models as models_module
 import gnnbound.training as training_module
 
@@ -543,7 +544,7 @@ class TestTrain:
 
     def test_divergence_on_lanes_raises_without_warnings(self, rng, monkeypatch):
         # Blocks of 2 rows on two lanes: every step dispatches to a pool thread.
-        monkeypatch.setattr(training_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         block_rows(monkeypatch, 2, 4)
         config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SUM_AGG,
                              width=4, readout=Readout.SUM, kappa=Nonlinearity.IDENTITY)
