@@ -318,11 +318,14 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
 
 
 def read_json(path, error: type[ValueError] = DatasetFormatError):
-    """The JSON document in path; invalid JSON raises error naming the path
-    and the line and column where parsing failed."""
+    """The JSON document in path; text that is not UTF-8 or not JSON raises
+    error naming the path (and, for JSON, the line and column where parsing
+    failed)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise error(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -23,13 +23,12 @@ maximum numerical rank r_max and the closed-form norm bounds:
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import lane_count, single_threaded_blas
-from .data import GraphDataset, GraphSample, dataset_stats
+from .blas import lane_count, on_lanes, single_threaded_blas
+from .data import GraphDataset, GraphSample, degrees
 
 RANK_REL_TOL = 1e-8
 
@@ -152,13 +151,13 @@ def _runs(dataset: GraphDataset) -> list[list[GraphSample]]:
     return runs
 
 
-def _lane_maxima(
+def _lane_extrema(
     kind: FilterKind, runs: list[list[GraphSample]], buffer: np.ndarray
-) -> list[tuple[float, float, int]]:
+) -> list[tuple[float, float, int, int, int]]:
     """Largest inf norm, Frobenius norm and rank of each run's filter
     matrices, which are stacked in turn in buffer, the ranks of a run from
-    one call."""
-    maxima = []
+    one call, with the run's largest and smallest node degree."""
+    extrema = []
     for run in runs:
         n = run[0].node_count
         stack = buffer[: len(run) * n * n].reshape(len(run), n, n)
@@ -168,21 +167,23 @@ def _lane_maxima(
             filtered[...] = apply_filter(kind, sample)
             inf_max = max(inf_max, inf_norm(filtered))
             fro_max = max(fro_max, fro_norm(filtered))
-        maxima.append((inf_max, fro_max, int(numerical_rank(stack).max())))
-    return maxima
+        degs = np.concatenate([degrees(sample) for sample in run])
+        rank_max = int(numerical_rank(stack).max())
+        extrema.append((inf_max, fro_max, rank_max, int(degs.max()), int(degs.min())))
+    return extrema
 
 
 @single_threaded_blas()
 def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
     """Norm maxima over every sample's filter matrix, with g_max = min of the
-    two.
+    two, and the bounds at the dataset's degree extrema.
 
     The graphs go in runs (see _runs), each filtered into its lane's stack
     buffer, whose ranks take one call. On the main thread the runs are dealt
-    to one lane per usable CPU, the first lane being the calling thread, and
-    OpenBLAS is pinned to one thread, whose idle siblings would otherwise
-    spin beside them; elsewhere the calling thread takes them all. A maximum
-    does not depend on the order its terms come in.
+    to one lane per usable CPU (blas.on_lanes), the first lane being the
+    calling thread, and OpenBLAS is pinned to one thread, whose idle siblings
+    would otherwise spin beside them; elsewhere the calling thread takes them
+    all. An extremum does not depend on the order its terms come in.
     """
     runs = _runs(dataset)
     lanes = min(lane_count(), len(runs))
@@ -190,25 +191,17 @@ def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormRep
     # back to its heap, not to a lane thread's, where nothing would reuse it.
     size = max(len(run) * run[0].node_count ** 2 for run in runs)
     buffers = [np.empty(size) for _ in range(lanes)]
-    if lanes == 1:
-        maxima = _lane_maxima(kind, runs, buffers[0])
-    else:
-        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-            futures = [
-                pool.submit(_lane_maxima, kind, runs[lane::lanes], buffers[lane])
-                for lane in range(1, lanes)
-            ]
-            maxima = _lane_maxima(kind, runs[::lanes], buffers[0])
-            for future in futures:
-                maxima += future.result()
-    inf_max, fro_max, rank_max = (max(column) for column in zip(*maxima))
-    stats = dataset_stats(dataset)
+    per_lane = on_lanes(
+        lambda lane: _lane_extrema(kind, runs[lane::lanes], buffers[lane]), range(lanes)
+    )
+    columns = list(zip(*(run for lane in per_lane for run in lane)))
+    inf_max, fro_max, rank_max, d_max = map(max, columns[:4])
     return FilterNormReport(
         kind=kind,
         inf_norm_max=inf_max,
         fro_norm_max=fro_max,
         g_max=min(inf_max, fro_max),
         rank_max=rank_max,
-        inf_bound=theoretical_inf_bound(kind, stats.d_max, stats.d_min),
+        inf_bound=theoretical_inf_bound(kind, d_max, min(columns[4])),
         fro_bound=theoretical_fro_bound(kind, rank_max),
     )

@@ -17,18 +17,17 @@ where the readout psi is x/N (mean) or x (sum).
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import enum
 import functools
 import json
 import types
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
 
+from .blas import lane_count, on_lanes
 from .data import GraphSample, frozen_array, read_json
 from .filters import FilterKind, apply_filter
 
@@ -140,13 +139,6 @@ class UnitRows:
     @property
     def feature_dim(self) -> int:
         return self.w1.shape[1]
-
-    def map(self, fn, *others):
-        """fn applied field by field to this container and others of its kind."""
-        return dataclasses.replace(self, **{
-            f.name: fn(getattr(self, f.name), *(getattr(o, f.name) for o in others))
-            for f in dataclasses.fields(self)
-        })
 
 
 @dataclass(frozen=True)
@@ -298,47 +290,33 @@ class Workspace:
 
     f holds the outer-nonlinearity outputs of up to `nodes` rows, for a
     backward to read; a workspace for forwards alone has nodes = 0 and no f.
-    Each lane has scratch for one block: an out buffer, which takes a
-    block's outer outputs when there is no f, and the product temp. Lane 0 is
-    the calling thread; the others are the threads of a pool that lives while
-    the workspace is entered. Every lane task runs in a copy of the caller's
-    context, so np.errstate holds there.
+    The workspace has the lanes of blas.lane_count when it is built, each with
+    scratch for one block: an out buffer, which takes a block's outer outputs
+    when there is no f, and the product temp. Lane 0 is the calling thread;
+    the others run on blas.on_lanes.
     """
 
-    def __init__(self, nodes: int, width: int, lanes: int = 1):
+    def __init__(self, nodes: int, width: int):
         self.width = width
         self.f = np.empty((nodes, width)) if nodes > 0 else None
         # A block has at most one row more than _block_rows: a merged tail.
         rows = _block_rows(width) + 1
-        self._scratch = [(np.empty((rows, width)), np.empty((rows, width))) for _ in range(lanes)]
-        self._pool = None
+        self._scratch = [
+            (np.empty((rows, width)), np.empty((rows, width))) for _ in range(lane_count())
+        ]
         self._runs: dict[int, list[list[tuple[slice, np.ndarray, np.ndarray]]]] = {}
 
-    def __enter__(self) -> "Workspace":
-        self._runs.clear()
-        if len(self._scratch) > 1:
-            self._pool = ThreadPoolExecutor(max_workers=len(self._scratch) - 1)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self._runs.clear()
-
     def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray, np.ndarray]]]:
-        """The row blocks of a step over nodes rows, dealt to its lanes in
+        """The row blocks of a step over nodes rows, dealt to the lanes in
         contiguous runs. Each block comes with its out buffer (its rows of f,
         or its lane's out scratch cut to its rows when there is no f) and its
-        lane's temp cut to its rows. A step has lanes only while the workspace
-        is entered, and each lane takes at least two blocks: with one each, a
-        full block beside a short tail and the dispatch cost more than the
-        second lane saves."""
+        lane's temp cut to its rows. Each lane takes at least two blocks: with
+        one each, a full block beside a short tail and the dispatch cost more
+        than the second lane saves."""
         runs = self._runs.get(nodes)
         if runs is None:
             blocks = _blocks(nodes, self.width)
-            lanes = len(self._scratch) if self._pool is not None else 1
-            lanes = max(1, min(lanes, len(blocks) // 2))
+            lanes = max(1, min(len(self._scratch), len(blocks) // 2))
 
             def cut(block: slice, out: np.ndarray, temp: np.ndarray):
                 rows = block.stop - block.start
@@ -352,16 +330,11 @@ class Workspace:
         return runs
 
     def map(self, nodes: int, fn, items: list) -> list:
-        """[fn(item) for item in items]. When a step over nodes rows has
-        lanes, each call runs on its own, the first on this thread."""
+        """[fn(item) for item in items]. When a step over nodes rows has more
+        than one lane, each call runs on its own (blas.on_lanes)."""
         if len(self.runs(nodes)) == 1:
             return [fn(item) for item in items]
-        futures = [self._pool.submit(contextvars.copy_context().run, fn, item) for item in items[1:]]
-        try:
-            first = fn(items[0])
-        finally:
-            wait(futures)
-        return [first] + [future.result() for future in futures]
+        return on_lanes(fn, items)
 
     def each_block(self, nodes: int, fn) -> None:
         """fn(block, out, temp) for every row block of a step over nodes
@@ -371,7 +344,7 @@ class Workspace:
             for block, out, temp in run:
                 fn(block, out, temp)
 
-        self.map(nodes, lane, self.runs(nodes))
+        on_lanes(lane, self.runs(nodes))
 
 
 def forward(

@@ -14,8 +14,9 @@ sequential (only wall_time_s, a measurement, varies).
 A sweep on the main thread pins OpenBLAS for its whole call
 (blas.single_threaded_blas). With workers > 1 a thread pool takes the
 coordinates widest first, so the longest runs do not form the tail, and each
-training runs on its pool thread. With workers = 1 each training runs on the
-main thread, which owns the cores, on one lane per usable CPU (train).
+training runs on its pool thread. With workers = 1 each training and risk
+runs on the main thread, which owns the cores, on one lane per usable CPU
+(train, empirical_risk).
 """
 
 from __future__ import annotations

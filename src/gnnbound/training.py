@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blas import lane_count, single_threaded_blas
+from .blas import single_threaded_blas
 from .data import GraphDataset, GraphSample
 from .models import (
     ModelConfig,
@@ -185,12 +185,14 @@ def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDatase
     return data
 
 
+@single_threaded_blas()
 def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     """Mean logistic loss of the model over the samples (no penalty).
 
     One forward over the whole set, on a workspace without f: each row
     block's outer outputs stay in scratch, so no N x h array of the set is
-    made.
+    made. Like a train step, it runs on the workspace's lanes, under the main
+    thread's OpenBLAS pin.
     """
     prepared = _prepared(params, samples, model_config)
     stacked = prepared.stack.gather(prepared.graphs)
@@ -242,7 +244,8 @@ def train(
     rows = None
     counts = prepared.stack.node_counts[prepared.graphs]
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
-    with single_threaded_blas(), Workspace(largest_batch, params.width, lane_count()) as workspace:
+    with single_threaded_blas():
+        workspace = Workspace(largest_batch, params.width)
         for epoch in range(config.epochs):
             shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
             rows = shuffled.rows

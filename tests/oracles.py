@@ -209,22 +209,31 @@ def empirical_risk_one_call(params: Params, samples, config: ModelConfig) -> flo
     return float(logistic_loss(yhat, stacked.labels).mean())
 
 
+def map_fields(fn, params: Params, *others: Params) -> Params:
+    """fn applied field by field to params and others of its kind, as a new
+    container of that kind."""
+    return dataclasses.replace(params, **{
+        f.name: fn(getattr(params, f.name), *(getattr(o, f.name) for o in others))
+        for f in dataclasses.fields(params)
+    })
+
+
 def zeros_like_params(params: Params) -> Params:
-    return params.map(np.zeros_like)
+    return map_fields(np.zeros_like, params)
 
 
 def penalty_grads(params: Params, alpha: float) -> Params:
     """The gradient of the 1/(h alpha) L2 penalty: params / (h alpha)."""
     divisor = params.width * alpha
-    return params.map(lambda w: w / divisor)
+    return map_fields(lambda w: w / divisor, params)
 
 
 def sgd_step(
     params: Params, grads: Params, velocity: Params, config: TrainConfig
 ) -> tuple[Params, Params]:
     """training.sgd_step as new containers; returns the new (params, velocity)."""
-    new_velocity = velocity.map(lambda v, g: config.momentum * v + g, grads)
-    new_params = params.map(lambda p, v: p - config.learning_rate * v, new_velocity)
+    new_velocity = map_fields(lambda v, g: config.momentum * v + g, velocity, grads)
+    new_params = map_fields(lambda p, v: p - config.learning_rate * v, params, new_velocity)
     return new_params, new_velocity
 
 
@@ -264,7 +273,7 @@ def risk_and_loss_grads(
     params: Params, stacked: Stacked, config: ModelConfig, workspace=None
 ) -> tuple[float, Params]:
     """training._risk_and_loss_grads with its gradient returned as a new
-    container, on a single-lane workspace of its own unless one is given."""
+    container, on a workspace of its own unless one is given."""
     if workspace is None:
         workspace = Workspace(len(stacked.rows["w1"]), params.width)
     grads = ParamArrays.like(params, np.empty_like)
@@ -280,7 +289,8 @@ def grad_empirical_risk(params: Params, batch, config: ModelConfig) -> Params:
 
 def grad_regularized_risk(params: Params, batch, config: ModelConfig, alpha: float) -> Params:
     """Analytic gradient of the regularized objective on the batch average."""
-    return grad_empirical_risk(params, batch, config).map(np.add, penalty_grads(params, alpha))
+    loss_grads = grad_empirical_risk(params, batch, config)
+    return map_fields(np.add, loss_grads, penalty_grads(params, alpha))
 
 
 def permute_sample(sample: GraphSample, perm: Sequence[int]) -> GraphSample:

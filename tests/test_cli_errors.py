@@ -22,8 +22,8 @@ def dataset(graph=None, **top) -> str:
     return json.dumps({"name": "x", "feature_dim": 1, "graphs": [graph or GRAPH], **top})
 
 
-# id: (files to write into the run directory, argv, the start of the error
-# line); "{dir}" stands for the run directory.
+# id: (files to write into the run directory, as text or as bytes, argv,
+# the start of the error line); "{dir}" stands for the run directory.
 CASES = {
     "dataset-graph-not-object": (
         {"bad.json": dataset(5)}, FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: "),
@@ -45,6 +45,13 @@ CASES = {
     "dataset-feature-bool": (
         {"bad.json": dataset({**GRAPH, "features": [[True], [0.5]]})},
         FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
+    "dataset-not-utf8": (
+        {"bad.json": b"\xff\xfe{}"}, FILTERS + ["{dir}/bad.json"],
+        "{dir}/bad.json: not UTF-8 text: "),
+    "params-not-utf8": (
+        {"p.json": b"\xff\xfe{}", "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not UTF-8 text: "),
     "params-invalid-json": (
         {"p.json": "x", "d.json": dataset()},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
@@ -95,8 +102,11 @@ CASES = {
 def test_bad_input_is_one_error_line_naming_its_source(tmp_path, case):
     files, argv, expected = CASES[case]
     directory = str(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text.replace("{dir}", directory))
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content.replace("{dir}", directory))
     argv = [arg.replace("{dir}", directory) for arg in argv]
     expected = "error: " + expected.replace("{dir}", directory)
     path = os.environ.get("PYTHONPATH")

@@ -12,7 +12,7 @@ import pytest
 import gnnbound.blas as blas_module
 import gnnbound.filters as filters_module
 from conftest import random_sample, sample_from_edges
-from gnnbound.data import GraphDataset, degrees, to_json_value
+from gnnbound.data import GraphDataset, GraphSample, dataset_stats, degrees, to_json_value
 from gnnbound.filters import (
     FilterKind,
     apply_filter,
@@ -266,14 +266,39 @@ class TestNormReportRuns:
             [6, 6], [11], [3, 3, 3], [11], [6], [11], [11], [3], [6, 6, 6], [6], [3], [11]]
         assert [s for run in runs for s in run] == list(dataset)
 
+    @staticmethod
+    def isolated_node_in_graph_2(dataset: GraphDataset) -> GraphDataset:
+        """dataset with a path through every graph's nodes, so that no node
+        is isolated, except the last node of graph 2, which loses its edges."""
+        samples = []
+        for index, sample in enumerate(dataset):
+            adjacency = sample.adjacency.copy()
+            path = np.arange(sample.node_count - 1)
+            adjacency[path, path + 1] = adjacency[path + 1, path] = 1.0
+            if index == 2:
+                adjacency[-1, :] = adjacency[:, -1] = 0.0
+            samples.append(GraphSample(adjacency=adjacency, features=sample.features,
+                                       label=sample.label))
+        return GraphDataset.from_samples(samples, name=dataset.name)
+
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("run_bytes", [2 << 20, 2 * 11 * 11 * 8])
     def test_report_equals_the_per_graph_oracle(self, rng, monkeypatch, lanes, run_bytes):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
         monkeypatch.setattr(filters_module, "_RUN_BYTES", run_bytes)
-        dataset = self.mixed_dataset(rng)
-        for kind in ALL_KINDS:
-            assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
+        mixed = self.mixed_dataset(rng)
+        isolated = self.isolated_node_in_graph_2(mixed)
+        # The only isolated node is in run 1, which the second of two lanes
+        # takes, so d_min = 0 must come from that lane.
+        assert dataset_stats(isolated).d_min == 0
+        assert [int(degrees(s).min()) for s in isolated].count(0) == 1
+        second = filters_module._runs(isolated)[1]
+        assert len(second) == 1 and second[0] is isolated[2]
+        for dataset in (mixed, isolated):
+            for kind in ALL_KINDS:
+                assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(
+                    dataset, kind
+                )
 
     def test_sbm1_report_equals_the_per_graph_oracle_on_two_lanes(self, monkeypatch):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
@@ -299,14 +324,15 @@ class TestNormReportRuns:
     def test_lanes_only_on_the_main_thread(self, rng, monkeypatch):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 11 * 11 * 8)
-        pools = []
-        pool_type = filters_module.ThreadPoolExecutor
+        spread = []
+        on_lanes = filters_module.on_lanes
 
-        def recording(*args, **kwargs):
-            pools.append(threading.current_thread())
-            return pool_type(*args, **kwargs)
+        def recording(fn, items):
+            if len(items) > 1:
+                spread.append(threading.current_thread())
+            return on_lanes(fn, items)
 
-        monkeypatch.setattr(filters_module, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(filters_module, "on_lanes", recording)
         dataset = self.mixed_dataset(rng)
         expected = filter_norm_report_per_graph(dataset, FilterKind.SUM_AGG)
         got = []
@@ -314,9 +340,9 @@ class TestNormReportRuns:
             filter_norm_report(dataset, FilterKind.SUM_AGG)))
         caller.start()
         caller.join(timeout=60)
-        assert got == [expected] and pools == []
+        assert got == [expected] and spread == []
         assert filter_norm_report(dataset, FilterKind.SUM_AGG) == expected
-        assert pools == [threading.main_thread()]
+        assert spread == [threading.main_thread()]
 
     def test_holds_about_a_run_per_lane_of_filtered_matrices(self, monkeypatch):
         # 200 sbm1 graphs are 16 MB of filtered matrices; two lanes of 2 MB

@@ -21,7 +21,13 @@ from gnnbound.models import (
     load_params,
     save_params,
 )
-from oracles import forward_graph, gcn_unit_output, mpgnn_unit_output, permute_sample
+from oracles import (
+    forward_graph,
+    gcn_unit_output,
+    map_fields,
+    mpgnn_unit_output,
+    permute_sample,
+)
 
 GCN_MEAN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 
@@ -88,7 +94,7 @@ class TestUnitRows:
     def test_map_applies_fn_field_by_field(self):
         a = MpgnnParams(w1=np.ones((2, 3)), w2=np.ones(2), w3=np.ones((2, 3)))
         b = init_params(_config(model=ModelKind.MPGNN, width=2), feature_dim=3, seed=1)
-        total = a.map(lambda x, y, z: x + 2 * y - z, b, a)
+        total = map_fields(lambda x, y, z: x + 2 * y - z, a, b, a)
         assert isinstance(total, MpgnnParams)
         for name in ("w1", "w2", "w3"):
             x, y = getattr(a, name), getattr(b, name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from gnnbound.training import TrainConfig, prepare_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "gnnbound"
 
 
 def test_readme_imports_are_exported_and_exports_resolve():
@@ -42,3 +44,19 @@ def test_benchmark_entry_points_resolve(monkeypatch, rng):
     attrs = rep._train_attrs(params, train_set, TrainConfig(epochs=3), config)
     nodes = sum(sample.node_count for sample in train_set)
     assert attrs == {"model": "mpgnn", "width": 4, "node_units": 3 * nodes * 4}
+
+
+def test_only_the_lane_threads_and_the_sweep_pool_start_threads():
+    # Every multi-lane call goes through blas.on_lanes, whose executor is the
+    # process's lane threads; the sweep's pool is its `workers` option. A
+    # third thread pool, or a bare Thread, shows here.
+    constructed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("ThreadPoolExecutor", "Thread"):
+                constructed.append((path.name, name))
+    assert constructed == [("blas.py", "ThreadPoolExecutor"), ("sweep.py", "ThreadPoolExecutor")]

@@ -57,6 +57,7 @@ from oracles import (
     forward_out_of_place,
     grad_empirical_risk,
     grad_regularized_risk,
+    map_fields,
     penalty,
     penalty_grads,
     regularized_risk,
@@ -214,18 +215,21 @@ def block_rows(monkeypatch, rows: int, width: int) -> None:
     monkeypatch.setattr(models_module, "_BLOCK_BYTES", rows * 8 * width)
 
 
-def assert_kernel_matches_out_of_place(params, stacked, config, lanes):
+def assert_kernel_matches_out_of_place(monkeypatch, params, stacked, config, lanes):
+    """The kernel on workspaces built with this many usable CPUs, so with as
+    many lanes, against the out-of-place oracle."""
+    monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
     rows_before = {name: rows.copy() for name, rows in stacked.rows.items()}
     nodes = len(stacked.rows["w1"])
     want_yhat, want_f = forward_out_of_place(params, stacked, config)
-    with Workspace(0, params.width, lanes) as workspace:
-        assert workspace.f is None
-        assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
-    with Workspace(nodes, params.width, lanes) as workspace:
-        assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
-        assert np.array_equal(workspace.f[:nodes], want_f)
+    workspace = Workspace(0, params.width)
+    assert workspace.f is None
+    assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
+    workspace = Workspace(nodes, params.width)
+    assert np.array_equal(forward(params, stacked, config, workspace), want_yhat)
+    assert np.array_equal(workspace.f[:nodes], want_f)
 
-        risk, grads = risk_and_loss_grads(params, stacked, config, workspace)
+    risk, grads = risk_and_loss_grads(params, stacked, config, workspace)
     want_risk, want_grads = risk_and_loss_grads_out_of_place(params, stacked, config)
     assert risk == want_risk
     for field in dataclasses.fields(grads):
@@ -252,33 +256,35 @@ class TestInPlaceKernel:
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
                              readout=readout, activation=outer, kappa=outer)
         # Weights scaled up so the outer nonlinearity leaves its linear range.
-        params = init_params(config, 3, seed=11).map(lambda w: 3.0 * w)
+        params = map_fields(lambda w: 3.0 * w, init_params(config, 3, seed=11))
         stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (3, 6, 10)], config)
         block_rows(monkeypatch, rows, config.width)
-        assert_kernel_matches_out_of_place(params, stacked, config, lanes)
+        assert_kernel_matches_out_of_place(monkeypatch, params, stacked, config, lanes)
 
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_sbm1_minibatch_at_width_256_matches_exactly(self, model, lanes):
+    def test_sbm1_minibatch_at_width_256_matches_exactly(self, monkeypatch, model, lanes):
         # 128 graphs of 100 nodes, cut into blocks of the kernel's own size.
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=256)
         prepared = prepare_dataset(make_dataset(preset_config("sbm1", seed=0)), config)
         stacked = prepared.stack.gather(prepared.graphs[:128])
         params = init_params(config, prepared.feature_dim, seed=3)
-        assert_kernel_matches_out_of_place(params, stacked, config, lanes)
+        assert_kernel_matches_out_of_place(monkeypatch, params, stacked, config, lanes)
 
     def test_more_lanes_than_cores_switching_often_match_exactly(self, rng, monkeypatch):
         # Lanes write disjoint row blocks of one f; a write into another
         # lane's rows would show as a changed bit.
         config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=5)
-        params = init_params(config, 3, seed=2).map(lambda w: 3.0 * w)
+        params = map_fields(lambda w: 3.0 * w, init_params(config, 3, seed=2))
         stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (7, 9, 11, 13)], config)
         block_rows(monkeypatch, 2, config.width)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(5):
-                assert_kernel_matches_out_of_place(params, stacked, config, 2 * os.cpu_count() + 1)
+                assert_kernel_matches_out_of_place(
+                    monkeypatch, params, stacked, config, 2 * os.cpu_count() + 1
+                )
         finally:
             sys.setswitchinterval(switch)
 
@@ -364,9 +370,9 @@ class TestSgdStep:
         velocity = zeros_like_params(params)
         arrays, arrays_velocity = ParamArrays.like(params), ParamArrays.like(velocity)
         for _ in range(4):
-            grads = params.map(lambda w: rng.standard_normal(w.shape))
-            want_velocity = velocity.map(lambda v, g: cfg.momentum * v + g, grads)
-            want_params = params.map(lambda p, v: p - cfg.learning_rate * v, want_velocity)
+            grads = map_fields(lambda w: rng.standard_normal(w.shape), params)
+            want_velocity = map_fields(lambda v, g: cfg.momentum * v + g, velocity, grads)
+            want_params = map_fields(lambda p, v: p - cfg.learning_rate * v, params, want_velocity)
             params, velocity = sgd_step_out_of_place(params, grads, velocity, cfg)
             sgd_step(arrays, ParamArrays.like(grads), arrays_velocity, cfg)
             for field in dataclasses.fields(params):
@@ -583,7 +589,7 @@ class TestChunkedRisk:
     def test_blocks_across_graphs_equal_one_forward(self, rng, monkeypatch, model, readout):
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3,
                              readout=readout)
-        params = init_params(config, 2, seed=5).map(lambda w: 3.0 * w)
+        params = map_fields(lambda w: 3.0 * w, init_params(config, 2, seed=5))
         # Blocks of 4 rows, so most blocks end inside a graph.
         block_rows(monkeypatch, 4, config.width)
         # Eleven graphs of 2 to 9 nodes.
@@ -600,6 +606,28 @@ class TestChunkedRisk:
         for count, blocks in ((1, [1]), (2, [2]), (5, [5])):
             ones = [random_sample(rng, 1, 2) for _ in range(count)]
             assert self._check(params, ones, config) == blocks
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_two_lanes_equal_one_lane(self, rng, monkeypatch, model):
+        # Blocks of 2 rows, so a risk on the main thread spreads them over
+        # both lanes of two usable CPUs.
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
+        params = map_fields(lambda w: 3.0 * w, init_params(config, 2, seed=4))
+        samples = [random_sample(rng, int(n), 2) for n in rng.integers(2, 10, size=9)]
+        block_rows(monkeypatch, 2, config.width)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 1)
+        one_lane = empirical_risk(params, samples, config)
+        spread = []
+        on_lanes = models_module.on_lanes
+
+        def recording(fn, items):
+            spread.append(len(items))
+            return on_lanes(fn, items)
+
+        monkeypatch.setattr(models_module, "on_lanes", recording)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        assert empirical_risk(params, samples, config) == one_lane
+        assert spread == [2]
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_no_split_sized_array_at_width_256(self, model):
