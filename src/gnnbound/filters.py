@@ -54,7 +54,7 @@ class FilterNormReport:
 
 
 def apply_filter(kind: FilterKind, sample: GraphSample) -> np.ndarray:
-    """Dense N x N filter matrix for the sample's adjacency.
+    """Dense N x N float64 filter matrix for the sample's bool adjacency.
 
     Zero-degree nodes under random-walk: the D^{-1}A row is all-zero
     (0/0 := 0), so the filter row reduces to the identity row. This keeps the
@@ -72,7 +72,8 @@ def apply_filter(kind: FilterKind, sample: GraphSample) -> np.ndarray:
         tilde = adj + np.eye(n)
         return tilde / tilde.sum(axis=1)[:, None]
     if kind is FilterKind.RANDOM_WALK:
-        deg = adj.sum(axis=1)
+        # Float degrees: the out= buffer below takes their dtype.
+        deg = adj.sum(axis=1, dtype=np.float64)
         inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
         return adj * inv[:, None] + np.eye(n)
     raise ValueError(f"unknown filter kind: {kind!r}")

@@ -121,14 +121,14 @@ def _pair_table(model: SbmSpec | ErSpec) -> _PairTable:
 def _draw_adjacency(table: _PairTable, rng: np.random.Generator) -> np.ndarray:
     """One adjacency: each pair of the table is an edge, independently, with
     its probability."""
-    upper = np.zeros(table.n * table.n)
+    upper = np.zeros(table.n * table.n, dtype=bool)
     upper[table.pairs] = rng.random(table.pairs.size) < table.prob
     upper = upper.reshape(table.n, table.n)
-    return upper + upper.T
+    return upper | upper.T
 
 
 def generate_sbm(spec: SbmSpec, seed) -> np.ndarray:
-    """Adjacency matrix of one SBM draw.
+    """Bool adjacency matrix of one SBM draw.
 
     Nodes are assigned to blocks contiguously by index (the first
     block_sizes[0] nodes form block 0, and so on); each unordered pair (i, j)
@@ -138,7 +138,7 @@ def generate_sbm(spec: SbmSpec, seed) -> np.ndarray:
 
 
 def generate_er(spec: ErSpec, seed) -> np.ndarray:
-    """Adjacency matrix of one Erdos-Renyi draw."""
+    """Bool adjacency matrix of one Erdos-Renyi draw."""
     return _draw_adjacency(_pair_table(spec), _as_rng(seed))
 
 

@@ -10,7 +10,9 @@ in place, a batch's stack by concatenating its graphs' rows one graph at
 a time instead of gathering them from a prepared dataset, a random graph
 from its full edge-probability matrix and pairs made for it alone instead of
 from a pair table made once per dataset, and a filter norm report one matrix
-and one SVD at a time instead of in stacked runs on lanes. The risks and
+and one SVD at a time instead of in stacked runs on lanes, a filter matrix
+from the adjacency as float64 instead of bool, and a dataset record's edges
+read and written one edge at a time instead of in bulk. The risks and
 gradients of a list of samples, the node relabelling of a sample and the
 whole sweep from its config are built here from the library's parts.
 """
@@ -23,7 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from gnnbound.data import GraphDataset, GraphSample, ValidationError, dataset_stats
+from gnnbound.data import (
+    DatasetFormatError,
+    GraphDataset,
+    GraphSample,
+    ValidationError,
+    dataset_stats,
+)
 from gnnbound.filters import (
     FilterKind,
     FilterNormReport,
@@ -132,6 +140,58 @@ def draw_adjacency(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     adjacency = np.zeros_like(prob)
     adjacency[upper] = rng.random(upper[0].size) < prob[upper]
     return adjacency + adjacency.T
+
+
+def filter_of_float_adjacency(kind: FilterKind, adjacency: np.ndarray) -> np.ndarray:
+    """The filter matrix of a float64 0/1 adjacency, by the expressions
+    apply_filter used when samples kept their adjacency as float64."""
+    adj = np.asarray(adjacency, dtype=np.float64)
+    n = adj.shape[0]
+    if kind is FilterKind.SUM_AGG:
+        return adj + np.eye(n)
+    if kind is FilterKind.SYM_NORM:
+        tilde = adj + np.eye(n)
+        inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=1))
+        return tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    if kind is FilterKind.MEAN_AGG:
+        tilde = adj + np.eye(n)
+        return tilde / tilde.sum(axis=1)[:, None]
+    deg = adj.sum(axis=1)
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    return adj * inv[:, None] + np.eye(n)
+
+
+def adjacency_edge_by_edge(edges, n: int, context: str) -> np.ndarray:
+    """The float64 adjacency of a dataset record's edge list, checked one
+    edge at a time; the first bad edge raises DatasetFormatError naming it."""
+    def is_int(value) -> bool:  # Python counts a JSON boolean as an int
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    seen = set()
+    for pair in edges:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise DatasetFormatError(f"{context}: edge entries must be [i, j] pairs")
+        i, j = pair
+        if not (is_int(i) and is_int(j) and 0 <= i < j < n):
+            raise DatasetFormatError(f"{context}: edge [{i}, {j}] must satisfy 0 <= i < j < n={n}")
+        if (i, j) in seen:
+            raise DatasetFormatError(f"{context}: duplicate edge [{i}, {j}]")
+        seen.add((i, j))
+        adjacency[i, j] = 1.0
+        adjacency[j, i] = 1.0
+    return adjacency
+
+
+def sample_to_record_edge_by_edge(sample: GraphSample) -> dict:
+    """A sample's dataset record, its edge list built one edge at a time."""
+    rows, cols = np.nonzero(np.triu(sample.adjacency, k=1))
+    return {
+        "n": sample.node_count,
+        "edges": [[int(i), int(j)] for i, j in zip(rows, cols)],
+        "features": sample.features.tolist(),
+        "label": sample.label,
+    }
 
 
 def filter_norm_report_per_graph(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:

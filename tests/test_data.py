@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from gnnbound.data import (
     save_dataset,
     split_dataset,
 )
-from oracles import permute_sample
+from gnnbound.synth import PRESET_NAMES, make_dataset, preset_config
+from oracles import permute_sample, sample_to_record_edge_by_edge
+
+
+def assert_bool_and_read_only(sample: GraphSample) -> None:
+    assert sample.adjacency.dtype == np.bool_
+    assert not sample.adjacency.flags.writeable
 
 
 class TestValidation:
@@ -83,6 +90,63 @@ class TestValidation:
     def test_samples_are_immutable(self, triangle):
         with pytest.raises(ValueError):
             triangle.adjacency[0, 1] = 0.0
+
+
+class TestBoolAdjacency:
+    """A sample keeps its adjacency as a read-only bool matrix, whichever
+    path built it, and checks the given values before the cast."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_sample_is_bool(self, name):
+        for sample in make_dataset(preset_config(name, n_graphs=3)):
+            assert_bool_and_read_only(sample)
+
+    def test_loaded_samples_are_bool(self, rng, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(random_dataset(rng, 5, 2), path)
+        for sample in load_dataset(path):
+            assert_bool_and_read_only(sample)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_])
+    def test_any_numeric_input_is_kept_as_a_bool_copy(self, dtype):
+        given = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=dtype)
+        sample = GraphSample(adjacency=given, features=np.ones((3, 1)), label=1)
+        assert_bool_and_read_only(sample)
+        assert np.array_equal(sample.adjacency, given)
+        given[1, 2] = given[2, 1] = 1
+        assert not sample.adjacency[1, 2]
+
+    @pytest.mark.parametrize("adjacency, message", [
+        ([[0.0, 0.5], [0.5, 0.0]], "adjacency entries must be 0 or 1"),
+        ([[0.0, 2.0], [2.0, 0.0]], "adjacency entries must be 0 or 1"),
+        (np.array([[0, 2], [2, 0]]), "adjacency entries must be 0 or 1"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "adjacency entries must be 0 or 1"),
+        ([[0.0, np.nan], [np.nan, 0.0]],
+         "adjacency entries must be 0 or 1; asymmetric adjacency (graphs are undirected)"),
+        ([[1.0, 0.0], [0.0, 0.0]], "nonzero diagonal (self-loops are not allowed)"),
+        (np.eye(2, dtype=bool), "nonzero diagonal (self-loops are not allowed)"),
+    ], ids=["half", "two", "int-two", "minus-one", "nan", "float-self-loop", "bool-self-loop"])
+    def test_values_that_a_cast_would_hide_still_raise(self, adjacency, message):
+        # astype(bool) maps 0.5, 2, -1 and NaN to True.
+        with pytest.raises(ValidationError) as caught:
+            GraphSample(adjacency=adjacency, features=np.ones((2, 1)), label=1)
+        assert str(caught.value) == message
+
+    def test_sbm1_adjacency_is_one_byte_per_entry(self):
+        dataset = make_dataset(preset_config("sbm1"))
+        assert sum(s.adjacency.nbytes for s in dataset) == 200 * 100 * 100
+
+    def test_sbm1_dataset_keeps_under_six_mb_alive(self):
+        # Features are 200 x 100 x 16 float64 (2.56 MB) and adjacencies
+        # 2 MB as bool; as float64 they were 16 MB, 17.8 MB in all.
+        tracemalloc.start()
+        try:
+            dataset = make_dataset(preset_config("sbm1"))
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 200
+        assert live < 6e6
 
 
 class TestDegrees:
@@ -230,6 +294,25 @@ class TestPersistence:
             assert np.array_equal(a.adjacency, b.adjacency)
             assert np.array_equal(a.features, b.features)  # bit-identical floats
             assert a.label == b.label
+
+    def test_file_is_what_the_edge_by_edge_writer_wrote(self, rng, tmp_path):
+        samples = list(random_dataset(rng, 6, 2))
+        samples.append(sample_from_edges(4, [(0, 3), (1, 3)], features=np.ones((4, 2))))
+        samples.append(sample_from_edges(1, [], features=[[0.5, -0.0]]))
+        samples.extend(make_dataset(preset_config("sbm1", n_graphs=2, feature_dim=2)))
+        dataset = GraphDataset.from_samples(samples, name="written")
+        path = tmp_path / "ds.json"
+        save_dataset(dataset, path)
+        document = {
+            "name": dataset.name,
+            "feature_dim": dataset.feature_dim,
+            "graphs": [sample_to_record_edge_by_edge(sample) for sample in dataset],
+        }
+        expected = tmp_path / "expected.json"
+        with open(expected, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+            handle.write("\n")
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_invalid_json_raises_format_error(self, tmp_path):
         path = tmp_path / "bad.json"

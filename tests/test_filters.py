@@ -24,7 +24,12 @@ from gnnbound.filters import (
     theoretical_inf_bound,
 )
 from gnnbound.synth import make_dataset, preset_config
-from oracles import filter_norm_report_per_graph, permute_sample, spectral_norm
+from oracles import (
+    filter_norm_report_per_graph,
+    filter_of_float_adjacency,
+    permute_sample,
+    spectral_norm,
+)
 
 ALL_KINDS = list(FilterKind)
 
@@ -55,6 +60,19 @@ class TestApplyFilter:
         out = apply_filter(FilterKind.RANDOM_WALK, sample)
         assert np.array_equal(out[2], [0.0, 0.0, 1.0])
         assert np.array_equal(out[0], [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_bool_adjacency_gives_the_float_filter_bits(self, rng, kind):
+        # Node 3 is isolated: random-walk's 0/0 row.
+        samples = [sample_from_edges(5, [(0, 1), (1, 2), (2, 4)]), sample_from_edges(1, [])]
+        samples += [random_sample(rng, n, 2, edge_prob=p) for n, p in [(9, 0.3), (30, 0.6)]]
+        samples += list(make_dataset(preset_config("sbm1", n_graphs=2)))
+        for sample in samples:
+            out = apply_filter(kind, sample)
+            assert out.dtype == np.float64
+            expected = filter_of_float_adjacency(kind, sample.adjacency.astype(np.float64))
+            assert np.array_equal(out, expected)
+            assert out.tobytes() == expected.tobytes()
 
     def test_mean_agg_rows_sum_to_one(self, rng):
         for _ in range(10):

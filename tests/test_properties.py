@@ -11,12 +11,13 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,13 +31,19 @@ from gnnbound.cli import (
     main,
     read_config,
 )
-from gnnbound.data import GraphDataset, GraphSample, load_dataset, save_dataset
+from gnnbound.data import (
+    DatasetFormatError,
+    GraphDataset,
+    GraphSample,
+    load_dataset,
+    save_dataset,
+)
 from gnnbound.filters import FilterKind
 from gnnbound.models import ModelConfig, ModelKind, prepare_sample
 from gnnbound.report import ROW_COLUMNS, read_rows_csv, write_rows_csv
 from gnnbound.sweep import SweepRow
 from gnnbound.training import prepare_dataset
-from oracles import stack
+from oracles import adjacency_edge_by_edge, stack
 
 TABLES = {
     "train": TRAIN_TABLE,
@@ -119,6 +126,71 @@ def test_dataset_save_load_is_identity(dataset):
         assert np.array_equal(got.adjacency, sample.adjacency)
         # Bytes, so that -0.0 and 0.0 differ.
         assert got.features.tobytes() == sample.features.tobytes()
+
+
+BAD_EDGES = ("boolean", "float", "out-of-range", "unordered", "duplicate", "arity")
+
+
+@st.composite
+def edge_lists(draw) -> tuple[int, list]:
+    """A node count and a valid edge list, or one with a single bad entry
+    inserted anywhere in it."""
+    n = draw(st.integers(1, 8), label="n")
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple), label="edges") if pairs else []
+    bad = draw(st.sampled_from((None,) + BAD_EDGES), label="bad")
+    if bad is None:
+        return n, edges
+    # A pair that is valid but for the bad entry (none is on one node).
+    i, j = draw(st.sampled_from(pairs)) if pairs else (0, 1)
+    side = draw(st.integers(0, 1))
+    if bad == "boolean":
+        entry = [i, j]
+        entry[side] = draw(st.booleans())
+    elif bad == "float":
+        entry = [i, j]
+        entry[side] = float(entry[side]) + draw(st.sampled_from([0.0, 0.5]))
+    elif bad == "out-of-range":
+        entry = draw(st.sampled_from([[-1, j], [i, n], [i, n + 3], [-(2**70), j], [i, 2**70]]))
+    elif bad == "unordered":
+        entry = draw(st.sampled_from([[j, i], [i, i]]))
+    elif bad == "duplicate" and edges:
+        entry = list(draw(st.sampled_from(edges)))
+    else:
+        entry = draw(st.sampled_from([[], [i], [i, j, j], i]))
+    position = draw(st.integers(0, len(edges)), label="position")
+    return n, edges[:position] + [entry] + edges[position:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+@example((1, []))
+@example((3, [[0, 2], [True, 2]]))
+@example((3, [[0, 1.0]]))
+@example((3, [[0, 1], [1, 3]]))
+@example((3, [[-1, 2]]))
+@example((3, [[0, 2**70]]))
+@example((3, [[0, 1], [2, 1]]))
+@example((3, [[1, 1]]))
+@example((3, [[1, 2], [0, 1], [1, 2]]))
+@example((3, [[0, 1, 2]]))
+@example((3, [[0, 1], 2]))
+def test_edges_load_as_the_edge_by_edge_oracle_reads_them(graph):
+    n, edges = graph
+    record = {"n": n, "edges": edges, "features": [[1.0]] * n, "label": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.json"
+        path.write_text(json.dumps({"name": "e", "feature_dim": 1, "graphs": [record]}))
+        try:
+            expected = adjacency_edge_by_edge(edges, n, f"{path}: graph 0")
+        except DatasetFormatError as exc:
+            with pytest.raises(DatasetFormatError) as caught:
+                load_dataset(path)
+            assert str(caught.value) == str(exc)
+        else:
+            adjacency = load_dataset(path)[0].adjacency
+            assert adjacency.dtype == np.bool_
+            assert np.array_equal(adjacency, expected)
 
 
 @pytest.mark.parametrize("command", sorted(TABLES))

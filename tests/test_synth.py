@@ -35,6 +35,11 @@ def _block_pair_counts(sizes):
 
 
 class TestAdjacency:
+    @pytest.mark.parametrize("model", [SBM1, ErSpec(20, 0.5)], ids=["sbm", "er"])
+    def test_draw_is_bool(self, model):
+        generate = generate_sbm if isinstance(model, SbmSpec) else generate_er
+        assert generate(model, seed=0).dtype == np.bool_
+
     def test_er_extreme_probabilities(self):
         empty = generate_er(ErSpec(6, 0.0), seed=0)
         assert np.array_equal(empty, np.zeros((6, 6)))
