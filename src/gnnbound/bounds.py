@@ -181,6 +181,11 @@ class BoundReport:
         """The report as JSON data, as report.json echoes it."""
         return to_json_value(self)
 
+    @property
+    def bounded(self) -> bool:
+        """bound_report's bounded argument, read back from the variant."""
+        return self.variant.split("-")[1] == "bounded"
+
 
 def bound_report(
     params: Params, config: ModelConfig, inputs: BoundInputs, bounded: bool = True

@@ -9,6 +9,9 @@ Subcommands:
     filters    filter norm report for a dataset
     report     re-aggregate and re-plot an existing rows.csv
 
+train and sweep run one body (sweep.setup, then sweep.run_sweep_on); bounds
+reports through sweep.bounds_for, as a sweep row does.
+
 Config files are flat `key = value` text; blank lines and `#` comments are
 ignored. Lists are comma-separated; the SBM edge-probability matrix separates
 rows with `;`. The README documents every key.
@@ -23,25 +26,11 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .bounds import BoundInputs, bound_report
-from .data import (
-    DatasetFormatError,
-    ValidationError,
-    dataset_stats,
-    load_dataset,
-    save_dataset,
-    to_json_value,
-    train_size,
-)
+from .data import dataset_stats, load_dataset, save_dataset, to_json_value, train_size
 from .filters import FilterKind, filter_norm_report
-from .models import ModelConfig, ModelKind, Readout, load_params
-from .report import (
-    ROW_COLUMNS,
-    ReportFormatError,
-    emit_reports,
-    read_rows_csv,
-)
-from .sweep import SweepConfig, resolve_dataset, run_sweep_on
+from .models import ModelConfig, ModelKind, Readout, ShapeError, load_params
+from .report import ROW_COLUMNS, emit_reports, read_rows_csv
+from .sweep import SweepConfig, bounds_for, run_sweep_on, setup
 from .synth import (
     PRESET_NAMES,
     ErSpec,
@@ -287,26 +276,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resolve(config: SweepConfig):
-    return resolve_dataset(config.dataset, config.data_seed, config.n_graphs, config.feature_dim)
+def _run(config: SweepConfig):
+    """The rows of config's grid, with the setup they were run on."""
+    dataset, stats, filter_reports = setup(config)
+    rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+    return rows, stats, filter_reports
 
 
 def cmd_train(args) -> int:
-    config = _sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS)
-    row = run_sweep_on(_resolve(config), config)[0]
+    rows, _, _ = _run(_sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS))
     for column in ROW_COLUMNS:
-        print(f"{column} = {getattr(row, column)}")
+        print(f"{column} = {getattr(rows[0], column)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = _flagged(_sweep_config(args.config, SWEEP_TABLE), args, "workers")
-    dataset = _resolve(config)
-    stats = dataset_stats(dataset)
-    filter_reports = {
-        kind: filter_norm_report(dataset, kind) for kind in dict.fromkeys(config.filters)
-    }
-    rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+    rows, stats, filter_reports = _run(config)
     written = emit_reports(
         rows, args.out, config=config, stats=stats, filter_reports=filter_reports
     )
@@ -327,25 +313,17 @@ def _print_json(value) -> None:
 def cmd_bounds(args) -> int:
     config = _sweep_config(args.config, BOUNDS_TABLE, **_TRAIN_DEFAULTS, dataset=args.dataset)
     params = load_params(args.params)
-    dataset = _resolve(config)
-    stats = dataset_stats(dataset)
-    filter_kind, readout = config.filters[0], config.readouts[0]
-    model_config = ModelConfig(
-        model_kind=params.kind,
-        filter_kind=filter_kind,
-        width=params.width,
-        readout=readout,
-    )
-    inputs = BoundInputs(
-        n_train=train_size(len(dataset), config.betas[0]),
-        alpha=config.train.alpha,
-        n_max=stats.n_max,
-        b_f=stats.b_f,
-        g_max=filter_norm_report(dataset, filter_kind).g_max,
-        readout=readout,
-        delta=config.delta,
-    )
-    _print_json(bound_report(params, model_config, inputs, config.bounded_nonlinearity))
+    dataset, stats, filter_reports = setup(config)
+    filter_kind = config.filters[0]
+    model_config = ModelConfig(params.kind, filter_kind, params.width, config.readouts[0])
+    n_train = train_size(len(dataset), config.betas[0])
+    try:
+        report = bounds_for(
+            params, model_config, n_train, stats, filter_reports[filter_kind], config
+        )
+    except ShapeError as exc:
+        raise ShapeError(f"{args.params}: {exc}") from exc
+    _print_json(report)
     return 0
 
 
@@ -427,16 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A bad input raises a ValueError (ConfigError, the data, parameter and
+    # report format errors, ShapeError) or, for a file, an OSError.
     try:
         return args.handler(args)
-    except (
-        ConfigError,
-        DatasetFormatError,
-        ValidationError,
-        ReportFormatError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -316,7 +316,7 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
     bad_features = DatasetFormatError(f"{context}: features must be {n} rows of {feature_dim} reals")
     try:
         features = np.asarray(record["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise bad_features from exc
     if features.shape != (n, feature_dim):
         raise bad_features

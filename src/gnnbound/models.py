@@ -284,6 +284,11 @@ def _blocks(nodes: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [nodes])]
 
 
+# Row partitions a workspace keeps, oldest out first: enough for a train over
+# equal-size graphs (full minibatches and the tail), few for graphs of many sizes.
+_RUNS_KEPT = 2
+
+
 class Workspace:
     """The buffers a forward and backward write into, and the lanes that run
     their row blocks.
@@ -315,6 +320,8 @@ class Workspace:
         than the second lane saves."""
         runs = self._runs.get(nodes)
         if runs is None:
+            if len(self._runs) == _RUNS_KEPT:
+                del self._runs[next(iter(self._runs))]
             blocks = _blocks(nodes, self.width)
             lanes = max(1, min(len(self._scratch), len(blocks) // 2))
 
@@ -380,18 +387,22 @@ def forward(
     return sums * readout_scale(stacked, config.readout)
 
 
+class ShapeError(ValueError):
+    """Parameters that do not fit the data or the model config."""
+
+
 def check_shapes(params: Params, feature_dim: int, config: ModelConfig) -> None:
     if not isinstance(params, _CONTAINERS[config.model_kind]):
-        raise ValueError(
+        raise ShapeError(
             f"parameter container {type(params).__name__} does not match "
             f"model kind {config.model_kind.value}"
         )
     if params.feature_dim != feature_dim:
-        raise ValueError(
+        raise ShapeError(
             f"params expect feature_dim {params.feature_dim}, data has {feature_dim}"
         )
     if params.width != config.width:
-        raise ValueError(f"params have width {params.width}, config says {config.width}")
+        raise ShapeError(f"params have width {params.width}, config says {config.width}")
 
 
 def save_params(params: Params, path) -> None:
@@ -408,5 +419,5 @@ def load_params(path) -> Params:
     try:
         cls = _CONTAINERS[ModelKind(record["model"])]
         return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: not a valid parameter file: {exc}") from exc

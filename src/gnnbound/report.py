@@ -207,8 +207,7 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
         coordinate = ", ".join(f"{key}={record[key]}" for key in COORDINATE_COLUMNS)
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
     report = from_plain(BoundReport, echo)
-    bounded = report.variant.split("-")[1] == "bounded"
-    args = (report.config, report.stats, report.inputs, bounded)
+    args = (report.config, report.stats, report.inputs, report.bounded)
     return fd_bound(*args), rademacher_bound(*args)
 
 

@@ -11,6 +11,10 @@ iteration order. A sweep over k seeds therefore produces exactly the union of
 the k single-seed sweeps, and parallel execution yields the same rows as
 sequential (only wall_time_s, a measurement, varies).
 
+A sweep's parameter-free inputs (dataset, stats, filter norm reports) are
+built once, by setup; every bound a command reports comes from bounds_for,
+which first checks that the weights fit the data.
+
 A sweep on the main thread pins OpenBLAS for its whole call
 (blas.single_threaded_blas). With workers > 1 a thread pool takes the
 coordinates widest first, so the longest runs do not form the tail, and each
@@ -32,9 +36,9 @@ import numpy as np
 
 from .blas import single_threaded_blas
 from .bounds import DEFAULT_DELTA, BoundInputs, BoundReport, bound_report
-from .data import GraphDataset, dataset_stats, load_dataset, split_dataset
+from .data import DatasetStats, GraphDataset, dataset_stats, load_dataset, split_dataset
 from .filters import FilterKind, FilterNormReport, filter_norm_report
-from .models import ModelConfig, ModelKind, Readout, init_params
+from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
 from .synth import PRESET_NAMES, make_dataset, preset_config
 from .training import (
     TrainConfig,
@@ -138,6 +142,34 @@ def resolve_dataset(
     return load_dataset(source)
 
 
+def setup(
+    config: SweepConfig,
+) -> tuple[GraphDataset, DatasetStats, dict[FilterKind, FilterNormReport]]:
+    """The sweep's inputs that no weights change: its dataset, the dataset's
+    stats and one filter norm report per filter of the grid."""
+    dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs, config.feature_dim)
+    stats = dataset_stats(dataset)
+    filter_reports = {
+        kind: filter_norm_report(dataset, kind) for kind in dict.fromkeys(config.filters)
+    }
+    return dataset, stats, filter_reports
+
+
+def bounds_for(
+    params: Params, model_config: ModelConfig, n_train: int, stats: DatasetStats,
+    filter_report: FilterNormReport, config: SweepConfig,
+) -> BoundReport:
+    """Both bounds for params trained on n_train graphs of the dataset that
+    stats and filter_report describe, under config's alpha, delta and
+    bounded setting. Raises ShapeError when params do not fit the data."""
+    check_shapes(params, stats.feature_dim, model_config)
+    inputs = BoundInputs(
+        n_train, config.train.alpha, stats.n_max, stats.b_f, filter_report.g_max,
+        model_config.readout, config.delta,
+    )
+    return bound_report(params, model_config, inputs, config.bounded_nonlinearity)
+
+
 def coordinate_seeds(
     dataset_name: str,
     beta: float,
@@ -167,7 +199,7 @@ def coordinate_seeds(
 
 def _run_coordinate(
     dataset: GraphDataset,
-    stats,
+    stats: DatasetStats,
     filter_report: FilterNormReport,
     coord: tuple,
     config: SweepConfig,
@@ -178,44 +210,21 @@ def _run_coordinate(
         dataset.name, beta, model_kind, filter_kind, readout, width, seed
     )
     train_set, test_set = split_dataset(dataset, beta, split_seed)
-    model_config = ModelConfig(
-        model_kind=model_kind, filter_kind=filter_kind, width=width, readout=readout
-    )
+    model_config = ModelConfig(model_kind, filter_kind, width, readout)
     params = init_params(model_config, dataset.feature_dim, init_seed)
     train_config = dataclasses.replace(config.train, seed=shuffle_seed)
-    common = {
-        "dataset": dataset.name,
-        "beta": beta,
-        "model": model_kind.value,
-        "filter": filter_kind.value,
-        "readout": readout.value,
-        "width": width,
-        "seed": seed,
-    }
+    values = (dataset.name, beta, model_kind.value, filter_kind.value, readout.value, width, seed)
+    common = dict(zip(COORDINATE_COLUMNS, values))
     try:
         trained, _ = train(params, train_set, train_config, model_config)
     except TrainingDivergenceError:
-        nan = float("nan")
+        outcomes = ("train_risk", "test_risk", "abs_gen_error", "fd_bound", "rademacher_bound")
         return SweepRow(
-            **common,
-            train_risk=nan,
-            test_risk=nan,
-            abs_gen_error=nan,
-            fd_bound=nan,
-            rademacher_bound=nan,
+            **common, **dict.fromkeys(outcomes, float("nan")),
             wall_time_s=time.perf_counter() - started,
         )
     run = measure_generalization(trained, train_set, test_set, model_config)
-    inputs = BoundInputs(
-        n_train=len(train_set),
-        alpha=train_config.alpha,
-        n_max=stats.n_max,
-        b_f=stats.b_f,
-        g_max=filter_report.g_max,
-        readout=readout,
-        delta=config.delta,
-    )
-    report = bound_report(trained, model_config, inputs, config.bounded_nonlinearity)
+    report = bounds_for(trained, model_config, len(train_set), stats, filter_report, config)
     return SweepRow(
         **common,
         train_risk=run.train_risk,
@@ -241,22 +250,16 @@ def run_sweep_on(
     dataset: GraphDataset,
     config: SweepConfig,
     *,
-    stats=None,
-    filter_reports: dict[FilterKind, FilterNormReport] | None = None,
+    stats: DatasetStats,
+    filter_reports: dict[FilterKind, FilterNormReport],
 ) -> list[SweepRow]:
-    """Run the sweep grid against an already-resolved dataset.
+    """Run the sweep grid against an already-resolved dataset, with the
+    stats and filter reports that setup built for it.
 
-    stats and filter_reports may be passed in when the caller has already
-    computed them (they are pure functions of the dataset). The graphs are
-    prepared into one stack per (model, filter), and every coordinate's
-    split indexes into it. The main thread pins OpenBLAS for the call.
+    The graphs are prepared into one stack per (model, filter), and every
+    coordinate's split indexes into it. The main thread pins OpenBLAS for
+    the call.
     """
-    if stats is None:
-        stats = dataset_stats(dataset)
-    filter_reports = dict(filter_reports or {})
-    for kind in dict.fromkeys(config.filters):
-        if kind not in filter_reports:
-            filter_reports[kind] = filter_norm_report(dataset, kind)
     prepared = {
         (model, kind): prepare_dataset(dataset, ModelConfig(model, kind, width=1))
         for model, kind in product(dict.fromkeys(config.models), dict.fromkeys(config.filters))

@@ -54,7 +54,7 @@ from gnnbound.models import (
     prepare_sample,
     readout_scale,
 )
-from gnnbound.sweep import SweepConfig, SweepRow, resolve_dataset, run_sweep_on
+from gnnbound.sweep import SweepConfig, SweepRow, run_sweep_on, setup
 from gnnbound.training import (
     TrainConfig,
     _prepared,
@@ -374,8 +374,6 @@ def permute_sample(sample: GraphSample, perm: Sequence[int]) -> GraphSample:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Resolve the dataset, run every coordinate, return rows in canonical order."""
-    dataset = resolve_dataset(
-        config.dataset, config.data_seed, config.n_graphs, config.feature_dim
-    )
-    return run_sweep_on(dataset, config)
+    """Build the setup, run every coordinate, return rows in canonical order."""
+    dataset, stats, filter_reports = setup(config)
+    return run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)

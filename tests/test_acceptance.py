@@ -26,7 +26,6 @@ from conftest import (
 )
 from gnnbound.data import (
     GraphSample,
-    dataset_stats,
     degrees,
     load_dataset,
     save_dataset,
@@ -34,7 +33,6 @@ from gnnbound.data import (
 from gnnbound.filters import (
     FilterKind,
     apply_filter,
-    filter_norm_report,
     fro_norm,
     inf_norm,
     numerical_rank,
@@ -50,8 +48,8 @@ from gnnbound.models import (
 )
 from gnnbound.bounds import BoundInputs, ModelStats, fd_bound, rademacher_terms
 from gnnbound.report import emit_reports, recompute_bounds_from_record
-from gnnbound.sweep import SweepConfig, resolve_dataset, run_sweep_on
-from gnnbound.synth import SbmSpec, generate_er, generate_sbm, make_dataset, preset_config
+from gnnbound.sweep import SweepConfig, run_sweep_on, setup
+from gnnbound.synth import SbmSpec, generate_er, generate_sbm, preset_config
 from gnnbound.blas import single_threaded_blas
 from gnnbound.training import TrainConfig
 from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm
@@ -142,10 +140,8 @@ def width_means(rows, field):
 
 @pytest.fixture(scope="session")
 def sbm1_context():
-    dataset = make_dataset(preset_config("sbm1", seed=0))
-    stats = dataset_stats(dataset)
-    reports = {FilterKind.SYM_NORM: filter_norm_report(dataset, FilterKind.SYM_NORM)}
-    return dataset, stats, reports
+    # The sym-norm filter of the trend grids (SweepConfig's default).
+    return setup(SweepConfig(dataset="sbm1"))
 
 
 def trend_sweep_config(model: ModelKind) -> SweepConfig:
@@ -405,10 +401,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path, rng):
         n_graphs=16, feature_dim=3, train=TrainConfig(epochs=20, batch_size=8),
     )
     first_dir, second_dir = tmp_path / "first", tmp_path / "second"
-    dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs,
-                              config.feature_dim)
-    stats = dataset_stats(dataset)
-    reports = {k: filter_norm_report(dataset, k) for k in config.filters}
+    dataset, stats, reports = setup(config)
     for out_dir in (first_dir, second_dir):
         rows = run_sweep_on(dataset, config, stats=stats, filter_reports=reports)
         emit_reports(rows, out_dir, config=config, stats=stats, filter_reports=reports)

@@ -45,6 +45,9 @@ CASES = {
     "dataset-feature-bool": (
         {"bad.json": dataset({**GRAPH, "features": [[True], [0.5]]})},
         FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
+    "dataset-feature-int-too-large": (
+        {"bad.json": dataset({**GRAPH, "features": [[10**400], [1.0]]})},
+        FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
     "dataset-not-utf8": (
         {"bad.json": b"\xff\xfe{}"}, FILTERS + ["{dir}/bad.json"],
         "{dir}/bad.json: not UTF-8 text: "),
@@ -56,6 +59,15 @@ CASES = {
         {"p.json": "x", "d.json": dataset()},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
         "{dir}/p.json: invalid JSON at line 1, column 1: Expecting value"),
+    "params-weight-int-too-large": (
+        {"p.json": json.dumps({"model": "gcn", "w1": [[10**400]], "w2": [1.0]}),
+         "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not a valid parameter file: "),
+    "bounds-params-feature-dim": (
+        {"p.json": json.dumps({"model": "gcn", "w1": [[0.5, 0.5, 0.5]], "w2": [1.0]})},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "er5"],
+        "{dir}/p.json: params expect feature_dim 3, data has 16"),
     "sweep-dataset-label-bool": (
         {"bad.json": dataset({**GRAPH, "label": True}),
          "run.cfg": "dataset = {dir}/bad.json\n"},

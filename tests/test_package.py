@@ -60,3 +60,29 @@ def test_only_the_lane_threads_and_the_sweep_pool_start_threads():
             if name in ("ThreadPoolExecutor", "Thread"):
                 constructed.append((path.name, name))
     assert constructed == [("blas.py", "ThreadPoolExecutor"), ("sweep.py", "ThreadPoolExecutor")]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name tree reads, imports or calls, attributes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_setup_and_bounds_each_have_one_home():
+    # sweep.setup builds a sweep's stats and filter reports, and
+    # sweep.bounds_for builds every BoundInputs the commands report from.
+    sweep = ast.parse((PACKAGE / "sweep.py").read_text())
+    [run_sweep_on] = [
+        node for node in sweep.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_sweep_on"
+    ]
+    assert not _names(run_sweep_on) & {"dataset_stats", "filter_norm_report"}
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    assert not _names(cli) & {"BoundInputs", "bound_report"}

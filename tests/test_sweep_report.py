@@ -21,7 +21,7 @@ import gnnbound.sweep as sweep_module
 import gnnbound.training as training_module
 from gnnbound.bounds import BoundInputs, bound_report
 from gnnbound.cli import main
-from gnnbound.data import dataset_stats, to_json_value
+from gnnbound.data import to_json_value
 from gnnbound.filters import FilterKind, filter_norm_report
 from gnnbound.models import (
     GcnParams,
@@ -49,6 +49,7 @@ from gnnbound.sweep import (
     coordinate_seeds,
     resolve_dataset,
     run_sweep_on,
+    setup,
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
@@ -533,12 +534,7 @@ class TestAggregate:
 def emitted(tmp_path_factory):
     out = tmp_path_factory.mktemp("reports")
     config = tiny_config()
-    dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs,
-                              config.feature_dim)
-    stats = dataset_stats(dataset)
-    filter_reports = {
-        kind: filter_norm_report(dataset, kind) for kind in config.filters
-    }
+    dataset, stats, filter_reports = setup(config)
     rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
     paths = emit_reports(rows, out, config=config, stats=stats,
                          filter_reports=filter_reports)
@@ -575,10 +571,7 @@ class TestEmitReports:
     def test_diverged_row_is_null_in_report_json(self, tmp_path):
         config = tiny_config(widths=(2,), seeds=(0,),
                              train=TrainConfig(learning_rate=1e200, epochs=5, batch_size=8))
-        dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs,
-                                  config.feature_dim)
-        stats = dataset_stats(dataset)
-        filter_reports = {kind: filter_norm_report(dataset, kind) for kind in config.filters}
+        dataset, stats, filter_reports = setup(config)
         rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
         assert rows[0].diverged
         paths = emit_reports(rows, tmp_path, config=config, stats=stats,

@@ -568,6 +568,54 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, [], TrainConfig(), config)
 
+    @staticmethod
+    def _partitions_held(monkeypatch) -> list[int]:
+        """How many row partitions a workspace holds after building each one."""
+        held = []
+        runs = Workspace.runs
+
+        def recording(workspace, nodes):
+            fresh = nodes not in workspace._runs
+            result = runs(workspace, nodes)
+            if fresh:
+                held.append(len(workspace._runs))
+            return result
+
+        monkeypatch.setattr(Workspace, "runs", recording)
+        return held
+
+    def test_row_partitions_stay_bounded_on_graphs_of_many_sizes(self, rng, monkeypatch):
+        # Blocks of 2 rows on two lanes, so a partition has several runs.
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        block_rows(monkeypatch, 2, 4)
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
+                             width=4)
+        samples = [random_sample(rng, int(n), 2) for n in rng.integers(2, 30, size=12)]
+        params = init_params(config, 2, seed=3)
+        cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, seed=4)
+        held = self._partitions_held(monkeypatch)
+        trained, history = train(params, samples, cfg, config)
+        bound = models_module._RUNS_KEPT
+        assert len(held) > bound and max(held) <= bound
+        # Every partition kept, as an unbounded cache would: the same bits.
+        held.clear()
+        monkeypatch.setattr(models_module, "_RUNS_KEPT", 10**9)
+        kept_all, kept_history = train(params, samples, cfg, config)
+        assert max(held) > bound
+        assert history == kept_history
+        for field in dataclasses.fields(trained):
+            assert np.array_equal(getattr(trained, field.name), getattr(kept_all, field.name))
+
+    def test_equal_size_graphs_build_each_partition_once(self, rng, monkeypatch):
+        # 7 graphs of 5 nodes in batches of 3: totals of 15 and 5 nodes.
+        config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM,
+                             width=4)
+        samples = [random_sample(rng, 5, 2) for _ in range(7)]
+        params = init_params(config, 2, seed=3)
+        held = self._partitions_held(monkeypatch)
+        train(params, samples, TrainConfig(epochs=4, batch_size=3, seed=4), config)
+        assert held == [1, 2]
+
 
 class TestChunkedRisk:
     """empirical_risk runs one forward over the whole set in row blocks, whose
