@@ -1,18 +1,24 @@
 """Closed-form generalization bounds for the one-hidden-layer graph models.
 
-Two families are implemented, both computable from a trained parameter
-container plus a handful of dataset/filter statistics:
+Both bounds come from one evaluator, report_from_stats, which takes the
+trained weight norms (ModelStats) and the dataset- and training-level inputs
+(BoundInputs) and computes, in this order:
 
-* Functional-derivative bounds: O(alpha * C^2 / n) where C collects the
-  Lipschitz chain through the network (readout, outer nonlinearity, filter
-  norm cap g_max, feature norm cap, and the trained weight norms).
-* A Rademacher-complexity bound: 4t*sqrt(t*alpha/n) + 3*M_ell*sqrt(log(2/delta)/(2n))
-  with t the uniform cap on |loss'| * |model output| along the same chain.
+* the per-unit cap c on |f(z)| along the Lipschitz chain through the
+  filtered features: Lip(phi) * ||w1|| * g_max * b_F for GCN, and
+  Lip(kappa) * b_F * (||w3|| + g_max * Lip(rho) * Lip(zeta) * ||w1||) for
+  MPGNN. When bounded is set and the outer nonlinearity is bounded (tanh,
+  centered sigmoid), c is min(chain, sup|f|); bounded=False keeps the chain.
+* the model-output cap B = max|w2| * c * (readout Lipschitz constant * N_max),
+  where the last factor is 1 for mean readout and N_max for sum readout;
+* t = |loss'| cap * B, with |loss'| <= 1 for the logistic loss;
+* the functional-derivative bound alpha * t^2 / n;
+* the Rademacher bound 4t*sqrt(t*alpha/n) + 3*M_ell*sqrt(log(2/delta)/(2n)),
+  with M_ell = log(1 + exp(B)) the largest loss reachable at |yhat| <= B.
 
 Weight norms enter as the maximum unit-row norm (for w1, w3) and the maximum
-absolute entry (for w2). When the outer nonlinearity is bounded (tanh,
-centered sigmoid), the per-unit cap min(bound, Lipschitz-chain product) is
-used; setting bounded=False keeps the pure Lipschitz product.
+absolute entry (for w2). bound_report is the evaluator applied to a
+parameter container's norms.
 """
 
 from __future__ import annotations
@@ -54,13 +60,14 @@ class BoundInputs:
     def __post_init__(self):
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
-        if self.alpha <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.b_f <= 0:
-            raise ValueError("b_f must be positive")
-        if self.g_max <= 0:
+        if not self.b_f >= 0:
+            raise ValueError("b_f must be >= 0")
+        if not self.g_max > 0:
             raise ValueError("g_max must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -100,63 +107,6 @@ def max_logistic_loss(output_bound: float) -> float:
     return output_bound + math.log1p(math.exp(-output_bound))
 
 
-def _unit_cap(config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool) -> float:
-    """Cap on one hidden unit's pre-w2 output |f(z)|, via the Lipschitz chain
-    through the filtered features (and optionally the nonlinearity's range)."""
-    outer = config.outer
-    if config.model_kind is ModelKind.GCN:
-        chain = outer.lipschitz * stats.w1_row_norm_max * inputs.g_max * inputs.b_f
-    else:
-        if stats.w3_row_norm_max is None:
-            raise ValueError("MPGNN bound needs w3 statistics")
-        aggregated = inputs.g_max * config.rho.lipschitz * config.zeta.lipschitz * stats.w1_row_norm_max
-        core = stats.w3_row_norm_max + aggregated
-        chain = outer.lipschitz * inputs.b_f * core
-    if bounded and outer.cap is not None:
-        return min(outer.cap, chain)
-    return chain
-
-
-def model_output_cap(
-    config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
-) -> float:
-    """Uniform cap on |yhat| over graphs with at most n_max nodes."""
-    per_unit = stats.w2_abs_max * _unit_cap(config, stats, inputs, bounded)
-    return per_unit * inputs.readout_node_factor
-
-
-def fd_bound(
-    config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
-) -> float:
-    """Functional-derivative bound alpha * (|loss'| cap * model-output cap)^2 / n."""
-    scaled = LOGISTIC_GRAD_CAP * model_output_cap(config, stats, inputs, bounded)
-    return inputs.alpha * scaled * scaled / inputs.n_train
-
-
-def rademacher_terms(
-    config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
-) -> tuple[float, float]:
-    """(complexity term, confidence term) of the Rademacher bound.
-
-    t = |loss'| cap times the model-output cap; the first term is
-    4*t*sqrt(t*alpha/n), the second 3*M_ell*sqrt(log(2/delta)/(2n)) with
-    M_ell the loss value at the output cap.
-    """
-    out_cap = model_output_cap(config, stats, inputs, bounded)
-    t = LOGISTIC_GRAD_CAP * out_cap
-    complexity = 4.0 * t * math.sqrt(t * inputs.alpha / inputs.n_train)
-    m_ell = max_logistic_loss(out_cap)
-    confidence = 3.0 * m_ell * math.sqrt(math.log(2.0 / inputs.delta) / (2.0 * inputs.n_train))
-    return complexity, confidence
-
-
-def rademacher_bound(
-    config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
-) -> float:
-    complexity, confidence = rademacher_terms(config, stats, inputs, bounded)
-    return complexity + confidence
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Both bounds for one trained model, with the quantities that built them.
@@ -183,24 +133,47 @@ class BoundReport:
 
     @property
     def bounded(self) -> bool:
-        """bound_report's bounded argument, read back from the variant."""
+        """The evaluator's bounded argument, read back from the variant."""
         return self.variant.split("-")[1] == "bounded"
 
 
-def bound_report(
-    params: Params, config: ModelConfig, inputs: BoundInputs, bounded: bool = True
+def report_from_stats(
+    config: ModelConfig, stats: ModelStats, inputs: BoundInputs, bounded: bool = True
 ) -> BoundReport:
-    stats = extract_model_stats(params)
-    complexity, confidence = rademacher_terms(config, stats, inputs, bounded)
+    """Both bounds from weight norms and bound inputs, by the module
+    docstring's formulas, in its order."""
+    outer = config.outer
+    if config.model_kind is ModelKind.GCN:
+        chain = outer.lipschitz * stats.w1_row_norm_max * inputs.g_max * inputs.b_f
+    else:
+        if stats.w3_row_norm_max is None:
+            raise ValueError("MPGNN bound needs w3 statistics")
+        aggregated = inputs.g_max * config.rho.lipschitz * config.zeta.lipschitz * stats.w1_row_norm_max
+        chain = outer.lipschitz * inputs.b_f * (stats.w3_row_norm_max + aggregated)
+    # chain first, so that a NaN chain stays NaN.
+    unit_cap = min(chain, outer.cap) if bounded and outer.cap is not None else chain
+    out_cap = stats.w2_abs_max * unit_cap * inputs.readout_node_factor
+    t = LOGISTIC_GRAD_CAP * out_cap
+    complexity = 4.0 * t * math.sqrt(t * inputs.alpha / inputs.n_train)
+    confidence = 3.0 * max_logistic_loss(out_cap) * math.sqrt(
+        math.log(2.0 / inputs.delta) / (2.0 * inputs.n_train)
+    )
     form = "bounded" if bounded else "lipschitz"
     return BoundReport(
-        fd_bound=fd_bound(config, stats, inputs, bounded),
+        fd_bound=inputs.alpha * t * t / inputs.n_train,
         rademacher_bound=complexity + confidence,
         rademacher_complexity_term=complexity,
         rademacher_confidence_term=confidence,
-        model_output_cap=model_output_cap(config, stats, inputs, bounded),
+        model_output_cap=out_cap,
         variant=f"{config.model_kind.value}-{form}-{inputs.readout.value}",
         stats=stats,
         inputs=inputs,
         config=config,
     )
+
+
+def bound_report(
+    params: Params, config: ModelConfig, inputs: BoundInputs, bounded: bool = True
+) -> BoundReport:
+    """report_from_stats on the weight norms of params."""
+    return report_from_stats(config, extract_model_stats(params), inputs, bounded)

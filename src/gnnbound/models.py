@@ -418,6 +418,10 @@ def load_params(path) -> Params:
     record = read_json(path, ValueError)
     try:
         cls = _CONTAINERS[ModelKind(record["model"])]
-        return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
+        params = cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
+        for f in dataclasses.fields(params):
+            if not np.isfinite(getattr(params, f.name)).all():
+                raise ValueError(f"{f.name} holds a weight that is not finite")
+        return params
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: not a valid parameter file: {exc}") from exc

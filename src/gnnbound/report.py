@@ -24,7 +24,7 @@ from html import escape
 from pathlib import Path
 from typing import Sequence
 
-from .bounds import BoundReport, fd_bound, rademacher_bound
+from .bounds import BoundReport, report_from_stats
 from .data import DatasetStats, from_plain, to_json_value
 from .filters import FilterKind, FilterNormReport
 from .sweep import COORDINATE_COLUMNS, SweepConfig, SweepRow
@@ -206,9 +206,9 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     if echo is None:
         coordinate = ", ".join(f"{key}={record[key]}" for key in COORDINATE_COLUMNS)
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
-    report = from_plain(BoundReport, echo)
-    args = (report.config, report.stats, report.inputs, report.bounded)
-    return fd_bound(*args), rademacher_bound(*args)
+    echoed = from_plain(BoundReport, echo)
+    report = report_from_stats(echoed.config, echoed.stats, echoed.inputs, echoed.bounded)
+    return report.fd_bound, report.rademacher_bound
 
 
 # ---------------------------------------------------------------------------

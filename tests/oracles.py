@@ -12,7 +12,9 @@ from its full edge-probability matrix and pairs made for it alone instead of
 from a pair table made once per dataset, and a filter norm report one matrix
 and one SVD at a time instead of in stacked runs on lanes, a filter matrix
 from the adjacency as float64 instead of bool, and a dataset record's edges
-read and written one edge at a time instead of in bulk. The risks and
+read and written one edge at a time instead of in bulk, and the two bounds
+from their closed forms with the nonlinearities' constants tabled here
+instead of read from the library. The risks and
 gradients of a list of samples, the node relabelling of a sample and the
 whole sweep from its config are built here from the library's parts.
 """
@@ -20,6 +22,7 @@ whole sweep from its config are built here from the library's parts.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -377,3 +380,34 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Build the setup, run every coordinate, return rows in canonical order."""
     dataset, stats, filter_reports = setup(config)
     return run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+
+
+# Lipschitz constant and sup |f| of each nonlinearity, by its config name.
+_LIPSCHITZ = {"tanh": 1.0, "sigmoid-centered": 0.25, "identity": 1.0}
+_SUP = {"tanh": 1.0, "sigmoid-centered": 0.5, "identity": math.inf}
+
+
+def closed_form_bounds(config, stats, inputs, bounded: bool) -> dict[str, float]:
+    """The model-output cap, the fd bound and the Rademacher terms and bound,
+    from bounds.py's module docstring formulas with the nonlinearities'
+    constants tabled here; it reads plain fields of its arguments only."""
+    outer = config.activation if config.model_kind.value == "gcn" else config.kappa
+    if config.model_kind.value == "gcn":
+        chain = stats.w1_row_norm_max * inputs.g_max
+    else:
+        rho, zeta = _LIPSCHITZ[config.rho.value], _LIPSCHITZ[config.zeta.value]
+        chain = stats.w3_row_norm_max + inputs.g_max * rho * zeta * stats.w1_row_norm_max
+    chain *= _LIPSCHITZ[outer.value] * inputs.b_f
+    unit = min(chain, _SUP[outer.value]) if bounded else chain
+    nodes = inputs.n_max if inputs.readout.value == "sum" else 1
+    cap = stats.w2_abs_max * unit * nodes
+    n = inputs.n_train
+    complexity = 4.0 * cap**1.5 * math.sqrt(inputs.alpha / n)
+    confidence = 3.0 * float(np.logaddexp(0.0, cap)) * math.sqrt(math.log(2 / inputs.delta) / (2 * n))
+    return {
+        "model_output_cap": cap,
+        "fd_bound": inputs.alpha * cap**2 / n,
+        "rademacher_complexity_term": complexity,
+        "rademacher_confidence_term": confidence,
+        "rademacher_bound": complexity + confidence,
+    }

@@ -46,7 +46,7 @@ from gnnbound.models import (
     Readout,
     init_params,
 )
-from gnnbound.bounds import BoundInputs, ModelStats, fd_bound, rademacher_terms
+from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.report import emit_reports, recompute_bounds_from_record
 from gnnbound.sweep import SweepConfig, run_sweep_on, setup
 from gnnbound.synth import SbmSpec, generate_er, generate_sbm, preset_config
@@ -294,25 +294,27 @@ def test_criterion_4_bound_scaling_laws():
         n_max = int(rng.integers(1, 200))
         g_max = float(rng.uniform(0.2, 3))
 
-        def inputs(n_train, readout):
-            return BoundInputs(n_train=n_train, alpha=ALPHA, n_max=n_max, b_f=1.0,
-                               g_max=g_max, readout=readout)
+        def report(config, n_train, readout, bounded):
+            inputs = BoundInputs(n_train=n_train, alpha=ALPHA, n_max=n_max, b_f=1.0,
+                                 g_max=g_max, readout=readout)
+            return report_from_stats(config, stats, inputs, bounded)
+
+        def terms(report):
+            return report.rademacher_complexity_term, report.rademacher_confidence_term
 
         for config in (gcn, mpgnn):
             for bounded in (True, False):
                 for readout in Readout:
-                    b_n = fd_bound(config, stats, inputs(n, readout), bounded=bounded)
-                    b_2n = fd_bound(config, stats, inputs(2 * n, readout), bounded=bounded)
+                    b_n = report(config, n, readout, bounded).fd_bound
+                    b_2n = report(config, 2 * n, readout, bounded).fd_bound
                     worst_half = max(worst_half, abs(b_2n - b_n / 2) / b_n)
-                t_n = rademacher_terms(config, stats, inputs(n, Readout.MEAN),
-                                       bounded=bounded)
-                t_4n = rademacher_terms(config, stats, inputs(4 * n, Readout.MEAN),
-                                        bounded=bounded)
+                t_n = terms(report(config, n, Readout.MEAN, bounded))
+                t_4n = terms(report(config, 4 * n, Readout.MEAN, bounded))
                 for a, b in zip(t_4n, t_n):
                     if b > 0:
                         worst_quarter = max(worst_quarter, abs(a - b / 2) / b)
-            mean_b = fd_bound(config, stats, inputs(n, Readout.MEAN), bounded=False)
-            sum_b = fd_bound(config, stats, inputs(n, Readout.SUM), bounded=False)
+            mean_b = report(config, n, Readout.MEAN, False).fd_bound
+            sum_b = report(config, n, Readout.SUM, False).fd_bound
             worst_ratio = max(worst_ratio, abs(sum_b - n_max**2 * mean_b) / sum_b)
     ok = worst_half <= 1e-12 and worst_quarter <= 1e-12 and worst_ratio <= 1e-12
     check(4, ok, (

@@ -12,11 +12,8 @@ from gnnbound.bounds import (
     ModelStats,
     bound_report,
     extract_model_stats,
-    fd_bound,
     max_logistic_loss,
-    model_output_cap,
-    rademacher_bound,
-    rademacher_terms,
+    report_from_stats,
 )
 from gnnbound.data import to_json_value
 from gnnbound.filters import FilterKind
@@ -33,6 +30,20 @@ from oracles import zeros_like_params
 
 GCN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
 MPGNN = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=1)
+
+
+# The evaluator's fields, one helper per quantity the tests below check.
+def fd_bound(config, stats, inputs, bounded=True):
+    return report_from_stats(config, stats, inputs, bounded).fd_bound
+
+
+def rademacher_terms(config, stats, inputs, bounded=True):
+    report = report_from_stats(config, stats, inputs, bounded)
+    return report.rademacher_complexity_term, report.rademacher_confidence_term
+
+
+def model_output_cap(config, stats, inputs, bounded=True):
+    return report_from_stats(config, stats, inputs, bounded).model_output_cap
 
 
 def inputs_for(n_train=140, alpha=100.0, n_max=100, b_f=1.0, g_max=1.0,
@@ -235,8 +246,9 @@ class TestRademacher:
 
     def test_bound_is_sum_of_terms(self):
         stats = ModelStats(w1_row_norm_max=0.8, w2_abs_max=1.4, w3_row_norm_max=None)
-        terms = rademacher_terms(GCN, stats, inputs_for(g_max=1.2))
-        assert rademacher_bound(GCN, stats, inputs_for(g_max=1.2)) == sum(terms)
+        report = report_from_stats(GCN, stats, inputs_for(g_max=1.2))
+        terms = (report.rademacher_complexity_term, report.rademacher_confidence_term)
+        assert report.rademacher_bound == sum(terms)
 
     def test_quadrupling_n_halves_each_term(self):
         stats = ModelStats(w1_row_norm_max=0.8, w2_abs_max=1.4, w3_row_norm_max=0.3)
@@ -319,10 +331,14 @@ class TestBoundInputsValidation:
         {"n_train": 0},
         {"alpha": 0.0},
         {"n_max": 0},
-        {"b_f": 0.0},
+        {"b_f": -1.0},
         {"g_max": 0.0},
         {"delta": 0.0},
         {"delta": 1.0},
+        {"alpha": math.nan},
+        {"b_f": math.nan},
+        {"g_max": math.nan},
+        {"delta": math.nan},
     ])
     def test_invalid_inputs_rejected(self, kwargs):
         base = dict(n_train=140, alpha=100.0, n_max=100, b_f=1.0, g_max=1.0,
@@ -330,3 +346,21 @@ class TestBoundInputsValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             BoundInputs(**base)
+
+    @pytest.mark.parametrize("config", [GCN, MPGNN])
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_zero_features_give_zero_cap_and_fd_bound(self, config, bounded):
+        stats = ModelStats(w1_row_norm_max=0.8, w2_abs_max=1.4, w3_row_norm_max=0.3)
+        report = report_from_stats(config, stats, inputs_for(b_f=0.0), bounded)
+        assert (report.model_output_cap, report.fd_bound) == (0.0, 0.0)
+        assert report.rademacher_complexity_term == 0.0
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_params_with_a_nan_weight_give_nan_bounds(self, bounded):
+        # A NaN chain is not capped to the nonlinearity's range.
+        params = GcnParams(w1=np.array([[math.nan]]), w2=np.array([1.0]))
+        report = bound_report(params, GCN, inputs_for(), bounded)
+        assert math.isnan(report.model_output_cap)
+        assert math.isnan(report.fd_bound) and math.isnan(report.rademacher_bound)

@@ -64,6 +64,14 @@ CASES = {
          "d.json": dataset()},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
         "{dir}/p.json: not a valid parameter file: "),
+    "params-weight-nan": (
+        {"p.json": '{"model": "gcn", "w1": [[NaN]], "w2": [1.0]}', "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not a valid parameter file: w1 "),
+    "params-weight-infinity": (
+        {"p.json": '{"model": "gcn", "w1": [[1.0]], "w2": [Infinity]}', "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not a valid parameter file: w2 "),
     "bounds-params-feature-dim": (
         {"p.json": json.dumps({"model": "gcn", "w1": [[0.5, 0.5, 0.5]], "w2": [1.0]})},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "er5"],

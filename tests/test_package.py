@@ -78,6 +78,8 @@ def _names(tree: ast.AST) -> set[str]:
 def test_setup_and_bounds_each_have_one_home():
     # sweep.setup builds a sweep's stats and filter reports, and
     # sweep.bounds_for builds every BoundInputs the commands report from.
+    # bounds.report_from_stats is the one bound formula: bound_report and
+    # report.json's recomputation both go through it.
     sweep = ast.parse((PACKAGE / "sweep.py").read_text())
     [run_sweep_on] = [
         node for node in sweep.body
@@ -86,3 +88,16 @@ def test_setup_and_bounds_each_have_one_home():
     assert not _names(run_sweep_on) & {"dataset_stats", "filter_norm_report"}
     cli = ast.parse((PACKAGE / "cli.py").read_text())
     assert not _names(cli) & {"BoundInputs", "bound_report"}
+    bounds = ast.parse((PACKAGE / "bounds.py").read_text())
+    public = {
+        node.name for node in bounds.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public == {"extract_model_stats", "max_logistic_loss", "report_from_stats", "bound_report"}
+    report = ast.parse((PACKAGE / "report.py").read_text())
+    imported = {
+        alias.name for node in report.body
+        if isinstance(node, ast.ImportFrom) and node.module == "bounds" and node.level == 1
+        for alias in node.names
+    }
+    assert imported == {"BoundReport", "report_from_stats"}

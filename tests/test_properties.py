@@ -1,5 +1,5 @@
-"""Property tests of the file formats, the config reader and the minibatch
-gather (hypothesis).
+"""Property tests of the file formats, the config reader, the minibatch
+gather and the bound evaluator (hypothesis).
 
 No test here trains: a drawn config holds one unparseable value, so the
 command stops before any work, and a drawn gather stacks at most 12 graphs
@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_sample
+from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.cli import (
     BOUNDS_TABLE,
     SPEC_TABLES,
@@ -37,13 +39,19 @@ from gnnbound.data import (
     GraphSample,
     load_dataset,
     save_dataset,
+    to_json_value,
 )
 from gnnbound.filters import FilterKind
-from gnnbound.models import ModelConfig, ModelKind, prepare_sample
-from gnnbound.report import ROW_COLUMNS, read_rows_csv, write_rows_csv
+from gnnbound.models import ModelConfig, ModelKind, Nonlinearity, Readout, prepare_sample
+from gnnbound.report import (
+    ROW_COLUMNS,
+    read_rows_csv,
+    recompute_bounds_from_record,
+    write_rows_csv,
+)
 from gnnbound.sweep import SweepRow
 from gnnbound.training import prepare_dataset
-from oracles import adjacency_edge_by_edge, stack
+from oracles import adjacency_edge_by_edge, closed_form_bounds, stack
 
 TABLES = {
     "train": TRAIN_TABLE,
@@ -277,3 +285,58 @@ def test_minibatches_equal_the_concatenated_graphs(data):
             assert np.array_equal(batch.labels, want.labels)
             assert np.array_equal(batch.node_counts, want.node_counts)
             assert np.array_equal(batch.starts, want.starts)
+
+
+# A weight norm is 0 or well inside the normal range: a squared cap near the
+# subnormals loses the digits that rel 1e-12 compares.
+norms = st.just(0.0) | st.floats(1e-3, 10.0)
+
+
+@st.composite
+def bound_cases(draw) -> tuple[ModelConfig, ModelStats, BoundInputs, bool]:
+    model = draw(st.sampled_from(list(ModelKind)))
+    readout = draw(st.sampled_from(list(Readout)))
+    nonlinearities = st.sampled_from(list(Nonlinearity))
+    config = ModelConfig(
+        model, FilterKind.SYM_NORM, width=1, readout=readout,
+        **{name: draw(nonlinearities) for name in ("activation", "zeta", "rho", "kappa")},
+    )
+    stats = ModelStats(
+        w1_row_norm_max=draw(norms),
+        w2_abs_max=draw(norms),
+        w3_row_norm_max=draw(norms) if model is ModelKind.MPGNN else None,
+    )
+    inputs = BoundInputs(
+        n_train=draw(st.integers(1, 100_000)),
+        alpha=draw(st.floats(1e-3, 1e4)),
+        n_max=draw(st.integers(1, 1000)),
+        b_f=draw(st.just(0.0) | st.floats(1e-3, 100.0)),
+        g_max=draw(st.floats(1e-3, 100.0)),
+        readout=readout,
+        delta=draw(st.floats(1e-6, 1.0, exclude_max=True)),
+    )
+    return config, stats, inputs, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+def test_bound_evaluator_matches_oracle_and_recomputes_from_its_echo(case):
+    config, stats, inputs, bounded = case
+    report = report_from_stats(config, stats, inputs, bounded)
+    for name, expected in closed_form_bounds(config, stats, inputs, bounded).items():
+        assert math.isclose(getattr(report, name), expected, rel_tol=1e-12), name
+
+    row = SweepRow(
+        dataset="d", beta=0.5, model=config.model_kind.value, filter=config.filter_kind.value,
+        readout=config.readout.value, width=1, seed=0, train_risk=0.7, test_risk=0.7,
+        abs_gen_error=0.0, fd_bound=report.fd_bound, rademacher_bound=report.rademacher_bound,
+        wall_time_s=0.0, bounds=report,
+    )
+    record = json.loads(json.dumps(to_json_value(row), allow_nan=False))
+    recomputed = recompute_bounds_from_record(record)
+    assert [x.hex() for x in recomputed] == [row.fd_bound.hex(), row.rademacher_bound.hex()]
+
+    lipschitz = report_from_stats(config, stats, inputs, bounded=False)
+    assert report_from_stats(config, stats, inputs, bounded=True).model_output_cap <= (
+        lipschitz.model_output_cap
+    )

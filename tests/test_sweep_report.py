@@ -783,6 +783,34 @@ class TestCli:
         assert report["fd_bound"] == 0.0
         assert report["variant"].startswith("gcn-")
 
+    def test_all_zero_features_give_zero_fd_bounds(self, tmp_path, capsys):
+        # b_F = 0: every output is 0, so the gap and the fd bound are 0.
+        graph = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[0.0, 0.0]] * 3}
+        dataset_path = self._write(tmp_path / "zeros.json", json.dumps({
+            "name": "zeros", "feature_dim": 2,
+            "graphs": [{**graph, "label": label} for label in (1, -1, 1, -1)],
+        }))
+        config = self._write(tmp_path / "sweep.cfg", "\n".join([
+            f"dataset = {dataset_path}",
+            "betas = 0.5",
+            "widths = 2",
+            "seeds = 0",
+            "models = gcn, mpgnn",
+            "filters = sym-norm",
+            "readouts = mean, sum",
+            "epochs = 2",
+            "batch_size = 2",
+        ]))
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows_csv(tmp_path / "out" / "rows.csv")
+        assert len(rows) == 4
+        assert all(row.fd_bound == 0.0 and row.abs_gen_error == 0.0 for row in rows)
+        params_path = tmp_path / "params.json"
+        save_params(GcnParams(w1=np.ones((3, 2)), w2=np.ones(3)), params_path)
+        capsys.readouterr()
+        assert main(["bounds", "--params", str(params_path), "--dataset", dataset_path]) == 0
+        assert json.loads(capsys.readouterr().out)["fd_bound"] == 0.0
+
     def test_bounds_command_rejects_beta_that_empties_the_test_split(self, tmp_path, capsys):
         # 4 graphs at beta 0.9 round to 4 training graphs, as split_dataset refuses.
         dataset_path = tmp_path / "ds.json"
