@@ -161,6 +161,23 @@ def degrees(sample: GraphSample) -> np.ndarray:
     return sample.adjacency.sum(axis=1).astype(np.int64)
 
 
+def _largest_row_norm(features: np.ndarray) -> float:
+    """Largest Euclidean norm of the feature rows. A row whose plain norm
+    overflows is taken again with its largest |entry| factored out; a norm
+    beyond float64 raises ValidationError."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(features, axis=1)
+        overflowed = ~np.isfinite(norms)
+        if overflowed.any():
+            rows = features[overflowed]
+            scale = np.abs(rows).max(axis=1)
+            norms[overflowed] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
+    largest = float(norms.max())
+    if not np.isfinite(largest):
+        raise ValidationError("a feature row norm exceeds the float64 range")
+    return largest
+
+
 def dataset_stats(dataset: GraphDataset) -> DatasetStats:
     """Exact maxima/minima over all samples and nodes."""
     n_max = 0
@@ -173,7 +190,7 @@ def dataset_stats(dataset: GraphDataset) -> DatasetStats:
         d_max = max(d_max, int(degs.max()))
         sample_min = int(degs.min())
         d_min = sample_min if d_min is None else min(d_min, sample_min)
-        b_f = max(b_f, float(np.linalg.norm(sample.features, axis=1).max()))
+        b_f = max(b_f, _largest_row_norm(sample.features))
     return DatasetStats(
         n_graphs=len(dataset),
         n_max=n_max,

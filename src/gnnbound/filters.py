@@ -155,10 +155,18 @@ def _runs(dataset: GraphDataset) -> list[list[GraphSample]]:
 def _lane_extrema(
     kind: FilterKind, runs: list[list[GraphSample]], buffer: np.ndarray
 ) -> list[tuple[float, float, int, int, int]]:
-    """Largest inf norm, Frobenius norm and rank of each run's filter
-    matrices, which are stacked in turn in buffer, the ranks of a run from
-    one call, with the run's largest and smallest node degree."""
+    """Largest inf norm and Frobenius norm of each run's filter matrices,
+    which are stacked in turn in buffer, the lane's rank floor after the run,
+    and the run's largest and smallest node degree.
+
+    The rank floor is the largest rank the lane has found so far. The
+    numerical rank of an n x n matrix is at most n, so a run of n-node graphs
+    with n not above the floor cannot raise it and takes no SVD. Any other
+    run ranks its first graph alone, and the rest of the run in one stacked
+    call only when that graph's rank is below n.
+    """
     extrema = []
+    floor = 0
     for run in runs:
         n = run[0].node_count
         stack = buffer[: len(run) * n * n].reshape(len(run), n, n)
@@ -169,8 +177,12 @@ def _lane_extrema(
             inf_max = max(inf_max, inf_norm(filtered))
             fro_max = max(fro_max, fro_norm(filtered))
         degs = np.concatenate([degrees(sample) for sample in run])
-        rank_max = int(numerical_rank(stack).max())
-        extrema.append((inf_max, fro_max, rank_max, int(degs.max()), int(degs.min())))
+        if n > floor:
+            rank = numerical_rank(stack[0])
+            if rank < n and len(run) > 1:
+                rank = max(rank, int(numerical_rank(stack[1:]).max()))
+            floor = max(floor, rank)
+        extrema.append((inf_max, fro_max, floor, int(degs.max()), int(degs.min())))
     return extrema
 
 
@@ -180,11 +192,16 @@ def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormRep
     two, and the bounds at the dataset's degree extrema.
 
     The graphs go in runs (see _runs), each filtered into its lane's stack
-    buffer, whose ranks take one call. On the main thread the runs are dealt
-    to one lane per usable CPU (blas.on_lanes), the first lane being the
-    calling thread, and OpenBLAS is pinned to one thread, whose idle siblings
-    would otherwise spin beside them; elsewhere the calling thread takes them
-    all. An extremum does not depend on the order its terms come in.
+    buffer. Only the SVDs that can raise rank_max are taken: a run whose
+    node count is not above its lane's largest rank so far takes none, and
+    any other run ranks its first graph alone, then the rest in one stacked
+    call only when that graph's rank is below its node count (see
+    _lane_extrema). On the main thread the runs are dealt to one lane per
+    usable CPU (blas.on_lanes), the first lane being the calling thread, and
+    OpenBLAS is pinned to one thread, whose idle siblings would otherwise
+    spin beside them; elsewhere the calling thread takes them all. An
+    extremum does not depend on the order its terms come in, and the largest
+    rank of every lane is the dataset's.
     """
     runs = _runs(dataset)
     lanes = min(lane_count(), len(runs))

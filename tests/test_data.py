@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -216,9 +217,16 @@ class TestStats:
         assert stats.b_f == 1.0
 
     def test_b_f_is_max_feature_row_norm(self):
-        sample = sample_from_edges(2, [(0, 1)], features=[[3.0, 4.0], [0.0, 1.0]])
-        stats = dataset_stats(GraphDataset.from_samples([sample], name="x"))
-        assert stats.b_f == 5.0
+        # The squares of 1e308 overflow, the row's norm sqrt(2) * 1e308 does not.
+        for features in ([[3.0, 4.0], [0.0, 1.0]], [[1e308, 1e308], [3.0, 4.0]]):
+            sample = sample_from_edges(2, [(0, 1)], features=features)
+            stats = dataset_stats(GraphDataset.from_samples([sample], name="x"))
+            assert stats.b_f == math.hypot(*features[0])
+
+    def test_b_f_beyond_float64_is_refused(self):
+        sample = sample_from_edges(2, [(0, 1)], features=[[1.5e308, -1.5e308], [3.0, 4.0]])
+        with pytest.raises(ValidationError, match="feature row norm"):
+            dataset_stats(GraphDataset.from_samples([sample], name="x"))
 
     def test_stats_invariant_under_node_permutation(self, rng):
         ds = random_dataset(rng, 10, 2)

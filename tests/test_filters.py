@@ -268,12 +268,22 @@ class TestNormReportRuns:
     """filter_norm_report filters runs of graphs into stacks, on lanes on the
     main thread; its report must equal the one-matrix-at-a-time oracle's (==)."""
 
-    @staticmethod
-    def mixed_dataset(rng) -> GraphDataset:
-        # Three node counts, interleaved, some repeated back to back.
-        sizes = [6, 6, 11, 3, 3, 3, 11, 6, 11, 11, 3, 6, 6, 6, 6, 3, 11]
+    # Three node counts, interleaved, some repeated back to back.
+    MIXED_SIZES = [6, 6, 11, 3, 3, 3, 11, 6, 11, 11, 3, 6, 6, 6, 6, 3, 11]
+
+    @classmethod
+    def mixed_dataset(cls, rng) -> GraphDataset:
         return GraphDataset.from_samples(
-            [random_sample(rng, n, 2, edge_prob=0.4) for n in sizes], name="mixed"
+            [random_sample(rng, n, 2, edge_prob=0.4) for n in cls.MIXED_SIZES], name="mixed"
+        )
+
+    @staticmethod
+    def path_dataset(sizes) -> GraphDataset:
+        """Path graphs, whose random-walk filters each have rank n - 1: a path
+        is bipartite, so D^{-1}A has the eigenvalue -1."""
+        return GraphDataset.from_samples(
+            [sample_from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in sizes],
+            name="paths",
         )
 
     def test_runs_break_at_every_size_change_and_at_the_byte_cap(self, rng, monkeypatch):
@@ -312,7 +322,12 @@ class TestNormReportRuns:
         assert [int(degrees(s).min()) for s in isolated].count(0) == 1
         second = filters_module._runs(isolated)[1]
         assert len(second) == 1 and second[0] is isolated[2]
-        for dataset in (mixed, isolated):
+        # A rank-deficient dataset: no run's first graph has rank n, so every
+        # run the rank floor lets through is ranked whole.
+        paths = self.path_dataset(self.MIXED_SIZES)
+        assert [numerical_rank(apply_filter(FilterKind.RANDOM_WALK, s)) for s in paths] == [
+            n - 1 for n in self.MIXED_SIZES]
+        for dataset in (mixed, isolated, paths):
             for kind in ALL_KINDS:
                 assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(
                     dataset, kind
@@ -323,6 +338,30 @@ class TestNormReportRuns:
         dataset = make_dataset(preset_config("sbm1", n_graphs=60))
         for kind in ALL_KINDS:
             assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_ranks_only_the_graphs_that_can_raise_rank_max(self, monkeypatch, lanes):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
+        handed = []
+        rank_of = filters_module.numerical_rank
+
+        def counting(matrices):
+            handed.append(1 if matrices.ndim == 2 else len(matrices))
+            return rank_of(matrices)
+
+        monkeypatch.setattr(filters_module, "numerical_rank", counting)
+        # Full-rank sbm1 graphs in three runs: the first graph a lane ranks
+        # has rank 100, which no 100-node graph can exceed.
+        sbm1 = make_dataset(preset_config("sbm1", n_graphs=60))
+        assert filter_norm_report(sbm1, FilterKind.SYM_NORM).rank_max == 100
+        assert 1 <= sum(handed) <= lanes
+        # Four runs of three 10-node paths under random-walk: every graph has
+        # rank 9, below its node count, so every graph is ranked.
+        handed.clear()
+        monkeypatch.setattr(filters_module, "_RUN_BYTES", 3 * 10 * 10 * 8)
+        paths = self.path_dataset([10] * 12)
+        assert filter_norm_report(paths, FilterKind.RANDOM_WALK).rank_max == 9
+        assert sum(handed) == len(paths)
 
     def test_every_graph_is_filtered_once(self, rng, monkeypatch):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)

@@ -21,7 +21,7 @@ import gnnbound.sweep as sweep_module
 import gnnbound.training as training_module
 from gnnbound.bounds import BoundInputs, bound_report
 from gnnbound.cli import main
-from gnnbound.data import to_json_value
+from gnnbound.data import GraphDataset, GraphSample, save_dataset, to_json_value
 from gnnbound.filters import FilterKind, filter_norm_report
 from gnnbound.models import (
     GcnParams,
@@ -53,6 +53,7 @@ from gnnbound.sweep import (
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
+from conftest import random_dataset
 from oracles import run_sweep
 
 
@@ -242,18 +243,22 @@ class TestSweep:
         seen = []
         numerical_rank = filters_module.numerical_rank
 
-        def recording(stack):
-            seen.append((threads(), len(stack)))
-            return numerical_rank(stack)
+        def recording(matrices):
+            seen.append((threads(), matrices.copy()))
+            return numerical_rank(matrices)
 
-        # Runs of two 20-node graphs on two lanes: the lanes' stacked rank
-        # calls run under the main thread's pin.
+        # Runs of two 20-node graphs on two lanes, every graph of full rank:
+        # each lane ranks the first graph of its first run alone, under the
+        # main thread's pin, and nothing more, since no rank can exceed 20.
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 20 * 20 * 8)
         monkeypatch.setattr(filters_module, "numerical_rank", recording)
         dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
         report = filter_norm_report(dataset, FilterKind.SYM_NORM)
-        assert seen == [(1, 2)] * 3
+        assert report.rank_max == 20
+        assert [count for count, _ in seen] == [1, 1]
+        firsts = [filters_module.apply_filter(FilterKind.SYM_NORM, dataset[i]) for i in (0, 2)]
+        assert sorted(m.tobytes() for _, m in seen) == sorted(m.tobytes() for m in firsts)
         assert threads() == before
         monkeypatch.undo()
         assert filter_norm_report(dataset, FilterKind.SYM_NORM) == report
@@ -567,6 +572,27 @@ class TestEmitReports:
             fd, rad = recompute_bounds_from_record(record)
             assert fd == record["fd_bound"]
             assert rad == record["rademacher_bound"]
+
+    def test_report_json_recomputes_bounds_on_a_feature_row_of_norm_near_float64_max(
+        self, rng, tmp_path
+    ):
+        # The row [1e308, 1e308] has norm 1.41e308, whose squares overflow.
+        first, *rest = random_dataset(rng, 4, 2)
+        features = first.features.copy()
+        features[0] = 1e308
+        huge = GraphSample(adjacency=first.adjacency, features=features, label=first.label)
+        save_dataset(GraphDataset.from_samples([huge, *rest], name="huge"), tmp_path / "huge.json")
+        config = tiny_config(dataset=str(tmp_path / "huge.json"), seeds=(0,))
+        dataset, stats, filter_reports = setup(config)
+        assert stats.b_f == pytest.approx(math.hypot(1e308, 1e308), rel=1e-15)
+        rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+        paths = emit_reports(rows, tmp_path, config=config, stats=stats,
+                             filter_reports=filter_reports)
+        records = json.loads(paths["report"].read_text())["rows"]
+        assert len(records) == 2
+        for record in records:
+            assert recompute_bounds_from_record(record) == (
+                record["fd_bound"], record["rademacher_bound"])
 
     def test_diverged_row_is_null_in_report_json(self, tmp_path):
         config = tiny_config(widths=(2,), seeds=(0,),
