@@ -1,6 +1,6 @@
 """The OpenBLAS thread pin that sweeps, trainings, risks and filter reports
 take for their whole call, so that idle BLAS threads never spin beside them,
-and the lanes those calls run their work on.
+and the lanes that trainings and risks run their work on.
 
 The main thread owns the cores: only it pins, and only it runs on more than
 one lane. The count is process-wide, so a sweep pool's threads and the lane

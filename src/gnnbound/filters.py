@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import lane_count, on_lanes, single_threaded_blas
+from .blas import single_threaded_blas
 from .data import GraphDataset, GraphSample, degrees
 
 RANK_REL_TOL = 1e-8
@@ -91,17 +91,12 @@ def fro_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def numerical_rank(matrix: np.ndarray) -> int | np.ndarray:
+def numerical_rank(matrix: np.ndarray) -> int:
     """Number of singular values exceeding RANK_REL_TOL times the largest one
-    (0 for a zero matrix); for a stack of matrices, the array of their ranks.
-
-    One call takes a whole stack's SVDs, which release the GIL, and gives
-    each matrix the singular values of its own call.
-    """
+    (0 for a zero matrix)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     singular = np.linalg.svd(matrix, compute_uv=False)
-    ranks = (singular > RANK_REL_TOL * singular[..., :1]).sum(axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    return int((singular > RANK_REL_TOL * singular[:1]).sum())
 
 
 def theoretical_inf_bound(kind: FilterKind, d_max: int, d_min: int) -> float | None:
@@ -133,93 +128,33 @@ def theoretical_fro_bound(kind: FilterKind, rank_max: int) -> float | None:
     raise ValueError(f"unknown filter kind: {kind!r}")
 
 
-# The most bytes of filtered matrices one run of graphs stacks; a graph
-# larger than this is a run of its own.
-_RUN_BYTES = 2 << 20
-
-
-def _runs(dataset: GraphDataset) -> list[list[GraphSample]]:
-    """The dataset cut into runs of consecutive graphs of one node count,
-    each at most _RUN_BYTES of filtered matrices."""
-    runs: list[list[GraphSample]] = []
-    for sample in dataset:
-        run = runs[-1] if runs else None
-        n = sample.node_count
-        if run is None or run[0].node_count != n or (len(run) + 1) * n * n * 8 > _RUN_BYTES:
-            runs.append([sample])
-        else:
-            run.append(sample)
-    return runs
-
-
-def _lane_extrema(
-    kind: FilterKind, runs: list[list[GraphSample]], buffer: np.ndarray
-) -> list[tuple[float, float, int, int, int]]:
-    """Largest inf norm and Frobenius norm of each run's filter matrices,
-    which are stacked in turn in buffer, the lane's rank floor after the run,
-    and the run's largest and smallest node degree.
-
-    The rank floor is the largest rank the lane has found so far. The
-    numerical rank of an n x n matrix is at most n, so a run of n-node graphs
-    with n not above the floor cannot raise it and takes no SVD. Any other
-    run ranks its first graph alone, and the rest of the run in one stacked
-    call only when that graph's rank is below n.
-    """
-    extrema = []
-    floor = 0
-    for run in runs:
-        n = run[0].node_count
-        stack = buffer[: len(run) * n * n].reshape(len(run), n, n)
-        inf_max = 0.0
-        fro_max = 0.0
-        for filtered, sample in zip(stack, run):
-            filtered[...] = apply_filter(kind, sample)
-            inf_max = max(inf_max, inf_norm(filtered))
-            fro_max = max(fro_max, fro_norm(filtered))
-        degs = np.concatenate([degrees(sample) for sample in run])
-        if n > floor:
-            rank = numerical_rank(stack[0])
-            if rank < n and len(run) > 1:
-                rank = max(rank, int(numerical_rank(stack[1:]).max()))
-            floor = max(floor, rank)
-        extrema.append((inf_max, fro_max, floor, int(degs.max()), int(degs.min())))
-    return extrema
-
-
 @single_threaded_blas()
 def filter_norm_report(dataset: GraphDataset, kind: FilterKind) -> FilterNormReport:
     """Norm maxima over every sample's filter matrix, with g_max = min of the
     two, and the bounds at the dataset's degree extrema.
 
-    The graphs go in runs (see _runs), each filtered into its lane's stack
-    buffer. Only the SVDs that can raise rank_max are taken: a run whose
-    node count is not above its lane's largest rank so far takes none, and
-    any other run ranks its first graph alone, then the rest in one stacked
-    call only when that graph's rank is below its node count (see
-    _lane_extrema). On the main thread the runs are dealt to one lane per
-    usable CPU (blas.on_lanes), the first lane being the calling thread, and
-    OpenBLAS is pinned to one thread, whose idle siblings would otherwise
-    spin beside them; elsewhere the calling thread takes them all. An
-    extremum does not depend on the order its terms come in, and the largest
-    rank of every lane is the dataset's.
+    One pass filters each graph in turn. Only the SVDs that can raise
+    rank_max are taken: the numerical rank of an n x n matrix is at most n,
+    so a graph whose node count is not above the largest rank so far is not
+    ranked. On the main thread OpenBLAS is pinned to one thread, whose idle
+    siblings would otherwise spin beside the call.
     """
-    runs = _runs(dataset)
-    lanes = min(lane_count(), len(runs))
-    # The buffers are allocated on the calling thread, so their memory goes
-    # back to its heap, not to a lane thread's, where nothing would reuse it.
-    size = max(len(run) * run[0].node_count ** 2 for run in runs)
-    buffers = [np.empty(size) for _ in range(lanes)]
-    per_lane = on_lanes(
-        lambda lane: _lane_extrema(kind, runs[lane::lanes], buffers[lane]), range(lanes)
-    )
-    columns = list(zip(*(run for lane in per_lane for run in lane)))
-    inf_max, fro_max, rank_max, d_max = map(max, columns[:4])
+    inf_max = 0.0
+    fro_max = 0.0
+    rank_max = 0
+    for sample in dataset:
+        filtered = apply_filter(kind, sample)
+        inf_max = max(inf_max, inf_norm(filtered))
+        fro_max = max(fro_max, fro_norm(filtered))
+        if sample.node_count > rank_max:
+            rank_max = max(rank_max, numerical_rank(filtered))
+    degs = np.concatenate([degrees(sample) for sample in dataset])
     return FilterNormReport(
         kind=kind,
         inf_norm_max=inf_max,
         fro_norm_max=fro_max,
         g_max=min(inf_max, fro_max),
         rank_max=rank_max,
-        inf_bound=theoretical_inf_bound(kind, d_max, min(columns[4])),
+        inf_bound=theoretical_inf_bound(kind, int(degs.max()), int(degs.min())),
         fro_bound=theoretical_fro_bound(kind, rank_max),
     )

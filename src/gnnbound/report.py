@@ -133,6 +133,10 @@ def read_rows_csv(path) -> list[SweepRow]:
                 rows.append(from_plain(SweepRow, dict(zip(ROW_COLUMNS, record))))
             except ValueError as exc:
                 raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
+            if rows[-1].width < 1:
+                raise ReportFormatError(f"{path}:{line_no}: width must be >= 1")
+    if not rows:
+        raise ReportFormatError(f"{path}: no rows")
     return rows
 
 

@@ -98,6 +98,8 @@ class SweepConfig:
             raise ValueError("betas must lie strictly between 0 and 1")
         if self.n_graphs < 2:
             raise ValueError("n_graphs must be >= 2 (the split needs both sides)")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.workers < 1:

@@ -9,8 +9,9 @@ gradient and the momentum step as new containers instead of arrays updated
 in place, a batch's stack by concatenating its graphs' rows one graph at
 a time instead of gathering them from a prepared dataset, a random graph
 from its full edge-probability matrix and pairs made for it alone instead of
-from a pair table made once per dataset, and a filter norm report one matrix
-and one SVD at a time instead of in stacked runs on lanes, a filter matrix
+from a pair table made once per dataset, a filter norm report with one
+SVD for every graph instead of only for those that can raise its largest
+rank and with its degree extrema from the dataset's stats, a filter matrix
 from the adjacency as float64 instead of bool, and a dataset record's edges
 read and written one edge at a time instead of in bulk, and the two bounds
 from their closed forms with the nonlinearities' constants tabled here

@@ -1,6 +1,5 @@
 """blas.on_lanes: the one set of lane threads a process has, which every
-multi-lane call of the main thread (a train step, a risk, a filter report)
-runs its work on."""
+multi-lane call of the main thread (a train step, a risk) runs its work on."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 import gnnbound.blas as blas_module
-import gnnbound.filters as filters_module
 import gnnbound.models as models_module
 from gnnbound.blas import on_lanes
 from gnnbound.filters import FilterKind, filter_norm_report
@@ -28,11 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def on_two_lanes(monkeypatch) -> None:
-    """Two usable CPUs, blocks of 2 rows at width 4 and runs of two 20-node
-    graphs, so a train step and a filter report on er5 use both lanes."""
+    """Two usable CPUs and blocks of 2 rows at width 4, so a train step on
+    er5 uses both lanes."""
     monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(models_module, "_BLOCK_BYTES", 2 * 8 * 4)
-    monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 20 * 20 * 8)
 
 
 def train_tiny() -> list[float]:

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from gnnbound.cli import main
+from gnnbound.report import ROW_COLUMNS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GRAPH = {"n": 2, "edges": [[0, 1]], "features": [[1.0], [1.0]], "label": 1}
 FILTERS = ["filters", "--kind", "sym-norm", "--dataset"]
+ROWS_HEADER = ",".join(ROW_COLUMNS) + "\n"
 
 
 def dataset(graph=None, **top) -> str:
@@ -115,6 +117,25 @@ CASES = {
         {}, FILTERS + ["sbm1", "--n-graphs", "0"], "--n-graphs: n_graphs must be >= 1"),
     "filters-feature-dim-flag": (
         {}, FILTERS + ["sbm1", "--feature-dim", "0"], "--feature-dim: feature_dim must be >= 1"),
+    "train-feature-dim": (
+        {"run.cfg": "dataset = er5\nfeature_dim = 0\n"}, ["train", "--config", "{dir}/run.cfg"],
+        "{dir}/run.cfg: feature_dim: feature_dim must be >= 1"),
+    "sweep-feature-dim": (
+        {"run.cfg": "dataset = er5\nfeature_dim = 0\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/run.cfg: feature_dim: feature_dim must be >= 1"),
+    "bounds-feature-dim": (
+        {"run.cfg": "feature_dim = 0\n",
+         "p.json": json.dumps({"model": "gcn", "w1": [[0.5]], "w2": [1.0]})},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "er5", "--config", "{dir}/run.cfg"],
+        "{dir}/run.cfg: feature_dim: feature_dim must be >= 1"),
+    "report-rows-width": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,0,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:2: width must be >= 1"),
+    "report-rows-empty": (
+        {"rows.csv": ROWS_HEADER}, ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv: no rows"),
 }
 
 
@@ -136,6 +157,8 @@ def test_bad_input_is_one_error_line_naming_its_source(tmp_path, case):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(expected) and done.stderr.count("\n") == 1
+    # A refused input leaves no report directory behind.
+    assert not (tmp_path / "out").exists()
 
 
 def test_filters_runs_on_one_graph(capsys):

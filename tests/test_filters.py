@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from oracles import (
 )
 
 ALL_KINDS = list(FilterKind)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestApplyFilter:
@@ -140,14 +145,6 @@ class TestNorms:
         assert numerical_rank(np.diag([1.0, 1e-20])) == 1
         assert numerical_rank(np.diag([1.0, 1e-3])) == 2
         assert numerical_rank(np.diag([1e6, 1e-3])) == 1
-
-    def test_stacked_ranks_equal_each_matrix_rank(self, rng):
-        stack = rng.standard_normal((5, 6, 6))
-        stack[1] = 0.0
-        stack[2] = np.outer(stack[2, 0], stack[2, 1])
-        stack[3, :, 4:] = 0.0
-        ranks = numerical_rank(stack)
-        assert ranks.tolist() == [numerical_rank(m) for m in stack] == [6, 0, 1, 4, 6]
 
     def test_fro_rank_spectral_inequality(self, rng):
         for _ in range(50):
@@ -265,8 +262,9 @@ class TestNormReport:
 
 
 class TestNormReportRuns:
-    """filter_norm_report filters runs of graphs into stacks, on lanes on the
-    main thread; its report must equal the one-matrix-at-a-time oracle's (==)."""
+    """filter_norm_report filters the graphs in one pass and ranks only the
+    graphs that can raise rank_max; its report must equal the
+    one-matrix-at-a-time oracle's (==)."""
 
     # Three node counts, interleaved, some repeated back to back.
     MIXED_SIZES = [6, 6, 11, 3, 3, 3, 11, 6, 11, 11, 3, 6, 6, 6, 6, 3, 11]
@@ -286,14 +284,6 @@ class TestNormReportRuns:
             name="paths",
         )
 
-    def test_runs_break_at_every_size_change_and_at_the_byte_cap(self, rng, monkeypatch):
-        dataset = self.mixed_dataset(rng)
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", 3 * 6 * 6 * 8)
-        runs = filters_module._runs(dataset)
-        assert [[s.node_count for s in run] for run in runs] == [
-            [6, 6], [11], [3, 3, 3], [11], [6], [11], [11], [3], [6, 6, 6], [6], [3], [11]]
-        assert [s for run in runs for s in run] == list(dataset)
-
     @staticmethod
     def isolated_node_in_graph_2(dataset: GraphDataset) -> GraphDataset:
         """dataset with a path through every graph's nodes, so that no node
@@ -309,21 +299,17 @@ class TestNormReportRuns:
                                        label=sample.label))
         return GraphDataset.from_samples(samples, name=dataset.name)
 
-    @pytest.mark.parametrize("lanes", [1, 2])
-    @pytest.mark.parametrize("run_bytes", [2 << 20, 2 * 11 * 11 * 8])
-    def test_report_equals_the_per_graph_oracle(self, rng, monkeypatch, lanes, run_bytes):
-        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", run_bytes)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_report_equals_the_per_graph_oracle(self, rng, monkeypatch, cpus):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: cpus)
         mixed = self.mixed_dataset(rng)
         isolated = self.isolated_node_in_graph_2(mixed)
-        # The only isolated node is in run 1, which the second of two lanes
-        # takes, so d_min = 0 must come from that lane.
+        # The only isolated node is graph 2's last, so d_min = 0 comes from
+        # one 11-node graph among 17.
         assert dataset_stats(isolated).d_min == 0
         assert [int(degrees(s).min()) for s in isolated].count(0) == 1
-        second = filters_module._runs(isolated)[1]
-        assert len(second) == 1 and second[0] is isolated[2]
-        # A rank-deficient dataset: no run's first graph has rank n, so every
-        # run the rank floor lets through is ranked whole.
+        # A rank-deficient dataset: no graph has rank n, so every graph the
+        # rank floor lets through is ranked.
         paths = self.path_dataset(self.MIXED_SIZES)
         assert [numerical_rank(apply_filter(FilterKind.RANDOM_WALK, s)) for s in paths] == [
             n - 1 for n in self.MIXED_SIZES]
@@ -339,33 +325,31 @@ class TestNormReportRuns:
         for kind in ALL_KINDS:
             assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
 
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_ranks_only_the_graphs_that_can_raise_rank_max(self, monkeypatch, lanes):
-        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: lanes)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ranks_only_the_graphs_that_can_raise_rank_max(self, monkeypatch, cpus):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: cpus)
         handed = []
         rank_of = filters_module.numerical_rank
 
-        def counting(matrices):
-            handed.append(1 if matrices.ndim == 2 else len(matrices))
-            return rank_of(matrices)
+        def counting(matrix):
+            handed.append(matrix.shape)
+            return rank_of(matrix)
 
         monkeypatch.setattr(filters_module, "numerical_rank", counting)
-        # Full-rank sbm1 graphs in three runs: the first graph a lane ranks
-        # has rank 100, which no 100-node graph can exceed.
+        # Full-rank sbm1 graphs: the first graph has rank 100, which no
+        # 100-node graph can exceed.
         sbm1 = make_dataset(preset_config("sbm1", n_graphs=60))
         assert filter_norm_report(sbm1, FilterKind.SYM_NORM).rank_max == 100
-        assert 1 <= sum(handed) <= lanes
-        # Four runs of three 10-node paths under random-walk: every graph has
-        # rank 9, below its node count, so every graph is ranked.
+        assert handed == [(100, 100)]
+        # Twelve 10-node paths under random-walk: every graph has rank 9,
+        # below its node count, so every graph is ranked.
         handed.clear()
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", 3 * 10 * 10 * 8)
         paths = self.path_dataset([10] * 12)
         assert filter_norm_report(paths, FilterKind.RANDOM_WALK).rank_max == 9
-        assert sum(handed) == len(paths)
+        assert handed == [(10, 10)] * len(paths)
 
     def test_every_graph_is_filtered_once(self, rng, monkeypatch):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 11 * 11 * 8)
         calls = []
         filter_one = filters_module.apply_filter
 
@@ -378,18 +362,8 @@ class TestNormReportRuns:
         filter_norm_report(dataset, FilterKind.SYM_NORM)
         assert sorted(map(id, calls)) == sorted(map(id, dataset))
 
-    def test_lanes_only_on_the_main_thread(self, rng, monkeypatch):
+    def test_report_off_the_main_thread_equals_the_per_graph_oracle(self, rng, monkeypatch):
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 11 * 11 * 8)
-        spread = []
-        on_lanes = filters_module.on_lanes
-
-        def recording(fn, items):
-            if len(items) > 1:
-                spread.append(threading.current_thread())
-            return on_lanes(fn, items)
-
-        monkeypatch.setattr(filters_module, "on_lanes", recording)
         dataset = self.mixed_dataset(rng)
         expected = filter_norm_report_per_graph(dataset, FilterKind.SUM_AGG)
         got = []
@@ -397,13 +371,30 @@ class TestNormReportRuns:
             filter_norm_report(dataset, FilterKind.SUM_AGG)))
         caller.start()
         caller.join(timeout=60)
-        assert got == [expected] and spread == []
-        assert filter_norm_report(dataset, FilterKind.SUM_AGG) == expected
-        assert spread == [threading.main_thread()]
+        assert got == [expected]
 
-    def test_holds_about_a_run_per_lane_of_filtered_matrices(self, monkeypatch):
-        # 200 sbm1 graphs are 16 MB of filtered matrices; two lanes of 2 MB
-        # runs, with their temporaries, stay well below 8 MB.
+    def test_starts_no_thread(self):
+        code = (
+            "import threading\n"
+            "import gnnbound.blas as blas\n"
+            "from gnnbound.filters import FilterKind, filter_norm_report\n"
+            "from gnnbound.synth import make_dataset, preset_config\n"
+            "blas._usable_cpus = lambda: 2\n"
+            "filter_norm_report(make_dataset(preset_config('sbm1', n_graphs=60)),"
+            " FilterKind.SYM_NORM)\n"
+            "print(threading.active_count() == 1)\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+
+    def test_holds_one_filtered_matrix_at_a_time(self, monkeypatch):
+        # 200 sbm1 graphs are 16 MB of filtered matrices; one 80 KB matrix
+        # and its temporaries at a time, with the degrees of every graph,
+        # stay below 1 MB.
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         dataset = make_dataset(preset_config("sbm1"))
         tracemalloc.start()
@@ -412,4 +403,4 @@ class TestNormReportRuns:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
+        assert peak < 1 << 20

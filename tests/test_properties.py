@@ -1,5 +1,5 @@
 """Property tests of the file formats, the config reader, the minibatch
-gather and the bound evaluator (hypothesis).
+gather, the filter norm report and the bound evaluator (hypothesis).
 
 No test here trains: a drawn config holds one unparseable value, so the
 command stops before any work, and a drawn gather stacks at most 12 graphs
@@ -9,6 +9,7 @@ of at most 6 nodes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -41,17 +42,23 @@ from gnnbound.data import (
     save_dataset,
     to_json_value,
 )
-from gnnbound.filters import FilterKind
+from gnnbound.filters import FilterKind, filter_norm_report
 from gnnbound.models import ModelConfig, ModelKind, Nonlinearity, Readout, prepare_sample
 from gnnbound.report import (
     ROW_COLUMNS,
+    ReportFormatError,
     read_rows_csv,
     recompute_bounds_from_record,
     write_rows_csv,
 )
 from gnnbound.sweep import SweepRow
 from gnnbound.training import prepare_dataset
-from oracles import adjacency_edge_by_edge, closed_form_bounds, stack
+from oracles import (
+    adjacency_edge_by_edge,
+    closed_form_bounds,
+    filter_norm_report_per_graph,
+    stack,
+)
 
 TABLES = {
     "train": TRAIN_TABLE,
@@ -70,7 +77,7 @@ sweep_rows = st.builds(
     model=st.text(),
     filter=st.text(),
     readout=st.text(),
-    width=st.integers(),
+    width=st.integers(min_value=1),
     seed=st.integers(),
     train_risk=any_float,
     test_risk=any_float,
@@ -87,13 +94,28 @@ def cells(row: SweepRow) -> list[str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(sweep_rows, max_size=4))
+@given(st.lists(sweep_rows, min_size=1, max_size=4))
 def test_rows_csv_round_trip_is_identity(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
         write_rows_csv(rows, path)
         back = read_rows_csv(path)
     assert [cells(row) for row in back] == [cells(row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rows_csv_refuses_the_first_width_below_one(data):
+    rows = data.draw(st.lists(sweep_rows, min_size=1, max_size=4), label="rows")
+    bad = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True), label="bad")
+    for index in bad:
+        rows[index] = dataclasses.replace(rows[index], width=data.draw(st.integers(max_value=0)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_rows_csv(rows, path)
+        with pytest.raises(ReportFormatError) as refused:
+            read_rows_csv(path)
+    assert str(refused.value) == f"{path}:{min(bad) + 2}: width must be >= 1"
 
 
 # Finite features, -0.0, subnormals and magnitudes near the float maximum.
@@ -285,6 +307,51 @@ def test_minibatches_equal_the_concatenated_graphs(data):
             assert np.array_equal(batch.labels, want.labels)
             assert np.array_equal(batch.node_counts, want.node_counts)
             assert np.array_equal(batch.starts, want.starts)
+
+
+@st.composite
+def graph_specs(draw) -> tuple:
+    """A path of n nodes, a complete bipartite graph K(a, b) (each of rank
+    n - 1 under random-walk), or a drawn graph with some nodes isolated."""
+    shape = draw(st.sampled_from(["path", "bipartite", "drawn"]))
+    if shape == "path":
+        return ("path", draw(st.integers(1, 9)))
+    if shape == "bipartite":
+        return ("bipartite", draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return ("drawn", n, tuple(edges), tuple(isolated))
+
+
+def graph_of(spec: tuple) -> GraphSample:
+    if spec[0] == "path":
+        n = spec[1]
+        adjacency = np.eye(n, k=1, dtype=bool)
+    elif spec[0] == "bipartite":
+        a, b = spec[1:]
+        n = a + b
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[:a, a:] = True
+    else:
+        n, edges, isolated = spec[1:]
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[np.triu_indices(n, k=1)] = edges
+        adjacency[list(isolated), :] = False
+        adjacency[:, list(isolated)] = False
+    return GraphSample(adjacency=adjacency | adjacency.T, features=np.ones((n, 1)), label=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(graph_specs(), min_size=1, max_size=8))
+# A full-rank triangle before larger rank-deficient graphs, then a complete
+# 6-node graph, which has rank 6 under random-walk after a rank-5 path.
+@example([("drawn", 3, (True,) * 3, ()), ("path", 6), ("bipartite", 2, 2),
+          ("drawn", 6, (True,) * 15, ())])
+def test_filter_report_equals_the_per_graph_oracle(specs):
+    dataset = GraphDataset.from_samples([graph_of(spec) for spec in specs], name="g")
+    for kind in FilterKind:
+        assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
 
 
 # A weight norm is 0 or well inside the normal range: a squared cap near the

@@ -243,22 +243,21 @@ class TestSweep:
         seen = []
         numerical_rank = filters_module.numerical_rank
 
-        def recording(matrices):
-            seen.append((threads(), matrices.copy()))
-            return numerical_rank(matrices)
+        def recording(matrix):
+            seen.append((threads(), matrix.copy()))
+            return numerical_rank(matrix)
 
-        # Runs of two 20-node graphs on two lanes, every graph of full rank:
-        # each lane ranks the first graph of its first run alone, under the
-        # main thread's pin, and nothing more, since no rank can exceed 20.
+        # Six 20-node graphs at two usable CPUs, every graph of full rank:
+        # the report ranks graph 0 alone, under the main thread's pin, and
+        # nothing more, since no rank can exceed 20.
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(filters_module, "_RUN_BYTES", 2 * 20 * 20 * 8)
         monkeypatch.setattr(filters_module, "numerical_rank", recording)
         dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
         report = filter_norm_report(dataset, FilterKind.SYM_NORM)
         assert report.rank_max == 20
-        assert [count for count, _ in seen] == [1, 1]
-        firsts = [filters_module.apply_filter(FilterKind.SYM_NORM, dataset[i]) for i in (0, 2)]
-        assert sorted(m.tobytes() for _, m in seen) == sorted(m.tobytes() for m in firsts)
+        assert [count for count, _ in seen] == [1]
+        first = filters_module.apply_filter(FilterKind.SYM_NORM, dataset[0])
+        assert seen[0][1].tobytes() == first.tobytes()
         assert threads() == before
         monkeypatch.undo()
         assert filter_norm_report(dataset, FilterKind.SYM_NORM) == report
