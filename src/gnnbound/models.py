@@ -284,11 +284,6 @@ def _blocks(nodes: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [nodes])]
 
 
-# Row partitions a workspace keeps, oldest out first: enough for a train over
-# equal-size graphs (full minibatches and the tail), few for graphs of many sizes.
-_RUNS_KEPT = 2
-
-
 class Workspace:
     """The buffers a forward and backward write into, and the lanes that run
     their row blocks.
@@ -296,45 +291,47 @@ class Workspace:
     f holds the outer-nonlinearity outputs of up to `nodes` rows, for a
     backward to read; a workspace for forwards alone has nodes = 0 and no f.
     The workspace has the lanes of blas.lane_count when it is built, each with
-    scratch for one block: an out buffer, which takes a block's outer outputs
-    when there is no f, and the product temp. Lane 0 is the calling thread;
-    the others run on blas.on_lanes.
+    scratch for one block: the product temp and, only when there is no f, an
+    out buffer that takes a block's outer outputs. A workspace with f deals
+    its own `nodes` rows to the lanes once, when it is built (runs). Lane 0
+    is the calling thread; the others run on blas.on_lanes.
     """
 
     def __init__(self, nodes: int, width: int):
         self.width = width
         self.f = np.empty((nodes, width)) if nodes > 0 else None
         # A block has at most one row more than _block_rows: a merged tail.
-        rows = _block_rows(width) + 1
+        shape = (_block_rows(width) + 1, width)
         self._scratch = [
-            (np.empty((rows, width)), np.empty((rows, width))) for _ in range(lane_count())
+            (None if self.f is not None else np.empty(shape), np.empty(shape))
+            for _ in range(lane_count())
         ]
-        self._runs: dict[int, list[list[tuple[slice, np.ndarray, np.ndarray]]]] = {}
+        self._own = None
+        if self.f is not None:
+            self._own = self.runs(nodes)
 
     def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray, np.ndarray]]]:
         """The row blocks of a step over nodes rows, dealt to the lanes in
-        contiguous runs. Each block comes with its out buffer (its rows of f,
-        or its lane's out scratch cut to its rows when there is no f) and its
-        lane's temp cut to its rows. Each lane takes at least two blocks: with
-        one each, a full block beside a short tail and the dispatch cost more
+        contiguous runs; a workspace's own size gets the deal made when it
+        was built. Each block comes with its out buffer (its rows of f, or its
+        lane's out scratch cut to its rows when there is no f) and its lane's
+        temp cut to its rows. Each lane takes at least two blocks: with one
+        each, a full block beside a short tail and the dispatch cost more
         than the second lane saves."""
-        runs = self._runs.get(nodes)
-        if runs is None:
-            if len(self._runs) == _RUNS_KEPT:
-                del self._runs[next(iter(self._runs))]
-            blocks = _blocks(nodes, self.width)
-            lanes = max(1, min(len(self._scratch), len(blocks) // 2))
+        if self._own is not None and nodes == len(self.f):
+            return self._own
+        blocks = _blocks(nodes, self.width)
+        lanes = max(1, min(len(self._scratch), len(blocks) // 2))
 
-            def cut(block: slice, out: np.ndarray, temp: np.ndarray):
-                rows = block.stop - block.start
-                return block, out[:rows] if self.f is None else self.f[block], temp[:rows]
+        def cut(block: slice, out: np.ndarray | None, temp: np.ndarray):
+            rows = block.stop - block.start
+            return block, self.f[block] if out is None else out[:rows], temp[:rows]
 
-            runs = self._runs[nodes] = [
-                [cut(block, *scratch) for block in
-                 blocks[i * len(blocks) // lanes : (i + 1) * len(blocks) // lanes]]
-                for i, scratch in zip(range(lanes), self._scratch)
-            ]
-        return runs
+        return [
+            [cut(block, *scratch) for block in
+             blocks[i * len(blocks) // lanes : (i + 1) * len(blocks) // lanes]]
+            for i, scratch in zip(range(lanes), self._scratch)
+        ]
 
     def map(self, nodes: int, fn, items: list) -> list:
         """[fn(item) for item in items]. When a step over nodes rows has more

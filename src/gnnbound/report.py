@@ -27,6 +27,7 @@ from typing import Sequence
 from .bounds import BoundReport, report_from_stats
 from .data import DatasetStats, from_plain, to_json_value
 from .filters import FilterKind, FilterNormReport
+from .models import ModelKind, Readout
 from .sweep import COORDINATE_COLUMNS, SweepConfig, SweepRow
 
 
@@ -85,7 +86,12 @@ def _sample_std(values: Sequence[float]) -> float:
         return 0.0 if values else math.nan
     ordered = sorted(values)
     center = sum(ordered) / len(ordered)
-    return math.sqrt(sum((v - center) ** 2 for v in ordered) / (len(ordered) - 1))
+    try:
+        return math.sqrt(sum((v - center) ** 2 for v in ordered) / (len(ordered) - 1))
+    except OverflowError:
+        # A deviation whose square is beyond float64: factor the largest out.
+        scale = max(abs(v - center) for v in ordered)
+        return scale * _sample_std([v / scale for v in ordered])
 
 
 def _csv_line(cells) -> str:
@@ -116,6 +122,26 @@ def write_summary_csv(summary: Sequence[SummaryRow], path) -> Path:
     return _write_csv(summary, SUMMARY_COLUMNS, path)
 
 
+def _one_of(kind) -> tuple:
+    values = [member.value for member in kind]
+    return lambda value: value in values, f"must be one of: {', '.join(values)}"
+
+
+# The values a sweep writes, by column, in column order: a rows.csv value
+# outside them is refused. A diverged row writes NaN outcomes, which pass.
+_ROW_RULES = {
+    "beta": (lambda value: 0.0 < value < 1.0, "must lie strictly between 0 and 1"),
+    "model": _one_of(ModelKind),
+    "filter": _one_of(FilterKind),
+    "readout": _one_of(Readout),
+    "width": (lambda value: value >= 1, "must be >= 1"),
+    "seed": (lambda value: value >= 0, "must be >= 0"),
+    **dict.fromkeys(
+        ROW_COLUMNS[len(COORDINATE_COLUMNS) :], (lambda value: not value < 0.0, "must be >= 0")
+    ),
+}
+
+
 def read_rows_csv(path) -> list[SweepRow]:
     path = Path(path)
     with path.open(newline="") as handle:
@@ -133,8 +159,9 @@ def read_rows_csv(path) -> list[SweepRow]:
                 rows.append(from_plain(SweepRow, dict(zip(ROW_COLUMNS, record))))
             except ValueError as exc:
                 raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
-            if rows[-1].width < 1:
-                raise ReportFormatError(f"{path}:{line_no}: width must be >= 1")
+            for column, (valid, rule) in _ROW_RULES.items():
+                if not valid(getattr(rows[-1], column)):
+                    raise ReportFormatError(f"{path}:{line_no}: {column} {rule}")
     if not rows:
         raise ReportFormatError(f"{path}: no rows")
     return rows
@@ -210,7 +237,11 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     if echo is None:
         coordinate = ", ".join(f"{key}={record[key]}" for key in COORDINATE_COLUMNS)
         raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
-    echoed = from_plain(BoundReport, echo)
+    # A bounded row has no NaN weight (train refuses one), but a weight norm
+    # can be inf, which report.json writes as null. A GCN's w3 norm, also
+    # null, is never read.
+    stats = {name: math.inf if value is None else value for name, value in echo["stats"].items()}
+    echoed = from_plain(BoundReport, {**echo, "stats": stats})
     report = report_from_stats(echoed.config, echoed.stats, echoed.inputs, echoed.bounded)
     return report.fd_bound, report.rademacher_bound
 
@@ -371,13 +402,21 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+# The longest plot file name, in characters, before its digest and suffix:
+# file systems take names of up to 255 bytes.
+_NAME_CHARS = 200
+
+
 def _svg_filename(dataset: str, beta: float, model: str, readout: str) -> str:
     """The plot's file name: characters outside [A-Za-z0-9._-] become "_", so
-    no dataset name can pick a directory, and then a digest of the raw name."""
-    name = f"{dataset}_beta{beta:g}_{model}_{readout}"
+    no dataset name can pick a directory, and then a digest of the raw name;
+    a name longer than _NAME_CHARS is cut there, before the digest. beta is
+    written in full, so two betas never share a name."""
+    name = f"{dataset}_beta{beta!r}_{model}_{readout}"
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)
-    if safe != name:
-        safe += "_" + hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()[:8]
+    if safe != name or len(safe) > _NAME_CHARS:
+        digest = hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()[:8]
+        safe = safe[:_NAME_CHARS] + "_" + digest
     return safe + ".svg"
 
 

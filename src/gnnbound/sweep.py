@@ -60,7 +60,8 @@ class SweepConfig:
     """Everything a sweep needs: data source, grid, training, bound settings.
 
     dataset is a preset name (sbm1 sbm2 sbm3 er4 er5) or a path to a dataset
-    JSON file. data_seed / n_graphs / feature_dim only matter for presets.
+    JSON file. data_seed / n_graphs / feature_dim only matter for presets, and
+    are checked only when dataset names one.
     The train config's own seed field is ignored; each run derives its
     shuffle seed from the sweep coordinate.
     """
@@ -92,14 +93,15 @@ class SweepConfig:
             raise ValueError("widths must be >= 1")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
-        if self.data_seed < 0:
-            raise ValueError("data_seed must be >= 0")
         if any(not 0.0 < b < 1.0 for b in self.betas):
             raise ValueError("betas must lie strictly between 0 and 1")
-        if self.n_graphs < 2:
-            raise ValueError("n_graphs must be >= 2 (the split needs both sides)")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+        if self.dataset in PRESET_NAMES:
+            if self.data_seed < 0:
+                raise ValueError("data_seed must be >= 0")
+            if self.n_graphs < 2:
+                raise ValueError("n_graphs must be >= 2 (the split needs both sides)")
+            if self.feature_dim < 1:
+                raise ValueError("feature_dim must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.workers < 1:

@@ -230,7 +230,8 @@ def train(
     pool's thread) on the calling thread alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
-    Aborts with TrainingDivergenceError the moment a batch loss is not finite.
+    Aborts with TrainingDivergenceError the moment a batch loss is not
+    finite, or when the last step leaves a NaN weight.
     """
     prepared = _prepared(params, train_set, model_config)
     n = len(prepared)
@@ -267,6 +268,11 @@ def train(
                     sgd_step(weights, grads, velocity, config)
                 epoch_loss += risk * len(batch.labels)
             history.append(epoch_loss / n)
+    # The last step's NaN weight is one no loss has shown yet.
+    if any(np.isnan(weight).any() for weight in vars(weights).values()):
+        raise TrainingDivergenceError(
+            f"a weight is NaN after the last step (width {params.width}, lr {config.learning_rate})"
+        )
     return type(params)(**vars(weights)), history
 
 

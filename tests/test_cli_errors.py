@@ -133,6 +133,23 @@ CASES = {
         {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,0,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
         ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv:2: width must be >= 1"),
+    "report-rows-beta": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"
+                                 + "d,1.5,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:3: beta must lie strictly between 0 and 1"),
+    "report-rows-seed": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,4,-1,0.1,0.2,0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:2: seed must be >= 0"),
+    "report-rows-abs-gen-error": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,4,0,0.1,0.2,-0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:2: abs_gen_error must be >= 0"),
+    "report-rows-model": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gat,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:2: model must be one of: gcn, mpgnn"),
     "report-rows-empty": (
         {"rows.csv": ROWS_HEADER}, ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv: no rows"),
@@ -164,3 +181,15 @@ def test_bad_input_is_one_error_line_naming_its_source(tmp_path, case):
 def test_filters_runs_on_one_graph(capsys):
     assert main(FILTERS + ["er5", "--n-graphs", "1", "--feature-dim", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "sym-norm"
+
+
+def test_preset_only_keys_are_not_checked_for_a_dataset_file(tmp_path, capsys):
+    # data_seed, n_graphs and feature_dim shape a preset; a file's graphs are
+    # used as they are, so values a preset refuses do not matter here.
+    data = tmp_path / "two.json"
+    assert main(["gen-data", "er5", "--n-graphs", "2", "--out", str(data)]) == 0
+    config = tmp_path / "c.cfg"
+    config.write_text(f"dataset = {data}\nn_graphs = 1\ndata_seed = -1\nfeature_dim = 0\n"
+                      "width = 4\nepochs = 2\n")
+    assert main(["train", "--config", str(config)]) == 0
+    assert "train_risk = " in capsys.readouterr().out

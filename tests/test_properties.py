@@ -1,9 +1,11 @@
 """Property tests of the file formats, the config reader, the minibatch
-gather, the filter norm report and the bound evaluator (hypothesis).
+gather, the filter norm report, the bound evaluator and whole sweeps
+(hypothesis).
 
-No test here trains: a drawn config holds one unparseable value, so the
-command stops before any work, and a drawn gather stacks at most 12 graphs
-of at most 6 nodes.
+Only the whole-sweep property trains: a few small graphs at widths up to 8
+for a few epochs. Elsewhere a drawn config holds one unparseable value, so
+the command stops before any work, and a drawn gather stacks at most 12
+graphs of at most 6 nodes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import json
 import math
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +50,15 @@ from gnnbound.models import ModelConfig, ModelKind, Nonlinearity, Readout, prepa
 from gnnbound.report import (
     ROW_COLUMNS,
     ReportFormatError,
+    aggregate,
+    emit_reports,
     read_rows_csv,
     recompute_bounds_from_record,
     write_rows_csv,
 )
-from gnnbound.sweep import SweepRow
-from gnnbound.training import prepare_dataset
+from gnnbound.sweep import SweepConfig, SweepRow, run_sweep_on, setup
+from gnnbound.synth import PRESET_NAMES, make_dataset, preset_config
+from gnnbound.training import TrainConfig, prepare_dataset
 from oracles import (
     adjacency_edge_by_edge,
     closed_form_bounds,
@@ -67,24 +73,23 @@ TABLES = {
     **{f"gen-data {model}": table for model, table in SPEC_TABLES.items()},
 }
 
-any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [float("nan"), float("inf"), float("-inf"), -0.0]
-)
+# Outcomes a sweep can write: NaN for a diverged row, inf for an overflow.
+outcomes = st.floats(min_value=0.0) | st.sampled_from([float("nan"), float("inf"), -0.0])
 sweep_rows = st.builds(
     SweepRow,
     dataset=st.text() | st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\rlf\r\n", ""]),
-    beta=any_float,
-    model=st.text(),
-    filter=st.text(),
-    readout=st.text(),
+    beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    model=st.sampled_from([kind.value for kind in ModelKind]),
+    filter=st.sampled_from([kind.value for kind in FilterKind]),
+    readout=st.sampled_from([readout.value for readout in Readout]),
     width=st.integers(min_value=1),
-    seed=st.integers(),
-    train_risk=any_float,
-    test_risk=any_float,
-    abs_gen_error=any_float,
-    fd_bound=any_float,
-    rademacher_bound=any_float,
-    wall_time_s=any_float,
+    seed=st.integers(min_value=0),
+    train_risk=outcomes,
+    test_risk=outcomes,
+    abs_gen_error=outcomes,
+    fd_bound=outcomes,
+    rademacher_bound=outcomes,
+    wall_time_s=outcomes,
 )
 
 
@@ -407,3 +412,102 @@ def test_bound_evaluator_matches_oracle_and_recomputes_from_its_echo(case):
     assert report_from_stats(config, stats, inputs, bounded=True).model_output_cap <= (
         lipschitz.model_output_cap
     )
+
+
+def _grid(values) -> st.SearchStrategy[tuple]:
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True).map(tuple)
+
+
+@st.composite
+def tiny_sweeps(draw) -> tuple[str | None, SweepConfig]:
+    """A sweep over a few small graphs: the name to save its dataset under
+    (None when the config names a preset) and its config. A saved dataset is
+    an er5 one of the config's n_graphs and data_seed. The lr spans runs
+    that train, runs whose weights overflow and runs that diverge."""
+    name = draw(st.none() | st.text(), label="name")
+    config = SweepConfig(
+        dataset="data.json" if name is not None else draw(st.sampled_from(PRESET_NAMES)),
+        betas=tuple(draw(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=2, unique=True))),
+        widths=draw(_grid(range(1, 9))),
+        seeds=draw(_grid(range(4))),
+        models=draw(_grid(list(ModelKind))),
+        filters=draw(_grid(list(FilterKind))),
+        readouts=draw(_grid(list(Readout))),
+        train=TrainConfig(
+            learning_rate=10.0 ** draw(st.integers(-3, 60), label="lr exponent"),
+            epochs=draw(st.integers(1, 3)),
+            batch_size=draw(st.integers(1, 4)),
+        ),
+        data_seed=draw(st.integers(0, 2**32 - 1)),
+        n_graphs=draw(st.integers(4, 6)),
+    )
+    return name, config
+
+
+def _same(got: float, want: float) -> bool:
+    return math.isclose(got, want, rel_tol=1e-12) or (math.isnan(got) and math.isnan(want))
+
+
+# Two betas equal to 6 digits once shared a plot file; the lr makes some
+# seeds diverge and leaves others with weight norms beyond float64.
+HARD_SWEEP = SweepConfig(
+    dataset="data.json", betas=(0.5, 0.5000001), widths=(1, 8), seeds=(0, 1),
+    models=tuple(ModelKind), readouts=tuple(Readout),
+    train=TrainConfig(learning_rate=1e53, epochs=3, batch_size=2), n_graphs=6,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tiny_sweeps())
+# Each character of the first name once broke an artifact: markup and a
+# control character the SVG title, a comma, a quote and a line break
+# rows.csv, and a slash the SVG file name. Both names are too long for a
+# file name.
+@example(('a/<b> & "c",\x07\r\n' + "x" * 250, HARD_SWEEP))
+@example(("x" * 300, HARD_SWEEP))
+def test_any_tiny_sweep_writes_valid_artifacts(sweep):
+    name, config = sweep
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if name is not None:
+            generated = make_dataset(preset_config("er5", config.data_seed, config.n_graphs))
+            save_dataset(GraphDataset.from_samples(generated.samples, name), tmp / "data.json")
+            config = dataclasses.replace(config, dataset=str(tmp / "data.json"))
+        outcomes = {}
+        for workers in (1, 2):
+            config = dataclasses.replace(config, workers=workers)
+            dataset, stats, filter_reports = setup(config)
+            rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+            out = tmp / f"workers{workers}"
+            written = emit_reports(
+                rows, out, config=config, stats=stats, filter_reports=filter_reports
+            )
+            # rows.csv, summary.csv, report.json and one SVG per group.
+            groups = len(config.betas) * len(config.models) * len(config.readouts)
+            assert len(written) == 3 + groups
+            assert sorted(path.name for path in out.iterdir()) == sorted(
+                path.name for path in written.values()
+            )
+
+            assert [cells(row) for row in read_rows_csv(out / "rows.csv")] == [
+                cells(row) for row in rows
+            ]
+            again = tmp / f"report{workers}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["report", "--rows", str(out / "rows.csv"), "--out", str(again)]) == 0
+            assert (again / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+            # A diverged seed's NaN gap is counted, never averaged in.
+            for group in aggregate(rows):
+                assert math.isnan(group.mean_abs_gen_error) == (group.n_diverged == group.n_seeds)
+
+            document = json.loads((out / "report.json").read_text())
+            assert len(document["rows"]) == len(rows)
+            for record, row in zip(document["rows"], rows):
+                assert (record["bounds"] is None) == (row.bounds is None)
+                if row.bounds is not None:
+                    fd, rademacher = recompute_bounds_from_record(record)
+                    assert _same(fd, row.fd_bound) and _same(rademacher, row.rademacher_bound)
+            for path in out.glob("*.svg"):
+                ET.fromstring(path.read_text())
+            outcomes[workers] = [cells(row)[:-1] for row in rows]
+    assert outcomes[1] == outcomes[2]

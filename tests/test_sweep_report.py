@@ -436,6 +436,13 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             tiny_config(**{name: value})
 
+    def test_preset_only_keys_are_checked_for_presets_alone(self):
+        keys = dict(n_graphs=1, data_seed=-1, feature_dim=0)
+        assert tiny_config(dataset="data.json", **keys).n_graphs == 1
+        for name, value in keys.items():
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                tiny_config(**{name: value})
+
     def test_json_value_is_json_ready(self):
         text = json.dumps(to_json_value(tiny_config()))
         assert "er5" in text

@@ -288,6 +288,31 @@ class TestInPlaceKernel:
         finally:
             sys.setswitchinterval(switch)
 
+    def test_a_workspace_allocates_f_or_an_out_buffer_and_one_temp_per_lane(self, monkeypatch):
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        block_rows(monkeypatch, 2, 3)
+        # A lane's scratch has room for a block of 2 rows and a merged tail.
+        scratch = [(3, 3)] * 2
+        assert sorted(a.shape for a in owned_arrays(Workspace(40, 3))) == scratch + [(40, 3)]
+        assert sorted(a.shape for a in owned_arrays(Workspace(0, 3))) == scratch * 2
+
+
+def owned_arrays(workspace: Workspace) -> list[np.ndarray]:
+    """The arrays a workspace allocated: each array it holds, directly or in
+    its lists and tuples, taken as the array that owns its memory."""
+    found = {}
+
+    def walk(value) -> None:
+        if isinstance(value, np.ndarray):
+            owner = value if value.base is None else value.base
+            found[id(owner)] = owner
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    walk(list(vars(workspace).values()))
+    return list(found.values())
+
 
 def writable(params) -> ParamArrays:
     """A copy of a container's fields (or of ParamArrays) as writable arrays."""
@@ -563,58 +588,78 @@ class TestTrain:
                 train(params, samples, cfg, config)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_a_nan_weight_after_the_last_step_is_divergence(self, rng, monkeypatch):
+        params, samples, config = self._setup(rng)
+        step = training_module.sgd_step
+
+        def poisoning(params, grads, velocity, config):
+            step(params, grads, velocity, config)
+            params.w2[0] = np.nan
+
+        monkeypatch.setattr(training_module, "sgd_step", poisoning)
+        with pytest.raises(TrainingDivergenceError, match="NaN after the last step"):
+            train(params, samples, TrainConfig(epochs=1, batch_size=len(samples)), config)
+
     def test_empty_training_set_rejected(self, rng):
         params, _, config = self._setup(rng)
         with pytest.raises(ValueError):
             train(params, [], TrainConfig(), config)
 
-    @staticmethod
-    def _partitions_held(monkeypatch) -> list[int]:
-        """How many row partitions a workspace holds after building each one."""
-        held = []
+    def test_full_minibatches_take_the_deal_built_with_the_workspace(self, rng, monkeypatch):
+        # 7 graphs of 5 nodes in batches of 3: full minibatches of 15 nodes
+        # and a tail of 5. Blocks of 2 rows on two lanes, so a deal has runs.
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        block_rows(monkeypatch, 2, 4)
+        config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM,
+                             width=4)
+        samples = [random_sample(rng, 5, 2) for _ in range(7)]
+        params = init_params(config, 2, seed=3)
+        dealt = []
         runs = Workspace.runs
 
         def recording(workspace, nodes):
-            fresh = nodes not in workspace._runs
             result = runs(workspace, nodes)
-            if fresh:
-                held.append(len(workspace._runs))
+            dealt.append((nodes, len(workspace.f), result))
             return result
 
         monkeypatch.setattr(Workspace, "runs", recording)
-        return held
+        train(params, samples, TrainConfig(epochs=4, batch_size=3, seed=4), config)
+        full = [result for nodes, own, result in dealt if nodes == own]
+        tail = [result for nodes, own, result in dealt if nodes != own]
+        # The deal made when the workspace is built, then three dispatches
+        # (forward, backward, input-side sums) per step: each of 4 epochs has
+        # 2 full steps and a tail step.
+        assert {nodes for nodes, _, _ in dealt} == {15, 5} and len(full[0]) == 2
+        assert len(full) == 1 + 4 * 2 * 3 and all(result is full[0] for result in full)
+        assert len(tail) == 4 * 3 and len({id(result) for result in tail + full[:1]}) == 13
 
-    def test_row_partitions_stay_bounded_on_graphs_of_many_sizes(self, rng, monkeypatch):
-        # Blocks of 2 rows on two lanes, so a partition has several runs.
-        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+    def test_graphs_of_many_sizes_train_alike_on_two_lanes_and_one(self, rng, monkeypatch):
+        # Blocks of 2 rows, so every minibatch is dealt to both lanes.
         block_rows(monkeypatch, 2, 4)
         config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
                              width=4)
         samples = [random_sample(rng, int(n), 2) for n in rng.integers(2, 30, size=12)]
         params = init_params(config, 2, seed=3)
         cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, seed=4)
-        held = self._partitions_held(monkeypatch)
-        trained, history = train(params, samples, cfg, config)
-        bound = models_module._RUNS_KEPT
-        assert len(held) > bound and max(held) <= bound
-        # Every partition kept, as an unbounded cache would: the same bits.
-        held.clear()
-        monkeypatch.setattr(models_module, "_RUNS_KEPT", 10**9)
-        kept_all, kept_history = train(params, samples, cfg, config)
-        assert max(held) > bound
-        assert history == kept_history
-        for field in dataclasses.fields(trained):
-            assert np.array_equal(getattr(trained, field.name), getattr(kept_all, field.name))
+        lanes_used = []
+        runs = Workspace.runs
 
-    def test_equal_size_graphs_build_each_partition_once(self, rng, monkeypatch):
-        # 7 graphs of 5 nodes in batches of 3: totals of 15 and 5 nodes.
-        config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM,
-                             width=4)
-        samples = [random_sample(rng, 5, 2) for _ in range(7)]
-        params = init_params(config, 2, seed=3)
-        held = self._partitions_held(monkeypatch)
-        train(params, samples, TrainConfig(epochs=4, batch_size=3, seed=4), config)
-        assert held == [1, 2]
+        def recording(workspace, nodes):
+            result = runs(workspace, nodes)
+            lanes_used.append(len(result))
+            return result
+
+        monkeypatch.setattr(Workspace, "runs", recording)
+        trained = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(blas_module, "_usable_cpus", lambda lanes=lanes: lanes)
+            lanes_used.clear()
+            trained[lanes] = train(params, samples, cfg, config)
+            assert set(lanes_used) == {lanes}
+        (one, one_history), (two, two_history) = trained[1], trained[2]
+        assert one_history == two_history
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(one, field.name), getattr(two, field.name))
 
 
 class TestChunkedRisk:
