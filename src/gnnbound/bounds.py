@@ -86,12 +86,14 @@ class BoundInputs:
 
 
 def extract_model_stats(params: Params) -> ModelStats:
+    """The weight norms; a row norm beyond float64 is inf, without a NumPy warning."""
     w3 = getattr(params, "w3", None)
-    return ModelStats(
-        w1_row_norm_max=float(np.linalg.norm(params.w1, axis=1).max()),
-        w2_abs_max=float(np.abs(params.w2).max()),
-        w3_row_norm_max=None if w3 is None else float(np.linalg.norm(w3, axis=1).max()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ModelStats(
+            w1_row_norm_max=float(np.linalg.norm(params.w1, axis=1).max()),
+            w2_abs_max=float(np.abs(params.w2).max()),
+            w3_row_norm_max=None if w3 is None else float(np.linalg.norm(w3, axis=1).max()),
+        )
 
 
 def max_logistic_loss(output_bound: float) -> float:

@@ -5,10 +5,10 @@ back yields bit-identical values and re-aggregating a parsed rows.csv
 reproduces summary.csv byte for byte. Aggregation sorts each group's values
 before summing, which makes the statistics invariant to row order.
 
-The SVG plots are emitted by plain string assembly (axes, polylines, error
-bars, text) with no plotting dependency: one file per (dataset, beta, model,
-readout), mean absolute generalization error (scaled by 1e5) against width on
-a log2 axis, one series per graph filter, +/-1 sample-std error bars.
+The SVG plots are written element by element through one writer, _element,
+with no plotting dependency: one file per (dataset, beta, model, readout),
+mean absolute generalization error (scaled by 1e5) against width on a log2
+axis, one series per graph filter, +/-1 sample-std error bars.
 """
 
 from __future__ import annotations
@@ -260,10 +260,10 @@ _FALLBACK_COLOR = "#555555"
 
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 440
-_MARGIN_LEFT = 82
-_MARGIN_RIGHT = 24
-_MARGIN_TOP = 46
-_MARGIN_BOTTOM = 64
+# The plot area's edges, inside margins of 82, 24, 46 and 64: floats, so that
+# the element writer writes every position drawn from them to two decimals.
+_LEFT, _RIGHT = 82.0, _SVG_WIDTH - 24.0
+_TOP, _BOTTOM = 46.0, _SVG_HEIGHT - 64.0
 
 # Characters XML 1.0 does not allow in a document, escaped or not.
 _NON_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -277,6 +277,22 @@ def _svg_text(value: str) -> str:
     return escape(_NON_XML.sub("\ufffd", value))
 
 
+def _element(tag: str, body: str | list[str] | None = None, **attrs) -> str:
+    """One SVG element, the one place that formats an attribute or escapes text: a
+    float attribute is written to two decimals, any other value as str, and a "_" in
+    an attribute name as "-". A str body is text, escaped through _svg_text; a list
+    body is child elements, one per line; an element without a body closes itself."""
+    head = tag + "".join(
+        f' {name.replace("_", "-")}="{_px(value) if isinstance(value, float) else value}"'
+        for name, value in attrs.items()
+    )
+    if body is None:
+        return f"<{head}/>"
+    if isinstance(body, list):
+        return "\n".join([f"<{head}>", *body, f"</{tag}>"])
+    return f"<{head}>{_svg_text(body)}</{tag}>"
+
+
 def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
     """SVG chart of mean abs_gen_error (x1e5) vs width, one series per filter.
 
@@ -285,121 +301,81 @@ def trend_svg(summary_rows: Sequence[SummaryRow], title: str) -> str:
     """
     if not summary_rows:
         raise ValueError("cannot plot an empty summary group")
-    series: dict[str, list[SummaryRow]] = {}
-    for row in summary_rows:
-        series.setdefault(row.filter, []).append(row)
-    for rows in series.values():
-        rows.sort(key=lambda r: r.width)
-
-    scale = 1e5
+    # Each filter's (width, mean, std) points, x1e5, by width. A filter whose
+    # every mean is NaN (all seeds diverged) keeps its legend entry.
+    series: dict[str, list[tuple[int, float, float]]] = {row.filter: [] for row in summary_rows}
+    for row in sorted(summary_rows, key=lambda r: r.width):
+        if math.isfinite(row.mean_abs_gen_error):
+            series[row.filter].append(
+                (row.width, row.mean_abs_gen_error * 1e5, row.std_abs_gen_error * 1e5)
+            )
     xs = sorted({row.width for row in summary_rows})
     x_lo, x_hi = math.log2(xs[0]), math.log2(xs[-1])
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    points = [
-        (row.mean_abs_gen_error * scale, row.std_abs_gen_error * scale)
-        for row in summary_rows
-        if math.isfinite(row.mean_abs_gen_error)
-    ]
-    y_lo = 0.0
-    y_hi = max((v + e for v, e in points), default=1.0)
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    y_hi *= 1.05
-
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def x_px(width: int) -> float:
-        return _MARGIN_LEFT + (math.log2(width) - x_lo) / (x_hi - x_lo) * plot_w
+    # The y axis runs from 0 to 5 % above the highest error bar.
+    y_hi = max((mean + std for points in series.values() for _, mean, std in points), default=1.0)
+    y_hi = (1.0 if y_hi <= 0.0 else y_hi) * 1.05
+    # Each swept width's x position, on a log2 axis.
+    xpix = {w: _LEFT + (math.log2(w) - x_lo) / (x_hi - x_lo) * (_RIGHT - _LEFT) for w in xs}
 
     def y_px(value: float) -> float:
-        return _MARGIN_TOP + plot_h - (value - y_lo) / (y_hi - y_lo) * plot_h
+        return _BOTTOM - value / y_hi * (_BOTTOM - _TOP)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
-        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{_px(_SVG_WIDTH / 2)}" y="24" text-anchor="middle" font-size="15">{_svg_text(title)}</text>',
+        _element("rect", width=_SVG_WIDTH, height=_SVG_HEIGHT, fill="white"),
+        _element("text", title, x=_SVG_WIDTH / 2, y=24, text_anchor="middle", font_size=15),
+    ]
+    # Horizontal gridlines and y tick labels at five even value steps.
+    for value in (y_hi * tick / 4 for tick in range(5)):
+        ypix = y_px(value)
+        parts += [
+            _element("line", x1=_LEFT, y1=ypix, x2=_RIGHT, y2=ypix, stroke="#dddddd"),
+            _element("text", f"{value:.3g}", x=_LEFT - 8, y=ypix + 4, text_anchor="end"),
+        ]
+    # x ticks at each width actually swept.
+    for width, x in xpix.items():
+        parts += [
+            _element("line", x1=x, y1=_BOTTOM, x2=x, y2=_BOTTOM + 5, stroke="black"),
+            _element("text", str(width), x=x, y=_BOTTOM + 20, text_anchor="middle"),
+        ]
+    # The axes and their labels.
+    mid_y = (_TOP + _BOTTOM) / 2
+    parts += [
+        _element("line", x1=_LEFT, y1=_TOP, x2=_LEFT, y2=_BOTTOM, stroke="black"),
+        _element("line", x1=_LEFT, y1=_BOTTOM, x2=_RIGHT, y2=_BOTTOM, stroke="black"),
+        _element("text", "hidden units h (log2 scale)", x=(_LEFT + _RIGHT) / 2,
+                 y=_SVG_HEIGHT - 18.0, text_anchor="middle"),
+        _element("text", "abs generalization error (x1e5)", x=20, y=mid_y, text_anchor="middle",
+                 transform=f"rotate(-90 20 {_px(mid_y)})"),
     ]
 
-    axis_y = _MARGIN_TOP + plot_h
-    # Horizontal gridlines and y tick labels at five even value steps.
-    for tick in range(5):
-        value = y_lo + (y_hi - y_lo) * tick / 4
-        ypix = y_px(value)
-        parts.append(
-            f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(ypix)}" '
-            f'x2="{_px(_MARGIN_LEFT + plot_w)}" y2="{_px(ypix)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{_px(_MARGIN_LEFT - 8)}" y="{_px(ypix + 4)}" text-anchor="end">{value:.3g}</text>'
-        )
-    # x ticks at each width actually swept.
-    for width in xs:
-        xpix = x_px(width)
-        parts.append(
-            f'<line x1="{_px(xpix)}" y1="{_px(axis_y)}" x2="{_px(xpix)}" y2="{_px(axis_y + 5)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_px(xpix)}" y="{_px(axis_y + 20)}" text-anchor="middle">{width}</text>'
-        )
-    # Axes.
-    parts.append(
-        f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(_MARGIN_TOP)}" '
-        f'x2="{_px(_MARGIN_LEFT)}" y2="{_px(axis_y)}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(axis_y)}" '
-        f'x2="{_px(_MARGIN_LEFT + plot_w)}" y2="{_px(axis_y)}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{_px(_MARGIN_LEFT + plot_w / 2)}" y="{_px(_SVG_HEIGHT - 18)}" '
-        f'text-anchor="middle">hidden units h (log2 scale)</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{_px(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_px(_MARGIN_TOP + plot_h / 2)})">'
-        f"abs generalization error (x1e5)</text>"
-    )
-
-    legend_y = _MARGIN_TOP + 10
-    for name in sorted(series):
-        rows = series[name]
+    lx, ly = _RIGHT - 130, _TOP + 10
+    for name, points in sorted(series.items()):
         color = _SERIES_COLORS.get(name, _FALLBACK_COLOR)
-        coords = [
-            (x_px(r.width), y_px(r.mean_abs_gen_error * scale), r.std_abs_gen_error * scale, r)
-            for r in rows
-            if math.isfinite(r.mean_abs_gen_error)
+        if len(points) > 1:
+            path = " ".join(f"{_px(xpix[width])},{_px(y_px(mean))}" for width, mean, _ in points)
+            parts.append(
+                _element("polyline", points=path, fill="none", stroke=color, stroke_width="1.5")
+            )
+        for width, mean, std in points:
+            cx = xpix[width]
+            if std > 0.0:
+                top, bottom = y_px(min(mean + std, y_hi)), y_px(max(mean - std, 0.0))
+                parts += [_element("line", x1=cx, y1=top, x2=cx, y2=bottom, stroke=color)] + [
+                    _element("line", x1=cx - 4, y1=bar_y, x2=cx + 4, y2=bar_y, stroke=color)
+                    for bar_y in (top, bottom)
+                ]
+            parts.append(_element("circle", cx=cx, cy=y_px(mean), r="3.5", fill=color))
+        parts += [
+            _element("line", x1=lx, y1=ly, x2=lx + 22, y2=ly, stroke=color, stroke_width=2),
+            _element("text", name, x=lx + 28, y=ly + 4),
         ]
-        if len(coords) > 1:
-            path = " ".join(f"{_px(cx)},{_px(cy)}" for cx, cy, _, _ in coords)
-            parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for cx, cy, err, row in coords:
-            if err > 0.0:
-                top = y_px(min(row.mean_abs_gen_error * scale + err, y_hi))
-                bottom = y_px(max(row.mean_abs_gen_error * scale - err, y_lo))
-                parts.append(
-                    f'<line x1="{_px(cx)}" y1="{_px(top)}" x2="{_px(cx)}" y2="{_px(bottom)}" '
-                    f'stroke="{color}"/>'
-                )
-                for bar_y in (top, bottom):
-                    parts.append(
-                        f'<line x1="{_px(cx - 4)}" y1="{_px(bar_y)}" x2="{_px(cx + 4)}" '
-                        f'y2="{_px(bar_y)}" stroke="{color}"/>'
-                    )
-            parts.append(f'<circle cx="{_px(cx)}" cy="{_px(cy)}" r="3.5" fill="{color}"/>')
-        # Legend entry.
-        lx = _MARGIN_LEFT + plot_w - 130
-        parts.append(
-            f'<line x1="{_px(lx)}" y1="{_px(legend_y)}" x2="{_px(lx + 22)}" y2="{_px(legend_y)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(f'<text x="{_px(lx + 28)}" y="{_px(legend_y + 4)}">{_svg_text(name)}</text>')
-        legend_y += 18
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        ly += 18
+    return _element(
+        "svg", parts, xmlns="http://www.w3.org/2000/svg", width=_SVG_WIDTH, height=_SVG_HEIGHT,
+        viewBox=f"0 0 {_SVG_WIDTH} {_SVG_HEIGHT}", font_family="sans-serif", font_size=12,
+    ) + "\n"
 
 
 # The longest plot file name, in characters, before its digest and suffix:

@@ -26,6 +26,7 @@ runs on the main thread, which owns the cores, on one lane per usable CPU
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ from .filters import FilterKind, FilterNormReport, filter_norm_report
 from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
 from .synth import PRESET_NAMES, make_dataset, preset_config
 from .training import (
+    RunResult,
     TrainConfig,
     TrainingDivergenceError,
     measure_generalization,
@@ -217,25 +219,23 @@ def _run_coordinate(
     model_config = ModelConfig(model_kind, filter_kind, width, readout)
     params = init_params(model_config, dataset.feature_dim, init_seed)
     train_config = dataclasses.replace(config.train, seed=shuffle_seed)
-    values = (dataset.name, beta, model_kind.value, filter_kind.value, readout.value, width, seed)
-    common = dict(zip(COORDINATE_COLUMNS, values))
+    nan = math.nan
     try:
         trained, _ = train(params, train_set, train_config, model_config)
+        run = measure_generalization(trained, train_set, test_set, model_config)
     except TrainingDivergenceError:
-        outcomes = ("train_risk", "test_risk", "abs_gen_error", "fd_bound", "rademacher_bound")
-        return SweepRow(
-            **common, **dict.fromkeys(outcomes, float("nan")),
-            wall_time_s=time.perf_counter() - started,
-        )
-    run = measure_generalization(trained, train_set, test_set, model_config)
-    report = bounds_for(trained, model_config, len(train_set), stats, filter_report, config)
+        run = None
+    # One verdict per row: a run that diverged in training, or whose weights
+    # the risk forward cannot hold, gets NaN outcomes and no bounds.
+    if run is None or not (math.isfinite(run.train_risk) and math.isfinite(run.test_risk)):
+        run, report = RunResult(nan, nan, nan), None
+    else:
+        report = bounds_for(trained, model_config, len(train_set), stats, filter_report, config)
     return SweepRow(
-        **common,
-        train_risk=run.train_risk,
-        test_risk=run.test_risk,
-        abs_gen_error=run.abs_gen_error,
-        fd_bound=report.fd_bound,
-        rademacher_bound=report.rademacher_bound,
+        dataset.name, beta, model_kind.value, filter_kind.value, readout.value, width, seed,
+        **dataclasses.asdict(run),
+        fd_bound=report.fd_bound if report else nan,
+        rademacher_bound=report.rademacher_bound if report else nan,
         wall_time_s=time.perf_counter() - started,
         bounds=report,
     )

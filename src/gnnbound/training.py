@@ -192,12 +192,14 @@ def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     One forward over the whole set, on a workspace without f: each row
     block's outer outputs stay in scratch, so no N x h array of the set is
     made. Like a train step, it runs on the workspace's lanes, under the main
-    thread's OpenBLAS pin.
+    thread's OpenBLAS pin, and weights beyond what the forward can hold give a
+    non-finite risk without a NumPy warning, as they do in train.
     """
     prepared = _prepared(params, samples, model_config)
     stacked = prepared.stack.gather(prepared.graphs)
-    yhat = forward(params, stacked, model_config, Workspace(0, params.width))
-    return float(logistic_loss(yhat, stacked.labels).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat = forward(params, stacked, model_config, Workspace(0, params.width))
+        return float(logistic_loss(yhat, stacked.labels).mean())
 
 
 def sgd_step(

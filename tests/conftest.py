@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from gnnbound.data import GraphDataset, GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import ModelConfig, ModelKind, Params, Readout, init_params
+from gnnbound.sweep import SweepRow
 from gnnbound.synth import generate_features
 from oracles import regularized_risk
 
@@ -46,6 +48,15 @@ def random_dataset(
         random_sample(rng, int(rng.integers(n_lo, n_hi + 1)), k) for _ in range(n_graphs)
     ]
     return GraphDataset.from_samples(samples, name=name)
+
+
+def has_one_verdict(row: SweepRow) -> bool:
+    """The row is measured, with finite risks and gap and a bound report, or
+    diverged, with NaN in every outcome and no report."""
+    risks = (row.train_risk, row.test_risk, row.abs_gen_error)
+    if row.bounds is None:
+        return all(math.isnan(value) for value in (*risks, row.fd_bound, row.rademacher_bound))
+    return all(math.isfinite(value) for value in risks)
 
 
 def finite_diff_grads(params: Params, batch, model_config: ModelConfig, alpha: float,

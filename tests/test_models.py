@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_sample, sample_from_edges
+from gnnbound.data import GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -21,6 +23,7 @@ from gnnbound.models import (
     load_params,
     save_params,
 )
+from gnnbound.sweep import resolve_dataset
 from oracles import (
     forward_graph,
     gcn_unit_output,
@@ -244,6 +247,28 @@ class TestForward:
         f2 = forward_graph(p2, sample, config2)
         f12 = forward_graph(combined, sample, _config(width=5))
         assert f12 == pytest.approx((2 * f1 + 3 * f2) / 5, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("filter_kind", list(FilterKind))
+    @pytest.mark.parametrize("readout", list(Readout))
+    def test_output_is_odd_in_the_features(self, model, filter_kind, readout):
+        """yhat(-F) = -yhat(F) exactly, for every choice of activation, zeta,
+        rho and kappa: every nonlinearity is odd, and every filter, weight and
+        readout is linear. The presets' feature law (Gaussian rows scaled to
+        unit norm) is symmetric under F -> -F, so given the graph the output's
+        mean over features is 0, and no label that depends on the topology
+        alone can be learned."""
+        dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
+        for seed, (activation, zeta, rho, kappa) in enumerate(
+            itertools.product(Nonlinearity, repeat=4)
+        ):
+            config = ModelConfig(model, filter_kind, 4, readout, activation, zeta, rho, kappa)
+            params = init_params(config, dataset.feature_dim, seed)
+            for sample in dataset:
+                flipped = GraphSample(sample.adjacency, -sample.features, sample.label)
+                assert forward_graph(params, flipped, config) == -forward_graph(
+                    params, sample, config
+                )
 
     def test_output_bounded_by_w2_scale(self, rng):
         for _ in range(10):

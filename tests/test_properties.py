@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_sample
+from conftest import has_one_verdict, random_sample
 from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.cli import (
     BOUNDS_TABLE,
@@ -496,6 +496,7 @@ def test_any_tiny_sweep_writes_valid_artifacts(sweep):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["report", "--rows", str(out / "rows.csv"), "--out", str(again)]) == 0
             assert (again / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+            assert all(has_one_verdict(row) for row in rows)
             # A diverged seed's NaN gap is counted, never averaged in.
             for group in aggregate(rows):
                 assert math.isnan(group.mean_abs_gen_error) == (group.n_diverged == group.n_seeds)

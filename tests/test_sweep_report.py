@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from gnnbound.sweep import (
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
-from conftest import random_dataset
+from conftest import has_one_verdict, random_dataset
 from oracles import run_sweep
 
 
@@ -389,6 +390,21 @@ class TestSweep:
         assert math.isnan(row.fd_bound)
         assert row.bounds is None
         assert row.diverged
+
+    def test_a_row_the_risk_forward_cannot_hold_is_diverged_everywhere(self):
+        # At lr 1e54 most runs finish training with weights whose risk
+        # forward overflows; the rest train or diverge in training.
+        config = tiny_config(
+            n_graphs=5, feature_dim=16, widths=(1, 8), seeds=(0, 1, 2),
+            models=tuple(ModelKind), filters=tuple(FilterKind), readouts=tuple(Readout),
+            train=TrainConfig(learning_rate=1e54, epochs=3, batch_size=2),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(config)
+        assert len(rows) == 96
+        assert all(has_one_verdict(row) for row in rows)
+        assert 0 < sum(row.bounds is None for row in rows) < len(rows)
 
     def test_resolve_dataset_prefers_presets_then_files(self, tmp_path, rng):
         preset = resolve_dataset("er5", n_graphs=3, feature_dim=2)
