@@ -5,10 +5,11 @@ trained weight norms (ModelStats) and the dataset- and training-level inputs
 (BoundInputs) and computes, in this order:
 
 * the per-unit cap c on |f(z)| along the Lipschitz chain through the
-  filtered features: Lip(phi) * ||w1|| * g_max * b_F for GCN, and
-  Lip(kappa) * b_F * (||w3|| + g_max * Lip(rho) * Lip(zeta) * ||w1||) for
-  MPGNN. When bounded is set and the outer nonlinearity is bounded (tanh,
-  centered sigmoid), c is min(chain, sup|f|); bounded=False keeps the chain.
+  filtered features, where f is the config's outer nonlinearity (phi for
+  GCN, kappa for MPGNN): Lip(f) * ||w1|| * g_max * b_F for GCN, and
+  Lip(f) * b_F * (||w3|| + g_max * Lip(rho) * Lip(zeta) * ||w1||) for
+  MPGNN. When bounded is set and f is bounded (tanh, centered sigmoid), c is
+  min(chain, sup|f|); bounded=False keeps the chain.
 * the model-output cap B = max|w2| * c * (readout Lipschitz constant * N_max),
   where the last factor is 1 for mean readout and N_max for sum readout;
 * t = |loss'| cap * B, with |loss'| <= 1 for the logistic loss;

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .data import dataset_stats, load_dataset, save_dataset, to_json_value, train_size
 from .filters import FilterKind, filter_norm_report
-from .models import ModelConfig, ModelKind, Readout, ShapeError, load_params
+from .models import ModelConfig, ModelKind, Readout, ShapeError, check_shapes, load_params
 from .report import ROW_COLUMNS, emit_reports, read_rows_csv
 from .sweep import SweepConfig, bounds_for, run_sweep_on, setup
 from .synth import (
@@ -313,11 +313,15 @@ def _print_json(value) -> None:
 def cmd_bounds(args) -> int:
     config = _sweep_config(args.config, BOUNDS_TABLE, **_TRAIN_DEFAULTS, dataset=args.dataset)
     params = load_params(args.params)
-    dataset, stats, filter_reports = setup(config)
     filter_kind = config.filters[0]
     model_config = ModelConfig(params.kind, filter_kind, params.width, config.readouts[0])
-    n_train = train_size(len(dataset), config.betas[0])
     try:
+        if config.dataset in PRESET_NAMES:
+            # A preset's feature_dim is the config's, so the check needs no
+            # generated graph; a dataset file's is known once it is read.
+            check_shapes(params, config.feature_dim, model_config)
+        dataset, stats, filter_reports = setup(config)
+        n_train = train_size(len(dataset), config.betas[0])
         report = bounds_for(
             params, model_config, n_train, stats, filter_reports[filter_kind], config
         )

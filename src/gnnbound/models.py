@@ -5,10 +5,11 @@ model is the empirical average over units, so unit order never matters.
 
 Per node j of a graph with filter matrix G = G(A) and features F:
 
-    GCN unit i:    w2[i] * phi( (G[j,:] F) . w1[i,:] )
-    MPGNN unit i:  w2[i] * kappa( F[j,:] . w3[i,:] + rho(G[j,:] zeta(F)) . w1[i,:] )
+    GCN unit i:    w2[i] * outer( (G[j,:] F) . w1[i,:] )
+    MPGNN unit i:  w2[i] * outer( F[j,:] . w3[i,:] + rho(G[j,:] zeta(F)) . w1[i,:] )
 
-with zeta and rho applied entrywise. The model output is
+with zeta and rho applied entrywise. outer is the GCN's phi and the MPGNN's
+kappa; zeta and rho are read by the MPGNN only. The model output is
 
     yhat = psi( sum_j (1/h) sum_i unit(i, j) )
 
@@ -90,25 +91,26 @@ class Nonlinearity(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model family, graph filter, width, readout, and nonlinearities."""
+    """Model family, graph filter, width, readout, and nonlinearities: outer
+    is the one whose output w2 weighs (phi for GCN, kappa for MPGNN), and
+    zeta and rho are the MPGNN's. A GCN never reads zeta or rho, so it
+    refuses any but their default."""
 
     model_kind: ModelKind
     filter_kind: FilterKind
     width: int
     readout: Readout = Readout.MEAN
-    activation: Nonlinearity = Nonlinearity.TANH
+    outer: Nonlinearity = Nonlinearity.TANH
     zeta: Nonlinearity = Nonlinearity.TANH
     rho: Nonlinearity = Nonlinearity.TANH
-    kappa: Nonlinearity = Nonlinearity.TANH
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
-
-    @property
-    def outer(self) -> Nonlinearity:
-        """The nonlinearity whose output w2 weighs: phi for GCN, kappa for MPGNN."""
-        return self.activation if self.model_kind is ModelKind.GCN else self.kappa
+        if self.model_kind is ModelKind.GCN:
+            for name in ("zeta", "rho"):
+                if getattr(self, name) is not Nonlinearity.TANH:
+                    raise ValueError(f"{name} must be tanh for a GCN, which does not read it")
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,9 @@ def prepare_sample(sample: GraphSample, config: ModelConfig) -> dict[str, np.nda
 
 def prepared_with(config: ModelConfig) -> dict[str, str]:
     """The config fields prepare_sample reads, by name: the model kind and
-    filter, and for MPGNN zeta and rho. Rows prepared under one config serve
-    every config that agrees with it on these."""
-    names = ["model_kind", "filter_kind"]
-    if config.model_kind is ModelKind.MPGNN:
-        names += ["zeta", "rho"]
+    filter, and zeta and rho, which a GCN holds at tanh. Rows prepared under
+    one config serve every config that agrees with it on these."""
+    names = ("model_kind", "filter_kind", "zeta", "rho")
     return {name: getattr(config, name).value for name in names}
 
 

@@ -115,19 +115,23 @@ def gradcheck_margin(analytic: Params, numeric: dict[str, np.ndarray],
     return worst
 
 
+def nonlinearity_fields(model: ModelKind) -> tuple[str, ...]:
+    """The ModelConfig nonlinearities a model reads: outer, and for MPGNN also
+    zeta and rho."""
+    return ("outer",) if model is ModelKind.GCN else ("outer", "zeta", "rho")
+
+
 def gradcheck_case(rng: np.random.Generator, model: ModelKind, filter_kind: FilterKind,
                    readout: Readout, width: int, feature_dim: int,
-                   activation) -> tuple[Params, list[GraphSample], ModelConfig]:
-    """One small randomized configuration for a finite-difference gradient check."""
+                   nonlinearity) -> tuple[Params, list[GraphSample], ModelConfig]:
+    """One small randomized configuration for a finite-difference gradient
+    check, with every nonlinearity the model reads set to nonlinearity."""
     config = ModelConfig(
         model_kind=model,
         filter_kind=filter_kind,
         width=width,
         readout=readout,
-        activation=activation,
-        zeta=activation,
-        rho=activation,
-        kappa=activation,
+        **dict.fromkeys(nonlinearity_fields(model), nonlinearity),
     )
     batch = [random_sample(rng, int(rng.integers(2, 8)), feature_dim) for _ in range(2)]
     params = init_params(config, feature_dim, seed=int(rng.integers(0, 2**31)))

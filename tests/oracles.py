@@ -76,10 +76,10 @@ def gcn_unit_output(
     w1_row: np.ndarray,
     w2_scalar: float,
     filtered_row: np.ndarray,
-    activation: Nonlinearity = Nonlinearity.TANH,
+    outer: Nonlinearity = Nonlinearity.TANH,
 ) -> float:
-    """w2 * phi(filtered_row . w1) for one unit at one node."""
-    return float(w2_scalar * activation.apply(float(np.dot(filtered_row, w1_row))))
+    """w2 * outer(filtered_row . w1) for one unit at one node."""
+    return float(w2_scalar * outer.apply(float(np.dot(filtered_row, w1_row))))
 
 
 def mpgnn_unit_output(
@@ -89,15 +89,15 @@ def mpgnn_unit_output(
     feature_row: np.ndarray,
     aggregated_row: np.ndarray,
     rho: Nonlinearity = Nonlinearity.TANH,
-    kappa: Nonlinearity = Nonlinearity.TANH,
+    outer: Nonlinearity = Nonlinearity.TANH,
 ) -> float:
-    """w2 * kappa(feature_row . w3 + rho(aggregated_row) . w1) for one unit.
+    """w2 * outer(feature_row . w3 + rho(aggregated_row) . w1) for one unit.
 
     aggregated_row is the precomputed G(A)[j,:] zeta(F) vector; rho is applied
     entrywise here.
     """
     inner = float(np.dot(feature_row, w3_row)) + float(np.dot(rho.apply(aggregated_row), w1_row))
-    return float(w2_scalar * kappa.apply(inner))
+    return float(w2_scalar * outer.apply(inner))
 
 
 def spectral_norm(
@@ -392,14 +392,13 @@ def closed_form_bounds(config, stats, inputs, bounded: bool) -> dict[str, float]
     """The model-output cap, the fd bound and the Rademacher terms and bound,
     from bounds.py's module docstring formulas with the nonlinearities'
     constants tabled here; it reads plain fields of its arguments only."""
-    outer = config.activation if config.model_kind.value == "gcn" else config.kappa
     if config.model_kind.value == "gcn":
         chain = stats.w1_row_norm_max * inputs.g_max
     else:
         rho, zeta = _LIPSCHITZ[config.rho.value], _LIPSCHITZ[config.zeta.value]
         chain = stats.w3_row_norm_max + inputs.g_max * rho * zeta * stats.w1_row_norm_max
-    chain *= _LIPSCHITZ[outer.value] * inputs.b_f
-    unit = min(chain, _SUP[outer.value]) if bounded else chain
+    chain *= _LIPSCHITZ[config.outer.value] * inputs.b_f
+    unit = min(chain, _SUP[config.outer.value]) if bounded else chain
     nodes = inputs.n_max if inputs.readout.value == "sum" else 1
     cap = stats.w2_abs_max * unit * nodes
     n = inputs.n_train

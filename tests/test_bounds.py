@@ -269,7 +269,7 @@ class TestModelOutputCap:
     def test_identity_activation_uses_chain(self):
         config = ModelConfig(
             model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1,
-            activation=Nonlinearity.IDENTITY,
+            outer=Nonlinearity.IDENTITY,
         )
         stats = ModelStats(w1_row_norm_max=3.0, w2_abs_max=2.0, w3_row_norm_max=None)
         # cap is None for identity, so bounded=True still uses the Lipschitz chain.

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gnnbound.sweep as sweep_module
 from gnnbound.cli import main
 from gnnbound.report import ROW_COLUMNS
 
@@ -193,3 +194,23 @@ def test_preset_only_keys_are_not_checked_for_a_dataset_file(tmp_path, capsys):
                       "width = 4\nepochs = 2\n")
     assert main(["train", "--config", str(config)]) == 0
     assert "train_risk = " in capsys.readouterr().out
+
+
+def test_bounds_checks_params_before_building_a_preset(tmp_path, monkeypatch, capsys):
+    # A preset's feature_dim is known from the config, so a params file of
+    # another k is refused before any graph is generated or filtered.
+    calls = {"make_dataset": 0, "filter_norm_report": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sweep_module, name, counting(name, getattr(sweep_module, name)))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"model": "gcn", "w1": [[0.5, 0.5, 0.5]] * 8, "w2": [1.0] * 8}))
+    assert main(["bounds", "--params", str(params), "--dataset", "sbm1"]) == 1
+    assert capsys.readouterr().err == f"error: {params}: params expect feature_dim 3, data has 16\n"
+    assert calls == {"make_dataset": 0, "filter_norm_report": 0}

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_sample, sample_from_edges
+from conftest import nonlinearity_fields, random_sample, sample_from_edges
 from gnnbound.data import GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
@@ -36,11 +36,8 @@ GCN_MEAN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM
 
 
 def _config(model=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=3,
-            readout=Readout.MEAN, activation=Nonlinearity.TANH):
-    return ModelConfig(
-        model_kind=model, filter_kind=filter_kind, width=width, readout=readout,
-        activation=activation, zeta=activation, rho=activation, kappa=activation,
-    )
+            readout=Readout.MEAN):
+    return ModelConfig(model_kind=model, filter_kind=filter_kind, width=width, readout=readout)
 
 
 class TestNonlinearities:
@@ -71,6 +68,21 @@ class TestNonlinearities:
         x = rng.standard_normal(1000) * 50
         for nl in (Nonlinearity.TANH, Nonlinearity.SIGMOID_CENTERED):
             assert np.all(np.abs(nl.apply(x)) <= nl.cap)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field", ["zeta", "rho"])
+    @pytest.mark.parametrize("value", [Nonlinearity.SIGMOID_CENTERED, Nonlinearity.IDENTITY])
+    def test_gcn_refuses_the_nonlinearities_it_does_not_read(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be tanh for a GCN"):
+            ModelConfig(ModelKind.GCN, FilterKind.SYM_NORM, 1, **{field: value})
+
+    def test_every_mpgnn_choice_builds(self):
+        configs = {
+            ModelConfig(ModelKind.MPGNN, FilterKind.SYM_NORM, 1, outer=outer, zeta=zeta, rho=rho)
+            for outer, zeta, rho in itertools.product(Nonlinearity, repeat=3)
+        }
+        assert len(configs) == 27
 
 
 class TestUnitRows:
@@ -252,17 +264,16 @@ class TestForward:
     @pytest.mark.parametrize("filter_kind", list(FilterKind))
     @pytest.mark.parametrize("readout", list(Readout))
     def test_output_is_odd_in_the_features(self, model, filter_kind, readout):
-        """yhat(-F) = -yhat(F) exactly, for every choice of activation, zeta,
-        rho and kappa: every nonlinearity is odd, and every filter, weight and
+        """yhat(-F) = -yhat(F) exactly, for every choice of the nonlinearities
+        the model reads: every nonlinearity is odd, and every filter, weight and
         readout is linear. The presets' feature law (Gaussian rows scaled to
         unit norm) is symmetric under F -> -F, so given the graph the output's
         mean over features is 0, and no label that depends on the topology
         alone can be learned."""
         dataset = resolve_dataset("er5", n_graphs=6, feature_dim=3)
-        for seed, (activation, zeta, rho, kappa) in enumerate(
-            itertools.product(Nonlinearity, repeat=4)
-        ):
-            config = ModelConfig(model, filter_kind, 4, readout, activation, zeta, rho, kappa)
+        fields = nonlinearity_fields(model)
+        for seed, choice in enumerate(itertools.product(Nonlinearity, repeat=len(fields))):
+            config = ModelConfig(model, filter_kind, 4, readout, **dict(zip(fields, choice)))
             params = init_params(config, dataset.feature_dim, seed)
             for sample in dataset:
                 flipped = GraphSample(sample.adjacency, -sample.features, sample.label)

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import has_one_verdict, random_sample
+from conftest import has_one_verdict, nonlinearity_fields, random_sample
 from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.cli import (
     BOUNDS_TABLE,
@@ -371,7 +371,7 @@ def bound_cases(draw) -> tuple[ModelConfig, ModelStats, BoundInputs, bool]:
     nonlinearities = st.sampled_from(list(Nonlinearity))
     config = ModelConfig(
         model, FilterKind.SYM_NORM, width=1, readout=readout,
-        **{name: draw(nonlinearities) for name in ("activation", "zeta", "rho", "kappa")},
+        **{name: draw(nonlinearities) for name in nonlinearity_fields(model)},
     )
     stats = ModelStats(
         w1_row_norm_max=draw(norms),

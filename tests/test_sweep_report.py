@@ -54,7 +54,7 @@ from gnnbound.sweep import (
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
-from conftest import has_one_verdict, random_dataset
+from conftest import has_one_verdict, nonlinearity_fields, random_dataset
 from oracles import run_sweep
 
 
@@ -639,8 +639,8 @@ class TestEmitReports:
     @pytest.mark.parametrize("nonlinearity", [Nonlinearity.SIGMOID_CENTERED, Nonlinearity.IDENTITY])
     def test_bounds_recompute_for_any_model_config(self, model, nonlinearity):
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=4,
-                             readout=Readout.SUM, activation=nonlinearity, zeta=nonlinearity,
-                             rho=nonlinearity, kappa=nonlinearity)
+                             readout=Readout.SUM,
+                             **dict.fromkeys(nonlinearity_fields(model), nonlinearity))
         inputs = BoundInputs(n_train=140, alpha=100.0, n_max=20, b_f=1.0, g_max=1.5,
                              readout=Readout.SUM)
         report = bound_report(init_params(config, 3, seed=0), config, inputs)

@@ -172,7 +172,7 @@ class TestGradients:
     def test_gradcheck_small_gcn(self, rng):
         params, batch, config = gradcheck_case(
             rng, ModelKind.GCN, FilterKind.SYM_NORM, Readout.MEAN, width=2,
-            feature_dim=2, activation=Nonlinearity.TANH,
+            feature_dim=2, nonlinearity=Nonlinearity.TANH,
         )
         analytic = grad_regularized_risk(params, batch, config, 100.0)
         numeric = finite_diff_grads(params, batch, config, 100.0)
@@ -181,7 +181,7 @@ class TestGradients:
     def test_gradcheck_mpgnn_sum_readout(self, rng):
         params, batch, config = gradcheck_case(
             rng, ModelKind.MPGNN, FilterKind.SUM_AGG, Readout.SUM, width=3,
-            feature_dim=2, activation=Nonlinearity.SIGMOID_CENTERED,
+            feature_dim=2, nonlinearity=Nonlinearity.SIGMOID_CENTERED,
         )
         analytic = grad_regularized_risk(params, batch, config, 100.0)
         numeric = finite_diff_grads(params, batch, config, 100.0)
@@ -254,7 +254,7 @@ class TestInPlaceKernel:
         self, rng, monkeypatch, model, outer, readout, rows, lanes
     ):
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=7,
-                             readout=readout, activation=outer, kappa=outer)
+                             readout=readout, outer=outer)
         # Weights scaled up so the outer nonlinearity leaves its linear range.
         params = map_fields(lambda w: 3.0 * w, init_params(config, 3, seed=11))
         stacked = stack_samples(params, [random_sample(rng, n, 3) for n in (3, 6, 10)], config)
@@ -538,13 +538,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_preparation_ignores_the_fields_it_does_not_read(self, rng, model):
-        # Width, readout and the outer nonlinearity, and for GCN zeta and rho.
+        # Width, readout and the outer nonlinearity (a GCN holds zeta and rho at tanh).
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
         dataset = random_dataset(rng, 6, 2)
-        unread = {"width": 1, "readout": Readout.SUM, "activation": Nonlinearity.IDENTITY,
-                  "kappa": Nonlinearity.IDENTITY}
-        if model is ModelKind.GCN:
-            unread.update(zeta=Nonlinearity.IDENTITY, rho=Nonlinearity.IDENTITY)
+        unread = {"width": 1, "readout": Readout.SUM, "outer": Nonlinearity.IDENTITY}
         prepared = prepare_dataset(dataset, dataclasses.replace(config, **unread))
         params = init_params(config, 2, seed=4)
         assert empirical_risk(params, prepared, config) == empirical_risk(params, dataset, config)
@@ -565,7 +562,7 @@ class TestTrain:
     def test_divergence_raises(self, rng):
         config = ModelConfig(
             model_kind=ModelKind.GCN, filter_kind=FilterKind.SUM_AGG, width=2,
-            readout=Readout.SUM, activation=Nonlinearity.IDENTITY,
+            readout=Readout.SUM, outer=Nonlinearity.IDENTITY,
         )
         samples = [random_sample(rng, 8, 2) for _ in range(6)]
         params = init_params(config, 2, seed=1)
@@ -578,7 +575,7 @@ class TestTrain:
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         block_rows(monkeypatch, 2, 4)
         config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SUM_AGG,
-                             width=4, readout=Readout.SUM, kappa=Nonlinearity.IDENTITY)
+                             width=4, readout=Readout.SUM, outer=Nonlinearity.IDENTITY)
         samples = [random_sample(rng, 8, 2) for _ in range(6)]
         params = init_params(config, 2, seed=1)
         cfg = TrainConfig(learning_rate=1e200, epochs=50, batch_size=3, seed=0)
