@@ -30,7 +30,7 @@ from .data import dataset_stats, load_dataset, save_dataset, to_json_value, trai
 from .filters import FilterKind, filter_norm_report
 from .models import ModelConfig, ModelKind, Readout, ShapeError, check_shapes, load_params
 from .report import ROW_COLUMNS, emit_reports, read_rows_csv
-from .sweep import SweepConfig, bounds_for, run_sweep_on, setup
+from .sweep import GridError, SweepConfig, bounds_for, run_sweep_on, setup
 from .synth import (
     PRESET_NAMES,
     ErSpec,
@@ -217,8 +217,13 @@ def _build(cls, fields: dict, table: KeyTable, source: str):
     try:
         return cls(**own)
     except ValueError as exc:
-        key = _key(table, str(exc).split(" ", 1)[0])
-        raise ConfigError(f"{source}: {exc}" if key is None else f"{source}: {key}: {exc}") from exc
+        raise _named(exc, table, source) from exc
+
+
+def _named(exc: ValueError, table: KeyTable, source: str) -> ConfigError:
+    """exc reported under source and the key of the field its message starts with."""
+    key = _key(table, str(exc).split(" ", 1)[0])
+    return ConfigError(f"{source}: {exc}" if key is None else f"{source}: {key}: {exc}")
 
 
 def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
@@ -276,15 +281,25 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run(config: SweepConfig):
+def _setup(config: SweepConfig, table: KeyTable, path):
+    """sweep.setup for config read from path with table: a beta that cannot
+    split a dataset file is named by its key, as a preset's is by _build."""
+    try:
+        return setup(config)
+    except GridError as exc:
+        raise _named(exc, table, str(path or "defaults")) from exc
+
+
+def _run(config: SweepConfig, table: KeyTable, path):
     """The rows of config's grid, with the setup they were run on."""
-    dataset, stats, filter_reports = setup(config)
+    dataset, stats, filter_reports = _setup(config, table, path)
     rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
     return rows, stats, filter_reports
 
 
 def cmd_train(args) -> int:
-    rows, _, _ = _run(_sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS))
+    config = _sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS)
+    rows, _, _ = _run(config, TRAIN_TABLE, args.config)
     for column in ROW_COLUMNS:
         print(f"{column} = {getattr(rows[0], column)}")
     return 0
@@ -292,7 +307,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _flagged(_sweep_config(args.config, SWEEP_TABLE), args, "workers")
-    rows, stats, filter_reports = _run(config)
+    rows, stats, filter_reports = _run(config, SWEEP_TABLE, args.config)
     written = emit_reports(
         rows, args.out, config=config, stats=stats, filter_reports=filter_reports
     )
@@ -320,7 +335,7 @@ def cmd_bounds(args) -> int:
             # A preset's feature_dim is the config's, so the check needs no
             # generated graph; a dataset file's is known once it is read.
             check_shapes(params, config.feature_dim, model_config)
-        dataset, stats, filter_reports = setup(config)
+        dataset, stats, filter_reports = _setup(config, BOUNDS_TABLE, args.config)
         n_train = train_size(len(dataset), config.betas[0])
         report = bounds_for(
             params, model_config, n_train, stats, filter_reports[filter_kind], config

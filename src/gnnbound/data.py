@@ -392,6 +392,9 @@ def load_dataset(path) -> GraphDataset:
     for key in ("name", "feature_dim", "graphs"):
         if key not in document:
             raise DatasetFormatError(f"{path}: missing top-level field '{key}'")
+    # The name also seeds every sweep coordinate (sweep.coordinate_seeds).
+    if not isinstance(document["name"], str):
+        raise DatasetFormatError(f"{path}: 'name' must be a string")
     feature_dim = document["feature_dim"]
     if not _is_int(feature_dim) or feature_dim < 1:
         raise DatasetFormatError(f"{path}: 'feature_dim' must be a positive integer")
@@ -402,4 +405,4 @@ def load_dataset(path) -> GraphDataset:
         _record_to_sample(record, feature_dim, f"{path}: graph {idx}")
         for idx, record in enumerate(graphs)
     ]
-    return GraphDataset(samples=tuple(samples), feature_dim=feature_dim, name=str(document["name"]))
+    return GraphDataset(samples=tuple(samples), feature_dim=feature_dim, name=document["name"])

@@ -27,8 +27,7 @@ from typing import Sequence
 from .bounds import BoundReport, report_from_stats
 from .data import DatasetStats, from_plain, to_json_value
 from .filters import FilterKind, FilterNormReport
-from .models import ModelKind, Readout
-from .sweep import COORDINATE_COLUMNS, SweepConfig, SweepRow
+from .sweep import COORDINATE_COLUMNS, ROW_COLUMNS, SweepConfig, SweepRow
 
 
 class ReportFormatError(ValueError):
@@ -61,7 +60,6 @@ class SummaryRow:
     std_rademacher_bound: float
 
 
-ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow) if field.name != "bounds")
 SUMMARY_COLUMNS = tuple(field.name for field in dataclasses.fields(SummaryRow))
 
 
@@ -122,27 +120,9 @@ def write_summary_csv(summary: Sequence[SummaryRow], path) -> Path:
     return _write_csv(summary, SUMMARY_COLUMNS, path)
 
 
-def _one_of(kind) -> tuple:
-    values = [member.value for member in kind]
-    return lambda value: value in values, f"must be one of: {', '.join(values)}"
-
-
-# The values a sweep writes, by column, in column order: a rows.csv value
-# outside them is refused. A diverged row writes NaN outcomes, which pass.
-_ROW_RULES = {
-    "beta": (lambda value: 0.0 < value < 1.0, "must lie strictly between 0 and 1"),
-    "model": _one_of(ModelKind),
-    "filter": _one_of(FilterKind),
-    "readout": _one_of(Readout),
-    "width": (lambda value: value >= 1, "must be >= 1"),
-    "seed": (lambda value: value >= 0, "must be >= 0"),
-    **dict.fromkeys(
-        ROW_COLUMNS[len(COORDINATE_COLUMNS) :], (lambda value: not value < 0.0, "must be >= 0")
-    ),
-}
-
-
 def read_rows_csv(path) -> list[SweepRow]:
+    """The rows of a rows.csv. A line whose values SweepRow refuses, or that
+    repeats an earlier line's coordinate, raises ReportFormatError naming it."""
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -152,16 +132,20 @@ def read_rows_csv(path) -> list[SweepRow]:
                 f"{path}: expected header {','.join(ROW_COLUMNS)}, got {header}"
             )
         rows = []
+        # Each coordinate's line: a sweep writes one row per coordinate, and
+        # a second would count as another seed.
+        lines: dict[tuple, int] = {}
         for line_no, record in enumerate(reader, start=2):
             if len(record) != len(ROW_COLUMNS):
                 raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
             try:
-                rows.append(from_plain(SweepRow, dict(zip(ROW_COLUMNS, record))))
+                row = from_plain(SweepRow, dict(zip(ROW_COLUMNS, record)))
             except ValueError as exc:
                 raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
-            for column, (valid, rule) in _ROW_RULES.items():
-                if not valid(getattr(rows[-1], column)):
-                    raise ReportFormatError(f"{path}:{line_no}: {column} {rule}")
+            first = lines.setdefault(tuple(getattr(row, c) for c in COORDINATE_COLUMNS), line_no)
+            if first != line_no:
+                raise ReportFormatError(f"{path}:{line_no}: repeats the coordinate of line {first}")
+            rows.append(row)
     if not rows:
         raise ReportFormatError(f"{path}: no rows")
     return rows

@@ -37,7 +37,9 @@ import numpy as np
 
 from .blas import single_threaded_blas
 from .bounds import DEFAULT_DELTA, BoundInputs, BoundReport, bound_report
-from .data import DatasetStats, GraphDataset, dataset_stats, load_dataset, split_dataset
+from .data import (
+    DatasetStats, GraphDataset, dataset_stats, load_dataset, split_dataset, train_size,
+)
 from .filters import FilterKind, FilterNormReport, filter_norm_report
 from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
 from .synth import PRESET_NAMES, make_dataset, preset_config
@@ -57,13 +59,47 @@ DEFAULT_SEEDS = tuple(range(10))
 COORDINATE_COLUMNS = ("dataset", "beta", "model", "filter", "readout", "width", "seed")
 
 
+def _one_of(kind) -> tuple:
+    values = [member.value for member in kind]
+    return lambda value: value in values, f"must be one of: {', '.join(values)}"
+
+
+# The values a sweep runs and writes, by rows.csv column: a (test, rule) pair
+# for each coordinate but the dataset name, which is free text. An outcome
+# must not be negative; a diverged row's NaN passes.
+_COORDINATE_RULES = {
+    "beta": (lambda value: 0.0 < value < 1.0, "must lie strictly between 0 and 1"),
+    "model": _one_of(ModelKind),
+    "filter": _one_of(FilterKind),
+    "readout": _one_of(Readout),
+    "width": (lambda value: value >= 1, "must be >= 1"),
+    "seed": (lambda value: value >= 0, "must be >= 0"),
+}
+_OUTCOME_RULE = (lambda value: not value < 0.0, "must be >= 0")
+
+
+class GridError(ValueError):
+    """A grid value that the dataset cannot take."""
+
+
+def _check_betas(betas: tuple[float, ...], n_graphs: int) -> None:
+    """Raise GridError, starting "betas", unless every beta splits n_graphs
+    graphs into a nonempty train and test side (data.train_size)."""
+    for beta in betas:
+        try:
+            train_size(n_graphs, beta)
+        except ValueError as exc:
+            raise GridError(f"betas must split the dataset: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a sweep needs: data source, grid, training, bound settings.
 
     dataset is a preset name (sbm1 sbm2 sbm3 er4 er5) or a path to a dataset
     JSON file. data_seed / n_graphs / feature_dim only matter for presets, and
-    are checked only when dataset names one.
+    are checked only when dataset names one; so is whether every beta splits
+    the preset's n_graphs graphs (_check_betas), which setup checks for a file.
     The train config's own seed field is ignored; each run derives its
     shuffle seed from the sweep coordinate.
     """
@@ -91,12 +127,10 @@ class SweepConfig:
             # A repeated value would run identical rows and count them twice.
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value")
-        if any(w < 1 for w in self.widths):
-            raise ValueError("widths must be >= 1")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be >= 0")
-        if any(not 0.0 < b < 1.0 for b in self.betas):
-            raise ValueError("betas must lie strictly between 0 and 1")
+        for column in ("width", "seed", "beta"):
+            valid, rule = _COORDINATE_RULES[column]
+            if not all(map(valid, getattr(self, f"{column}s"))):
+                raise ValueError(f"{column}s {rule}")
         if self.dataset in PRESET_NAMES:
             if self.data_seed < 0:
                 raise ValueError("data_seed must be >= 0")
@@ -104,6 +138,7 @@ class SweepConfig:
                 raise ValueError("n_graphs must be >= 2 (the split needs both sides)")
             if self.feature_dim < 1:
                 raise ValueError("feature_dim must be >= 1")
+            _check_betas(self.betas, self.n_graphs)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.workers < 1:
@@ -112,7 +147,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One completed run. Every field but bounds is a rows.csv column, in order.
+    """One completed run. Every field but bounds is a rows.csv column, in order,
+    and a value outside its column's rule raises a ValueError naming the column.
 
     bounds carries the full bound report for the JSON echo; it is None for
     rows parsed back from CSV and for diverged runs (whose metrics are NaN).
@@ -133,9 +169,18 @@ class SweepRow:
     wall_time_s: float
     bounds: BoundReport | None = None
 
+    def __post_init__(self):
+        for column in ROW_COLUMNS[1:]:  # all but the dataset name
+            valid, rule = _COORDINATE_RULES.get(column, _OUTCOME_RULE)
+            if not valid(getattr(self, column)):
+                raise ValueError(f"{column} {rule}")
+
     @property
     def diverged(self) -> bool:
         return not np.isfinite(self.train_risk)
+
+
+ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow) if field.name != "bounds")
 
 
 def resolve_dataset(
@@ -152,8 +197,10 @@ def setup(
     config: SweepConfig,
 ) -> tuple[GraphDataset, DatasetStats, dict[FilterKind, FilterNormReport]]:
     """The sweep's inputs that no weights change: its dataset, the dataset's
-    stats and one filter norm report per filter of the grid."""
+    stats and one filter norm report per filter of the grid. A beta that cannot
+    split a dataset file raises GridError once the file is loaded."""
     dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs, config.feature_dim)
+    _check_betas(config.betas, len(dataset))
     stats = dataset_stats(dataset)
     filter_reports = {
         kind: filter_norm_report(dataset, kind) for kind in dict.fromkeys(config.filters)

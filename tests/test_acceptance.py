@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
+from builders import (
     finite_diff_grads,
     gradcheck_case,
     gradcheck_margin,

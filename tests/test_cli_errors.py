@@ -51,6 +51,9 @@ CASES = {
     "dataset-feature-int-too-large": (
         {"bad.json": dataset({**GRAPH, "features": [[10**400], [1.0]]})},
         FILTERS + ["{dir}/bad.json"], "{dir}/bad.json: graph 0: features "),
+    "dataset-name-null": (
+        {"bad.json": dataset(name=None)}, FILTERS + ["{dir}/bad.json"],
+        "{dir}/bad.json: 'name' must be a string"),
     "dataset-not-utf8": (
         {"bad.json": b"\xff\xfe{}"}, FILTERS + ["{dir}/bad.json"],
         "{dir}/bad.json: not UTF-8 text: "),

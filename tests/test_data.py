@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_dataset, sample_from_edges
+from builders import random_dataset, sample_from_edges
 from gnnbound.data import (
     DatasetFormatError,
     GraphDataset,

@@ -15,7 +15,7 @@ import pytest
 
 import gnnbound.blas as blas_module
 import gnnbound.filters as filters_module
-from conftest import random_sample, sample_from_edges
+from builders import random_sample, sample_from_edges
 from gnnbound.data import GraphDataset, GraphSample, dataset_stats, degrees, to_json_value
 from gnnbound.filters import (
     FilterKind,

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nonlinearity_fields, random_sample, sample_from_edges
+from builders import nonlinearity_fields, random_sample, sample_from_edges
 from gnnbound.data import GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import (

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import gnnbound
-from conftest import random_dataset
+from builders import random_dataset
 from gnnbound.data import split_dataset
 from gnnbound.filters import FilterKind
 from gnnbound.models import ModelConfig, ModelKind, init_params

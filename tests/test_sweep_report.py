@@ -6,6 +6,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -45,6 +46,7 @@ from gnnbound.report import (
     write_summary_csv,
 )
 from gnnbound.sweep import (
+    GridError,
     SweepConfig,
     SweepRow,
     coordinate_seeds,
@@ -54,7 +56,7 @@ from gnnbound.sweep import (
     sweep_coordinates,
 )
 from gnnbound.training import TrainConfig
-from conftest import has_one_verdict, nonlinearity_fields, random_dataset
+from builders import has_one_verdict, nonlinearity_fields, random_dataset
 from oracles import run_sweep
 
 
@@ -452,6 +454,29 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             tiny_config(**{name: value})
 
+    @pytest.mark.parametrize("name, values, message", [
+        ("widths", (4, 0), "widths must be >= 1"),
+        ("seeds", (-1,), "seeds must be >= 0"),
+        ("betas", (0.7, 1.0), "betas must lie strictly between 0 and 1"),
+        ("betas", (math.nan,), "betas must lie strictly between 0 and 1"),
+    ])
+    def test_grid_value_outside_its_rule_rejected_with_the_rule(self, name, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(**{name: values})
+
+    def test_preset_beta_that_cannot_split_rejected_by_field_name(self):
+        # 12 graphs at beta 0.97 round to 12 training graphs and no test graph.
+        with pytest.raises(GridError, match="^betas must split the dataset: beta_sup=0.97 "):
+            tiny_config(betas=(0.7, 0.97))
+
+    def test_file_beta_that_cannot_split_rejected_before_stats(self, tmp_path, rng,
+                                                               monkeypatch):
+        path = tmp_path / "four.json"
+        save_dataset(random_dataset(rng, 4, 2), path)
+        monkeypatch.setattr(sweep_module, "dataset_stats", None)
+        with pytest.raises(GridError, match="^betas must split the dataset: beta_sup=0.9 "):
+            setup(tiny_config(dataset=str(path), betas=(0.5, 0.9)))
+
     def test_preset_only_keys_are_checked_for_presets_alone(self):
         keys = dict(n_graphs=1, data_seed=-1, feature_dim=0)
         assert tiny_config(dataset="data.json", **keys).n_graphs == 1
@@ -462,6 +487,32 @@ class TestSweepConfigValidation:
     def test_json_value_is_json_ready(self):
         text = json.dumps(to_json_value(tiny_config()))
         assert "er5" in text
+
+
+class TestSweepRowValidation:
+    @pytest.mark.parametrize("column, value, rule", [
+        ("beta", 0.0, "must lie strictly between 0 and 1"),
+        ("beta", 1.0, "must lie strictly between 0 and 1"),
+        ("beta", math.nan, "must lie strictly between 0 and 1"),
+        ("model", "gat", "must be one of: gcn, mpgnn"),
+        ("filter", "x", "must be one of: sym-norm, random-walk, mean-agg, sum-agg"),
+        ("readout", "max", "must be one of: mean, sum"),
+        ("width", 0, "must be >= 1"),
+        ("seed", -1, "must be >= 0"),
+        ("train_risk", -0.1, "must be >= 0"),
+        ("test_risk", -0.1, "must be >= 0"),
+        ("abs_gen_error", -1e-300, "must be >= 0"),
+        ("fd_bound", -math.inf, "must be >= 0"),
+        ("rademacher_bound", -1.0, "must be >= 0"),
+        ("wall_time_s", -0.5, "must be >= 0"),
+    ])
+    def test_value_outside_its_column_rule_rejected_by_column(self, column, value, rule):
+        with pytest.raises(ValueError, match=f"^{column} {rule}$"):
+            sweep_row(**{column: value})
+
+    def test_any_dataset_name_and_nan_outcomes_pass(self):
+        row = diverged_row(dataset="")
+        assert row.diverged and row.dataset == ""
 
 
 class TestRowsCsv:
@@ -501,6 +552,16 @@ class TestRowsCsv:
         path.write_text("nope,header\n1,2\n")
         with pytest.raises(ReportFormatError):
             read_rows_csv(path)
+
+    def test_repeated_coordinate_rejected_with_both_lines(self, tmp_path):
+        # A different dataset or wall time does not make a coordinate new.
+        rows = [sweep_row(seed=0), sweep_row(seed=1), sweep_row(dataset="e", seed=1),
+                sweep_row(seed=1, test_risk=0.3, wall_time_s=2.0)]
+        path = write_rows_csv(rows, tmp_path / "rows.csv")
+        with pytest.raises(ReportFormatError,
+                           match=f"^{re.escape(str(path))}:5: repeats the coordinate of line 3$"):
+            read_rows_csv(path)
+        assert len(read_rows_csv(write_rows_csv(rows[:3], tmp_path / "ok.csv"))) == 3
 
     def test_malformed_line_rejected(self, tiny_rows, tmp_path):
         path = tmp_path / "short.csv"
@@ -699,13 +760,15 @@ class TestTrendSvg:
         assert "my plot title" in svg
 
     def test_markup_in_title_and_legend_is_escaped(self):
-        summary = aggregate([sweep_row(dataset="a<b & c", filter='x"<y>')])
+        summary = [dataclasses.replace(self._summary(4, 0.1, 0.0), dataset="a<b & c",
+                                       filter='x"<y>')]
         root = ET.fromstring(trend_svg(summary, "a<b & c"))
         texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b & c" in texts and 'x"<y>' in texts
 
     def test_characters_xml_forbids_are_replaced(self):
-        summary = aggregate([sweep_row(dataset="a\x01b", filter="f\x00\ud800")])
+        summary = [dataclasses.replace(self._summary(4, 0.1, 0.0), dataset="a\x01b",
+                                       filter="f\x00\ud800")]
         root = ET.fromstring(trend_svg(summary, "a\x01b"))
         texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a\ufffdb" in texts and "f\ufffd\ufffd" in texts
@@ -889,6 +952,69 @@ class TestCli:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {config}: {key}: ")
+
+    @pytest.mark.parametrize("dataset, text, key, n_graphs", [
+        ("file", "betas = 0.5, 0.9\nwidths = 4, 64", "betas", 4),
+        ("file", "beta = 0.9", "beta", 4),
+        ("sbm1", "betas = 0.7, 0.999\nwidths = 4, 64", "betas", 200),
+    ], ids=["sweep-file", "train-file", "sweep-preset"])
+    def test_beta_that_cannot_split_is_named_before_anything_trains(
+        self, tmp_path, capsys, monkeypatch, dataset, text, key, n_graphs,
+    ):
+        trained = []
+
+        def no_train(*args, **kwargs):
+            trained.append(args)
+            raise AssertionError("a coordinate trained")
+
+        monkeypatch.setattr(sweep_module, "train", no_train)
+        if dataset == "file":
+            dataset = str(tmp_path / "ds.json")
+            assert main(["gen-data", "er5", "--out", dataset, "--n-graphs", str(n_graphs),
+                         "--feature-dim", "2"]) == 0
+        config = self._write(tmp_path / "run.cfg", f"dataset = {dataset}\n{text}\nepochs = 2\n")
+        out = tmp_path / "out"
+        argv = {"betas": ["sweep", "--config", config, "--out", str(out)],
+                "beta": ["train", "--config", config]}[key]
+        capsys.readouterr()
+        assert main(argv) == 1
+        beta = text.split("\n")[0].rsplit(" ", 1)[1]
+        assert capsys.readouterr().err == (
+            f"error: {config}: {key}: betas must split the dataset: beta_sup={beta} with "
+            f"{n_graphs} samples leaves an empty train or test split\n"
+        )
+        assert trained == [] and not out.exists()
+
+    def test_bounds_names_the_beta_that_cannot_split_a_file(self, tmp_path, capsys):
+        dataset = str(tmp_path / "ds.json")
+        assert main(["gen-data", "er5", "--out", dataset, "--n-graphs", "4",
+                     "--feature-dim", "2"]) == 0
+        params = tmp_path / "params.json"
+        save_params(GcnParams(w1=np.zeros((3, 2)), w2=np.zeros(3)), params)
+        config = self._write(tmp_path / "bounds.cfg", "beta = 0.999\n")
+        capsys.readouterr()
+        assert main(["bounds", "--params", str(params), "--dataset", dataset,
+                     "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: beta: betas must split the dataset: beta_sup=0.999 with 4 "
+            "samples leaves an empty train or test split\n"
+        )
+
+    def test_report_refuses_a_repeated_coordinate(self, tmp_path, capsys):
+        sweep_dir = tmp_path / "sweep"
+        config = self._write(tmp_path / "sweep.cfg",
+                             "dataset = er5\nbetas = 0.7\nwidths = 4\nseeds = 0, 1\nepochs = 2\n")
+        assert main(["sweep", "--config", config, "--out", str(sweep_dir)]) == 0
+        rows = sweep_dir / "rows.csv"
+        lines = rows.read_text().splitlines(keepends=True)
+        rows.write_text("".join(lines + lines[-1:]))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["report", "--rows", str(rows), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {rows}:4: repeats the coordinate of line 3\n"
+        )
+        assert not out.exists()
 
     def test_workers_flag_rejected_by_name(self, tmp_path, capsys):
         config = self._write(tmp_path / "sweep.cfg", "dataset = er5\n")

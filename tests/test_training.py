@@ -16,7 +16,7 @@ import gnnbound.blas as blas_module
 import gnnbound.models as models_module
 import gnnbound.training as training_module
 
-from conftest import (
+from builders import (
     finite_diff_grads,
     gradcheck_case,
     max_relative_grad_error,
