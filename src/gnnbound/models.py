@@ -24,7 +24,7 @@ import functools
 import json
 import types
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 import numpy as np
 
@@ -233,28 +233,14 @@ class Stacked:
     def starts(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.node_counts)[:-1]))
 
-    def gather(self, graphs: np.ndarray, out: dict[str, np.ndarray] | None = None) -> "Stacked":
-        """A new stack of the graphs at these indices, in this order, written
-        into out (arrays of exactly the gathered shape) when given."""
+    def gather(self, graphs: np.ndarray) -> "Stacked":
+        """A new stack of the graphs at these indices, in this order."""
         gathered = Stacked({}, self.labels[graphs], self.node_counts[graphs])
         nodes = np.repeat(self.starts[graphs] - gathered.starts, gathered.node_counts)
         nodes += np.arange(len(nodes))
-        # mode="clip" lets np.take write into out directly; with the default
-        # "raise" it gathers into a temporary first. Every index is in range.
         for name, rows in self.rows.items():
-            target = None if out is None else out[name]
-            gathered.rows[name] = np.take(rows, nodes, axis=0, out=target, mode="clip")
+            gathered.rows[name] = np.take(rows, nodes, axis=0)
         return gathered
-
-    def batches(self, size: int) -> Iterator["Stacked"]:
-        """Consecutive runs of size graphs (the last may be shorter), each a
-        view of these rows."""
-        for lo in range(0, len(self.labels), size):
-            graphs = slice(lo, lo + size)
-            counts = self.node_counts[graphs]
-            nodes = slice(self.starts[lo], self.starts[lo] + counts.sum())
-            rows = {name: field[nodes] for name, field in self.rows.items()}
-            yield Stacked(rows, self.labels[graphs], counts)
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:

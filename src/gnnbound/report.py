@@ -135,7 +135,11 @@ def read_rows_csv(path) -> list[SweepRow]:
         # Each coordinate's line: a sweep writes one row per coordinate, and
         # a second would count as another seed.
         lines: dict[tuple, int] = {}
-        for line_no, record in enumerate(reader, start=2):
+        # A record is numbered by the file line it starts on: a quoted cell
+        # may hold line breaks.
+        next_line = reader.line_num + 1
+        for record in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if len(record) != len(ROW_COLUMNS):
                 raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
             try:

@@ -197,9 +197,15 @@ def setup(
     config: SweepConfig,
 ) -> tuple[GraphDataset, DatasetStats, dict[FilterKind, FilterNormReport]]:
     """The sweep's inputs that no weights change: its dataset, the dataset's
-    stats and one filter norm report per filter of the grid. A beta that cannot
-    split a dataset file raises GridError once the file is loaded."""
+    stats and one filter norm report per filter of the grid. A dataset file of
+    fewer than 2 graphs raises a ValueError naming it, and a beta that cannot
+    split a larger one raises GridError, once the file is loaded."""
     dataset = resolve_dataset(config.dataset, config.data_seed, config.n_graphs, config.feature_dim)
+    if len(dataset) < 2:
+        raise ValueError(
+            f"{config.dataset}: a run needs at least 2 graphs to split, "
+            f"the dataset has {len(dataset)}"
+        )
     _check_betas(config.betas, len(dataset))
     stats = dataset_stats(dataset)
     filter_reports = {

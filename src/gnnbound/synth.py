@@ -127,19 +127,15 @@ def _draw_adjacency(table: _PairTable, rng: np.random.Generator) -> np.ndarray:
     return upper | upper.T
 
 
-def generate_sbm(spec: SbmSpec, seed) -> np.ndarray:
-    """Bool adjacency matrix of one SBM draw.
+def generate_adjacency(model: SbmSpec | ErSpec, seed) -> np.ndarray:
+    """Bool adjacency matrix of one draw of the model.
 
-    Nodes are assigned to blocks contiguously by index (the first
+    For an SBM, nodes are assigned to blocks contiguously by index (the first
     block_sizes[0] nodes form block 0, and so on); each unordered pair (i, j)
     is an edge independently with probability edge_prob[block(i)][block(j)].
+    For ER, with probability edge_prob.
     """
-    return _draw_adjacency(_pair_table(spec), _as_rng(seed))
-
-
-def generate_er(spec: ErSpec, seed) -> np.ndarray:
-    """Bool adjacency matrix of one Erdos-Renyi draw."""
-    return _draw_adjacency(_pair_table(spec), _as_rng(seed))
+    return _draw_adjacency(_pair_table(model), _as_rng(seed))
 
 
 def generate_features(n: int, k: int, seed) -> np.ndarray:

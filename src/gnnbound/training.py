@@ -12,9 +12,9 @@ and are checked against central finite differences in the test suite.
 
 SGD uses classical momentum: v <- momentum*v + g; p <- p - lr*v, with g the
 gradient of the regularized objective (so L2 weight decay 1/(h alpha) is part
-of g). Minibatch indices are reshuffled every epoch from the run PRNG. A train
-call keeps its weights, velocity and gradients in arrays it allocates once
-and updates in place.
+of g). Minibatch indices are reshuffled every epoch from the run PRNG, and
+each step gathers its minibatch's rows. A train call keeps its weights,
+velocity and gradients in arrays it allocates once and updates in place.
 """
 
 from __future__ import annotations
@@ -222,14 +222,14 @@ def train(
 ) -> tuple[Params, list[float]]:
     """Momentum SGD over shuffled minibatches; deterministic given config.seed.
 
-    Each epoch gathers the permuted training graphs' rows once, into the same
-    arrays every epoch, and every minibatch is a contiguous slice of them.
-    Every step writes into one workspace sized for the largest minibatch,
-    and updates weights, velocity and gradients in arrays allocated once; the
-    weights become a Params on return. The main thread owns the cores: there
-    OpenBLAS is pinned for the call (blas.single_threaded_blas) and the
-    steps' row blocks run on one lane per usable CPU, elsewhere (a sweep
-    pool's thread) on the calling thread alone.
+    Each step gathers its minibatch's rows from the prepared stack, in the
+    order of the epoch's permutation, writes into one workspace sized for the
+    largest minibatch, and updates weights, velocity and gradients in arrays
+    allocated once; the weights become a Params on return. The main thread
+    owns the cores: there OpenBLAS is pinned for the call
+    (blas.single_threaded_blas) and the steps' row blocks run on one lane
+    per usable CPU, elsewhere (a sweep pool's thread) on the calling thread
+    alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not
@@ -240,34 +240,30 @@ def train(
     rng = np.random.default_rng(config.seed)
     weights = ParamArrays.like(params)
     velocity = ParamArrays.like(params, np.zeros_like)
-    loss_grads = ParamArrays.like(params, np.empty_like)
     grads = ParamArrays.like(params, np.empty_like)
     decay = params.width * config.alpha
     history: list[float] = []
-    rows = None
     counts = prepared.stack.node_counts[prepared.graphs]
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
-    with single_threaded_blas():
+    # Float overflow on a diverging run is reported via the explicit
+    # non-finite check below, not as numpy warnings.
+    with single_threaded_blas(), np.errstate(over="ignore", invalid="ignore"):
         workspace = Workspace(largest_batch, params.width)
         for epoch in range(config.epochs):
-            shuffled = prepared.stack.gather(prepared.graphs[rng.permutation(n)], out=rows)
-            rows = shuffled.rows
+            order = prepared.graphs[rng.permutation(n)]
             epoch_loss = 0.0
-            for index, batch in enumerate(shuffled.batches(config.batch_size)):
-                # Float overflow on a diverging run is reported via the explicit
-                # non-finite check below, not as numpy warnings.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    risk = _risk_and_loss_grads(weights, batch, model_config, loss_grads, workspace)
-                    if not np.isfinite(risk):
-                        raise TrainingDivergenceError(
-                            f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
-                            f"(width {params.width}, lr {config.learning_rate})"
-                        )
-                    # The L2 decay's gradient w / (h alpha), plus the loss's.
-                    for name, grad in vars(grads).items():
-                        np.divide(getattr(weights, name), decay, out=grad)
-                        grad += getattr(loss_grads, name)
-                    sgd_step(weights, grads, velocity, config)
+            for index, lo in enumerate(range(0, n, config.batch_size)):
+                batch = prepared.stack.gather(order[lo : lo + config.batch_size])
+                risk = _risk_and_loss_grads(weights, batch, model_config, grads, workspace)
+                if not np.isfinite(risk):
+                    raise TrainingDivergenceError(
+                        f"non-finite loss {risk!r} at epoch {epoch}, batch {index} "
+                        f"(width {params.width}, lr {config.learning_rate})"
+                    )
+                # The loss's gradient plus the L2 decay's, w / (h alpha).
+                for name, grad in vars(grads).items():
+                    grad += getattr(weights, name) / decay
+                sgd_step(weights, grads, velocity, config)
                 epoch_loss += risk * len(batch.labels)
             history.append(epoch_loss / n)
     # The last step's NaN weight is one no loss has shown yet.

@@ -49,7 +49,7 @@ from gnnbound.models import (
 from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.report import emit_reports, recompute_bounds_from_record
 from gnnbound.sweep import SweepConfig, run_sweep_on, setup
-from gnnbound.synth import SbmSpec, generate_er, generate_sbm, preset_config
+from gnnbound.synth import generate_adjacency, preset_config
 from gnnbound.blas import single_threaded_blas
 from gnnbound.training import TrainConfig
 from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm
@@ -217,10 +217,7 @@ def test_criterion_2_norm_lemmas(one_blas_thread):
     for name in ("sbm1", "sbm2", "sbm3", "er4", "er5"):
         model = preset_config(name).model
         for _ in range(40):
-            if isinstance(model, SbmSpec):
-                adjacency = generate_sbm(model, rng)
-            else:
-                adjacency = generate_er(model, rng)
+            adjacency = generate_adjacency(model, rng)
             n = adjacency.shape[0]
             sample = GraphSample(adjacency=adjacency, features=np.ones((n, 1)), label=1)
             degs = degrees(sample)

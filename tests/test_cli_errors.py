@@ -154,6 +154,26 @@ CASES = {
         {"rows.csv": ROWS_HEADER + "d,0.7,gat,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
         ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv:2: model must be one of: gcn, mpgnn"),
+    "report-rows-width-after-two-line-name": (
+        {"rows.csv": ROWS_HEADER + '"two\nlines",'
+                                 + "0.7,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"
+                                 + "d,0.7,gcn,sym-norm,mean,0,0,0.1,0.2,0.1,0.5,1.5,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:4: width must be >= 1"),
+    "report-rows-repeat-after-two-line-name": (
+        {"rows.csv": ROWS_HEADER + '"two\nlines",'
+                                 + "0.7,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n"
+                                 + "d,0.7,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n" * 2},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:5: repeats the coordinate of line 4"),
+    "bounds-one-graph-dataset": (
+        {"one.json": dataset(), "p.json": json.dumps({"model": "gcn", "w1": [[0.5]], "w2": [1.0]})},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/one.json"],
+        "{dir}/one.json: a run needs at least 2 graphs to split, the dataset has 1"),
+    "train-one-graph-dataset": (
+        {"one.json": dataset(), "t.cfg": "dataset = {dir}/one.json\n"},
+        ["train", "--config", "{dir}/t.cfg"],
+        "{dir}/one.json: a run needs at least 2 graphs to split, the dataset has 1"),
     "report-rows-empty": (
         {"rows.csv": ROWS_HEADER}, ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv: no rows"),

@@ -13,9 +13,8 @@ from gnnbound.synth import (
     ErSpec,
     SbmSpec,
     SynthConfig,
-    generate_er,
+    generate_adjacency,
     generate_features,
-    generate_sbm,
     make_dataset,
     preset_config,
 )
@@ -37,18 +36,17 @@ def _block_pair_counts(sizes):
 class TestAdjacency:
     @pytest.mark.parametrize("model", [SBM1, ErSpec(20, 0.5)], ids=["sbm", "er"])
     def test_draw_is_bool(self, model):
-        generate = generate_sbm if isinstance(model, SbmSpec) else generate_er
-        assert generate(model, seed=0).dtype == np.bool_
+        assert generate_adjacency(model, seed=0).dtype == np.bool_
 
     def test_er_extreme_probabilities(self):
-        empty = generate_er(ErSpec(6, 0.0), seed=0)
+        empty = generate_adjacency(ErSpec(6, 0.0), seed=0)
         assert np.array_equal(empty, np.zeros((6, 6)))
-        full = generate_er(ErSpec(6, 1.0), seed=0)
+        full = generate_adjacency(ErSpec(6, 1.0), seed=0)
         assert np.array_equal(full, np.ones((6, 6)) - np.eye(6))
 
     def test_sbm_extreme_probabilities(self):
         spec = SbmSpec(block_sizes=(2, 3), edge_prob=((1.0, 0.0), (0.0, 1.0)))
-        adj = generate_sbm(spec, seed=0)
+        adj = generate_adjacency(spec, seed=0)
         expected = np.zeros((5, 5))
         expected[:2, :2] = 1.0 - np.eye(2)
         expected[2:, 2:] = 1.0 - np.eye(3)
@@ -56,15 +54,15 @@ class TestAdjacency:
 
     def test_adjacency_is_simple_and_symmetric(self, rng):
         for _ in range(10):
-            adj = generate_sbm(SBM1, rng)
+            adj = generate_adjacency(SBM1, rng)
             assert np.array_equal(adj, adj.T)
             assert np.all(np.diagonal(adj) == 0.0)
             assert np.all(np.isin(adj, (0.0, 1.0)))
 
     def test_determinism_by_seed(self):
-        a = generate_sbm(SBM1, seed=7)
-        b = generate_sbm(SBM1, seed=7)
-        c = generate_sbm(SBM1, seed=8)
+        a = generate_adjacency(SBM1, seed=7)
+        b = generate_adjacency(SBM1, seed=7)
+        c = generate_adjacency(SBM1, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -79,7 +77,7 @@ class TestAdjacency:
         assert mean == pytest.approx(1161.9, abs=1e-9)
         rng = np.random.default_rng(123)
         n_graphs = 1000
-        counts = [generate_sbm(SBM1, rng).sum() / 2 for _ in range(n_graphs)]
+        counts = [generate_adjacency(SBM1, rng).sum() / 2 for _ in range(n_graphs)]
         se = math.sqrt(var / n_graphs)
         assert abs(np.mean(counts) - mean) <= 3 * se
 
@@ -89,7 +87,7 @@ class TestAdjacency:
         var = 190 * 0.25
         rng = np.random.default_rng(321)
         n_graphs = 1000
-        counts = [generate_er(spec, rng).sum() / 2 for _ in range(n_graphs)]
+        counts = [generate_adjacency(spec, rng).sum() / 2 for _ in range(n_graphs)]
         se = math.sqrt(var / n_graphs)
         assert abs(np.mean(counts) - mean) <= 3 * se
 
@@ -100,7 +98,7 @@ class TestAdjacency:
         n_graphs = 500
         totals = {k: 0.0 for k in pairs}
         for _ in range(n_graphs):
-            adj = generate_sbm(SBM1, rng)
+            adj = generate_adjacency(SBM1, rng)
             totals[(0, 0)] += np.triu(adj[:40, :40], k=1).sum()
             totals[(0, 1)] += adj[:40, 40:].sum()
             totals[(1, 1)] += np.triu(adj[40:, 40:], k=1).sum()
@@ -161,12 +159,11 @@ class TestMakeDataset:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_equals_a_per_graph_loop_on_the_same_generator(self, name):
         # make_dataset draws every graph from one pair table; each draw must
-        # be the one generate_sbm / generate_er makes on its own.
+        # be the one generate_adjacency makes on its own.
         config = preset_config(name, seed=3, n_graphs=6, feature_dim=4)
-        generate = generate_sbm if isinstance(config.model, SbmSpec) else generate_er
         rng = np.random.default_rng(config.seed)
         for sample in make_dataset(config):
-            assert np.array_equal(sample.adjacency, generate(config.model, rng))
+            assert np.array_equal(sample.adjacency, generate_adjacency(config.model, rng))
             assert np.array_equal(sample.features, generate_features(sample.node_count, 4, rng))
             assert sample.label == int(rng.integers(0, 2)) * 2 - 1
 
@@ -175,12 +172,12 @@ class TestMakeDataset:
         model = preset_config(name).model
         if isinstance(model, SbmSpec):
             block = np.repeat(np.arange(len(model.block_sizes)), model.block_sizes)
-            prob, generate = np.asarray(model.edge_prob)[block][:, block], generate_sbm
+            prob = np.asarray(model.edge_prob)[block][:, block]
         else:
-            prob, generate = np.full((model.node_count,) * 2, model.edge_prob), generate_er
+            prob = np.full((model.node_count,) * 2, model.edge_prob)
         mine, theirs = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(3):
-            assert np.array_equal(generate(model, mine), draw_adjacency(prob, theirs))
+            assert np.array_equal(generate_adjacency(model, mine), draw_adjacency(prob, theirs))
 
     def test_feature_rows_unit_norm_in_dataset(self):
         config = SynthConfig(model=ErSpec(5, 0.4), n_graphs=4, feature_dim=16, seed=2)

@@ -435,14 +435,16 @@ class TestTrain:
         assert np.array_equal(trained.w2, manual.w2)
         assert history == [empirical_risk(params, batch, config)]
 
+    @pytest.mark.parametrize("batch_size", [2, 4])
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_steps_equal_the_out_of_place_updates(self, rng, model):
-        # Two epochs of three minibatches: every step's state, updated in
-        # place, must equal the oracle's new containers bit for bit.
+    def test_steps_equal_the_out_of_place_updates(self, rng, model, batch_size):
+        # Two epochs of minibatches, at batch 4 each ending in a 2-graph tail:
+        # every step's state, updated in place, must equal the oracle's new
+        # containers bit for bit.
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=4)
         samples = [random_sample(rng, int(n), 2) for n in rng.integers(2, 9, size=6)]
         params = init_params(config, 2, seed=9)
-        cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=2, seed=17)
+        cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=batch_size, seed=17)
         trained, history = train(params, samples, cfg, config)
 
         order = np.random.default_rng(cfg.seed)
@@ -546,18 +548,18 @@ class TestTrain:
         params = init_params(config, 2, seed=4)
         assert empirical_risk(params, prepared, config) == empirical_risk(params, dataset, config)
 
-    def test_rows_are_gathered_once_per_epoch(self, rng, monkeypatch):
-        params, samples, config = self._setup(rng)
+    def test_each_step_gathers_its_own_minibatch(self, rng, monkeypatch):
+        params, samples, config = self._setup(rng, n_samples=5)
         calls = []
         gather = Stacked.gather
 
-        def counting(self, graphs, *args, **kwargs):
+        def counting(self, graphs):
             calls.append(len(graphs))
-            return gather(self, graphs, *args, **kwargs)
+            return gather(self, graphs)
 
         monkeypatch.setattr(Stacked, "gather", counting)
         train(params, samples, TrainConfig(epochs=4, batch_size=2), config)
-        assert calls == [len(samples)] * 4
+        assert calls == [2, 2, 1] * 4
 
     def test_divergence_raises(self, rng):
         config = ModelConfig(
