@@ -290,27 +290,31 @@ def _setup(config: SweepConfig, table: KeyTable, path):
         raise _named(exc, table, str(path or "defaults")) from exc
 
 
-def _run(config: SweepConfig, table: KeyTable, path):
-    """The rows of config's grid, with the setup they were run on."""
-    dataset, stats, filter_reports = _setup(config, table, path)
-    rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
-    return rows, stats, filter_reports
+def _report_dir(out) -> Path:
+    """The --out directory, created if missing, before any report is built;
+    a path that cannot be a directory raises ConfigError naming it."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make directory {out}: {exc.strerror}") from exc
+    return Path(out)
 
 
 def cmd_train(args) -> int:
     config = _sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS)
-    rows, _, _ = _run(config, TRAIN_TABLE, args.config)
+    dataset, stats, filter_reports = _setup(config, TRAIN_TABLE, args.config)
+    row = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)[0]
     for column in ROW_COLUMNS:
-        print(f"{column} = {getattr(rows[0], column)}")
+        print(f"{column} = {getattr(row, column)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = _flagged(_sweep_config(args.config, SWEEP_TABLE), args, "workers")
-    rows, stats, filter_reports = _run(config, SWEEP_TABLE, args.config)
-    written = emit_reports(
-        rows, args.out, config=config, stats=stats, filter_reports=filter_reports
-    )
+    dataset, stats, filter_reports = _setup(config, SWEEP_TABLE, args.config)
+    out = _report_dir(args.out)
+    rows = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)
+    written = emit_reports(rows, out, config=config, stats=stats, filter_reports=filter_reports)
     _print_written(rows, args.out, written)
     return 0
 
@@ -363,7 +367,7 @@ def cmd_filters(args) -> int:
 
 def cmd_report(args) -> int:
     rows = read_rows_csv(args.rows)
-    _print_written(rows, args.out, emit_reports(rows, args.out))
+    _print_written(rows, args.out, emit_reports(rows, _report_dir(args.out)))
     return 0
 
 
@@ -376,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
     gen.add_argument("source", help=f"preset ({', '.join(PRESET_NAMES)}) or generator spec file")
-    gen.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
-    gen.add_argument("--out", required=True, help="output dataset JSON path")
     spec_or = "default: the spec file's, else"
+    gen.add_argument("--seed", type=int, help=f"generation seed ({spec_or} {SynthConfig.seed})")
+    gen.add_argument("--out", required=True, help="output dataset JSON path")
     gen.add_argument("--n-graphs", type=int, help=f"graph count ({spec_or} {SynthConfig.n_graphs})")
     gen.add_argument(
         "--feature-dim", type=int, help=f"feature dimension ({spec_or} {SynthConfig.feature_dim})"

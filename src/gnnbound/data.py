@@ -345,8 +345,7 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
         raise DatasetFormatError(f"{context}: 'edges' must be a list of [i, j] pairs")
     adjacency = _bulk_adjacency(edges, n)
     if adjacency is None:
-        # Edge by edge, so that the error names the first bad edge.
-        adjacency = np.zeros((n, n), dtype=bool)
+        # Edge by edge, to name the first edge that _bulk_adjacency refused.
         seen = set()
         for pair in edges:
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -359,7 +358,6 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
             if (i, j) in seen:
                 raise DatasetFormatError(f"{context}: duplicate edge [{i}, {j}]")
             seen.add((i, j))
-            adjacency[i, j] = adjacency[j, i] = True
     label = record["label"]
     if not _is_int(label):
         raise DatasetFormatError(f"{context}: label must be the integer -1 or +1, got {label!r}")

@@ -42,7 +42,7 @@ from .data import (
 )
 from .filters import FilterKind, FilterNormReport, filter_norm_report
 from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
-from .synth import PRESET_NAMES, make_dataset, preset_config
+from .synth import PRESET_NAMES, SynthConfig, make_dataset, preset_config
 from .training import (
     RunResult,
     TrainConfig,
@@ -114,9 +114,9 @@ class SweepConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     delta: float = DEFAULT_DELTA
     bounded_nonlinearity: bool = True
-    data_seed: int = 0
-    n_graphs: int = 200
-    feature_dim: int = 16
+    data_seed: int = SynthConfig.seed
+    n_graphs: int = SynthConfig.n_graphs
+    feature_dim: int = SynthConfig.feature_dim
     workers: int = 1
 
     def __post_init__(self):
@@ -127,6 +127,10 @@ class SweepConfig:
             # A repeated value would run identical rows and count them twice.
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value")
+        for name, kind in (("models", ModelKind), ("filters", FilterKind), ("readouts", Readout)):
+            bad = [value for value in getattr(self, name) if not isinstance(value, kind)]
+            if bad:
+                raise ValueError(f"{name} must be {kind.__name__} members, got {bad[0]!r}")
         for column in ("width", "seed", "beta"):
             valid, rule = _COORDINATE_RULES[column]
             if not all(map(valid, getattr(self, f"{column}s"))):
@@ -149,6 +153,9 @@ class SweepConfig:
 class SweepRow:
     """One completed run. Every field but bounds is a rows.csv column, in order,
     and a value outside its column's rule raises a ValueError naming the column.
+    A row has one verdict: measured, with finite train_risk, test_risk and
+    abs_gen_error (its bounds may be inf), or diverged, with NaN in all five
+    outcomes; any other row raises a ValueError.
 
     bounds carries the full bound report for the JSON echo; it is None for
     rows parsed back from CSV and for diverged runs (whose metrics are NaN).
@@ -174,6 +181,13 @@ class SweepRow:
             valid, rule = _COORDINATE_RULES.get(column, _OUTCOME_RULE)
             if not valid(getattr(self, column)):
                 raise ValueError(f"{column} {rule}")
+        risks = (self.train_risk, self.test_risk, self.abs_gen_error)
+        outcomes = (*risks, self.fd_bound, self.rademacher_bound)
+        if not (all(map(math.isfinite, risks)) or all(map(math.isnan, outcomes))):
+            raise ValueError(
+                "train_risk, test_risk and abs_gen_error must be finite (a measured run), "
+                "or all five outcomes NaN (a diverged run)"
+            )
 
     @property
     def diverged(self) -> bool:
@@ -184,7 +198,10 @@ ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow) if fiel
 
 
 def resolve_dataset(
-    source: str, data_seed: int = 0, n_graphs: int = 200, feature_dim: int = 16
+    source: str,
+    data_seed: int = SynthConfig.seed,
+    n_graphs: int = SynthConfig.n_graphs,
+    feature_dim: int = SynthConfig.feature_dim,
 ) -> GraphDataset:
     """Preset name -> freshly generated dataset; anything else -> JSON file."""
     if source in PRESET_NAMES:

@@ -5,7 +5,7 @@ Two random-graph families — stochastic block models (SBM) and Erdos-Renyi
 (so the dataset feature bound b_f is exactly 1) and uniform +/-1 labels drawn
 independently of the topology.
 
-Five built-in presets (200 graphs, 16-dim features each):
+Five built-in presets (with SynthConfig's graph count and feature dimension):
 
     sbm1  100 nodes, blocks 40/60,    edge probs [[0.25,0.13],[0.13,0.37]]
     sbm2  100 nodes, blocks 25/25/50, edge probs [[0.25,0.05,0.02],
@@ -18,24 +18,19 @@ Five built-in presets (200 graphs, 16-dim features each):
     er5    20 nodes, edge prob 0.5
 
 Randomness comes from numpy's default generator (PCG64, 64-bit seeds;
-Gaussians via its ziggurat method). Reproducibility is promised within this
-implementation, not bit-identically across numpy major rewrites.
+Gaussians via its ziggurat method); a draw's seed is an int, or a Generator
+that it draws from. Reproducibility is promised within this implementation,
+not bit-identically across numpy major rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .data import GraphDataset, GraphSample
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -98,33 +93,26 @@ class SynthConfig:
             raise ValueError("seed must be >= 0")
 
 
-class _PairTable(NamedTuple):
-    """The i<j node pairs of one draw of a model, as flat indices into its
-    n x n adjacency, and each pair's edge probability (one float for ER)."""
-
-    n: int
-    pairs: np.ndarray
-    prob: np.ndarray | float
-
-
-def _pair_table(model: SbmSpec | ErSpec) -> _PairTable:
+def _adjacency_draw(model: SbmSpec | ErSpec) -> Callable[[np.random.Generator], np.ndarray]:
+    """The model's draw of one bool adjacency, rng -> n x n matrix: each i<j
+    pair is an edge, independently, with its probability. The pairs and their
+    probabilities are computed once, here, for every draw."""
     n = model.node_count
     rows, cols = np.triu_indices(n, k=1)
+    pairs = rows * n + cols
     if isinstance(model, SbmSpec):
         block = np.repeat(np.arange(len(model.block_sizes)), model.block_sizes)
         prob = np.asarray(model.edge_prob)[block[rows], block[cols]]
     else:
         prob = model.edge_prob
-    return _PairTable(n, rows * n + cols, prob)
 
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        upper = np.zeros(n * n, dtype=bool)
+        upper[pairs] = rng.random(pairs.size) < prob
+        upper = upper.reshape(n, n)
+        return upper | upper.T
 
-def _draw_adjacency(table: _PairTable, rng: np.random.Generator) -> np.ndarray:
-    """One adjacency: each pair of the table is an edge, independently, with
-    its probability."""
-    upper = np.zeros(table.n * table.n, dtype=bool)
-    upper[table.pairs] = rng.random(table.pairs.size) < table.prob
-    upper = upper.reshape(table.n, table.n)
-    return upper | upper.T
+    return draw
 
 
 def generate_adjacency(model: SbmSpec | ErSpec, seed) -> np.ndarray:
@@ -135,15 +123,14 @@ def generate_adjacency(model: SbmSpec | ErSpec, seed) -> np.ndarray:
     is an edge independently with probability edge_prob[block(i)][block(j)].
     For ER, with probability edge_prob.
     """
-    return _draw_adjacency(_pair_table(model), _as_rng(seed))
+    return _adjacency_draw(model)(np.random.default_rng(seed))
 
 
 def generate_features(n: int, k: int, seed) -> np.ndarray:
     """n x k matrix of i.i.d. standard Gaussian rows scaled to unit norm."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    rng = _as_rng(seed)
-    rows = rng.standard_normal((n, k))
+    rows = np.random.default_rng(seed).standard_normal((n, k))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
@@ -151,14 +138,14 @@ def make_dataset(config: SynthConfig) -> GraphDataset:
     """Generate the full dataset: topology, features, and labels per graph.
 
     Sequential single-stream generation from one seeded generator, so the
-    result is deterministic given config.seed. The model's pair table is
-    built once per call and every graph is drawn from it.
+    result is deterministic given config.seed. The model's adjacency draw is
+    built once per call and draws every graph.
     """
     rng = np.random.default_rng(config.seed)
-    table = _pair_table(config.model)
+    draw = _adjacency_draw(config.model)
     samples = []
     for _ in range(config.n_graphs):
-        adjacency = _draw_adjacency(table, rng)
+        adjacency = draw(rng)
         features = generate_features(adjacency.shape[0], config.feature_dim, rng)
         label = int(rng.integers(0, 2)) * 2 - 1
         samples.append(GraphSample(adjacency=adjacency, features=features, label=label))
@@ -182,14 +169,10 @@ _PRESET_MODELS: dict[str, SbmSpec | ErSpec] = {
 PRESET_NAMES = tuple(sorted(_PRESET_MODELS))
 
 
-def preset_config(name: str, seed: int = 0, n_graphs: int = 200, feature_dim: int = 16) -> SynthConfig:
-    """SynthConfig for one of the built-in presets (sbm1 sbm2 sbm3 er4 er5)."""
+def preset_config(name: str, **settings) -> SynthConfig:
+    """SynthConfig for one of the built-in presets (sbm1 sbm2 sbm3 er4 er5);
+    settings (seed, n_graphs, feature_dim) keep SynthConfig's defaults unless
+    given."""
     if name not in _PRESET_MODELS:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    return SynthConfig(
-        model=_PRESET_MODELS[name],
-        n_graphs=n_graphs,
-        feature_dim=feature_dim,
-        seed=seed,
-        name=name,
-    )
+    return SynthConfig(model=_PRESET_MODELS[name], name=name, **settings)

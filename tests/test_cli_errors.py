@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GRAPH = {"n": 2, "edges": [[0, 1]], "features": [[1.0], [1.0]], "label": 1}
 FILTERS = ["filters", "--kind", "sym-norm", "--dataset"]
 ROWS_HEADER = ",".join(ROW_COLUMNS) + "\n"
+TINY_SWEEP = "dataset = er5\nbetas = 0.7\nwidths = 4\nseeds = 0\nepochs = 1\n"
 
 
 def dataset(graph=None, **top) -> str:
@@ -177,6 +178,23 @@ CASES = {
     "report-rows-empty": (
         {"rows.csv": ROWS_HEADER}, ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv: no rows"),
+    "report-rows-half-diverged": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,4,0,0.5,nan,nan,1.0,2.0,0.1\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        "{dir}/rows.csv:2: train_risk, test_risk and abs_gen_error must be finite"),
+    "report-out-is-a-file": (
+        {"rows.csv": ROWS_HEADER + "d,0.7,gcn,sym-norm,mean,4,0,0.1,0.2,0.1,0.5,1.5,0.1\n",
+         "f": ""},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/f"],
+        "--out: cannot make directory {dir}/f: File exists"),
+    "sweep-out-is-a-file": (
+        {"run.cfg": TINY_SWEEP, "f": ""},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/f"],
+        "--out: cannot make directory {dir}/f: File exists"),
+    "sweep-out-under-a-file": (
+        {"run.cfg": TINY_SWEEP, "f": ""},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/f/out"],
+        "--out: cannot make directory {dir}/f/out: Not a directory"),
 }
 
 
@@ -237,3 +255,23 @@ def test_bounds_checks_params_before_building_a_preset(tmp_path, monkeypatch, ca
     assert main(["bounds", "--params", str(params), "--dataset", "sbm1"]) == 1
     assert capsys.readouterr().err == f"error: {params}: params expect feature_dim 3, data has 16\n"
     assert calls == {"make_dataset": 0, "filter_norm_report": 0}
+
+
+@pytest.mark.parametrize("out", ["f", "f/out"])
+def test_sweep_refuses_its_out_before_any_coordinate_trains(tmp_path, monkeypatch, capsys, out):
+    # The grid would be trained in vain: its reports could not be written.
+    calls = {"train": 0}
+
+    def counted(*args, **kwargs):
+        calls["train"] += 1
+        return train(*args, **kwargs)
+
+    train = sweep_module.train
+    monkeypatch.setattr(sweep_module, "train", counted)
+    (tmp_path / "f").write_text("")
+    (tmp_path / "run.cfg").write_text(TINY_SWEEP)
+    argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: --out: cannot make directory {tmp_path / out}: ")
+    assert calls == {"train": 0}

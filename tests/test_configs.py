@@ -1,11 +1,15 @@
-"""The config files the repository ships: README's ```ini blocks and
-experiments/*.cfg build as their commands build them, so a renamed key or a
-removed option fails here rather than in a reader's copy."""
+"""The config files and command lines the repository ships: README's ```ini
+blocks and experiments/*.cfg build as their commands build them, and README's
+`gnnbound ...` lines parse, so a renamed key, flag or option fails here rather
+than in a reader's copy."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -44,6 +48,37 @@ def readme_ini_blocks() -> list[tuple[str, str]]:
         elif line.startswith("```ini"):
             block = []
     return blocks
+
+
+def readme_command_lines() -> list[str]:
+    """Every `gnnbound ...` line of README.md's ```bash blocks, once with and
+    once without each `[...]` part."""
+    lines, in_bash = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and line.startswith("gnnbound "):
+            parts = re.split(r"\[([^\]]*)\]", line)
+            for chosen in itertools.product(*[("", part) for part in parts[1::2]]):
+                words = itertools.chain.from_iterable(zip(parts[::2], (*chosen, "")))
+                lines.append("".join(words))
+    return lines
+
+
+def test_readme_command_lines_parse(capsys):
+    lines = readme_command_lines()
+    assert len(lines) >= 6
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README.md: {line!r} does not parse")
+        # argparse takes a prefix of a flag for the flag, so each must be named in full.
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([argv[0], "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert {word for word in argv if word.startswith("--")} <= flags, line
 
 
 def test_readme_ini_blocks_are_valid_config_files(tmp_path):

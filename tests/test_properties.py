@@ -76,8 +76,18 @@ TABLES = {
 
 # Outcomes a sweep can write: NaN for a diverged row, inf for an overflow.
 outcomes = st.floats(min_value=0.0) | st.sampled_from([float("nan"), float("inf"), -0.0])
+finite = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+# One verdict per row: measured, with finite risks and gap and any bounds,
+# or diverged, with NaN in all five outcomes.
+verdicts = st.fixed_dictionaries({
+    "train_risk": finite, "test_risk": finite, "abs_gen_error": finite,
+    "fd_bound": outcomes, "rademacher_bound": outcomes,
+}) | st.just(dict.fromkeys(
+    ("train_risk", "test_risk", "abs_gen_error", "fd_bound", "rademacher_bound"), float("nan")
+))
 sweep_rows = st.builds(
-    SweepRow,
+    lambda verdict, **columns: SweepRow(**columns, **verdict),
+    verdicts,
     dataset=st.text() | st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\rlf\r\n", ""]),
     beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     model=st.sampled_from([kind.value for kind in ModelKind]),
@@ -85,11 +95,6 @@ sweep_rows = st.builds(
     readout=st.sampled_from([readout.value for readout in Readout]),
     width=st.integers(min_value=1),
     seed=st.integers(min_value=0),
-    train_risk=outcomes,
-    test_risk=outcomes,
-    abs_gen_error=outcomes,
-    fd_bound=outcomes,
-    rademacher_bound=outcomes,
     wall_time_s=outcomes,
 )
 # A rows.csv as a sweep writes it: no coordinate twice.
@@ -478,7 +483,9 @@ def test_any_tiny_sweep_writes_valid_artifacts(sweep):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if name is not None:
-            generated = make_dataset(preset_config("er5", config.data_seed, config.n_graphs))
+            generated = make_dataset(
+                preset_config("er5", seed=config.data_seed, n_graphs=config.n_graphs)
+            )
             save_dataset(GraphDataset.from_samples(generated.samples, name), tmp / "data.json")
             config = dataclasses.replace(config, dataset=str(tmp / "data.json"))
         outcomes = {}

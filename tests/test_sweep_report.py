@@ -449,6 +449,16 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} "):
             tiny_config(**{name: values})
 
+    @pytest.mark.parametrize("name, values", [
+        ("models", ("gcn",)),
+        ("filters", (FilterKind.SUM_AGG, "sym-norm")),
+        ("readouts", (ModelKind.GCN,)),
+    ])
+    def test_grid_value_that_is_not_its_enum_rejected_by_field_name(self, name, values):
+        # A name in place of its member would fail only once the grid runs.
+        with pytest.raises(ValueError, match=f"^{name} must be [A-Za-z]+ members, got "):
+            tiny_config(**{name: values})
+
     @pytest.mark.parametrize("name, value", [("seeds", (0, -1)), ("data_seed", -3)])
     def test_negative_seed_rejected_by_field_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
@@ -509,6 +519,22 @@ class TestSweepRowValidation:
     def test_value_outside_its_column_rule_rejected_by_column(self, column, value, rule):
         with pytest.raises(ValueError, match=f"^{column} {rule}$"):
             sweep_row(**{column: value})
+
+    @pytest.mark.parametrize("outcomes", [
+        dict(test_risk=math.nan, abs_gen_error=math.nan),
+        dict(abs_gen_error=math.nan),
+        dict(train_risk=math.inf, abs_gen_error=math.inf),
+        dict(train_risk=math.nan, test_risk=math.nan, abs_gen_error=math.nan, fd_bound=0.5,
+             rademacher_bound=math.nan),
+    ])
+    def test_row_with_no_single_verdict_rejected(self, outcomes):
+        # Neither measured (finite risks and gap) nor diverged (NaN everywhere).
+        with pytest.raises(ValueError, match="^train_risk, test_risk and abs_gen_error must be "):
+            sweep_row(**outcomes)
+
+    def test_measured_row_bounds_may_be_inf_or_nan(self):
+        row = sweep_row(fd_bound=math.inf, rademacher_bound=math.nan)
+        assert not row.diverged
 
     def test_any_dataset_name_and_nan_outcomes_pass(self):
         row = diverged_row(dataset="")
