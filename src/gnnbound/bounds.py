@@ -114,10 +114,9 @@ def max_logistic_loss(output_bound: float) -> float:
 class BoundReport:
     """Both bounds for one trained model, with the quantities that built them.
 
-    variant names the formula route taken, e.g. "gcn-bounded-mean": the model
-    family, whether the bounded-nonlinearity cap was available, and the
-    readout. The report recomputes exactly from the echoed stats, inputs and
-    model config.
+    bounded is the evaluator's argument: whether the bounded-nonlinearity cap
+    was available. The report recomputes exactly from the echoed stats,
+    inputs, model config and bounded flag.
     """
 
     fd_bound: float
@@ -125,7 +124,7 @@ class BoundReport:
     rademacher_complexity_term: float
     rademacher_confidence_term: float
     model_output_cap: float
-    variant: str
+    bounded: bool
     stats: ModelStats
     inputs: BoundInputs
     config: ModelConfig
@@ -133,11 +132,6 @@ class BoundReport:
     def to_dict(self) -> dict:
         """The report as JSON data, as report.json echoes it."""
         return to_json_value(self)
-
-    @property
-    def bounded(self) -> bool:
-        """The evaluator's bounded argument, read back from the variant."""
-        return self.variant.split("-")[1] == "bounded"
 
 
 def report_from_stats(
@@ -161,14 +155,13 @@ def report_from_stats(
     confidence = 3.0 * max_logistic_loss(out_cap) * math.sqrt(
         math.log(2.0 / inputs.delta) / (2.0 * inputs.n_train)
     )
-    form = "bounded" if bounded else "lipschitz"
     return BoundReport(
         fd_bound=inputs.alpha * t * t / inputs.n_train,
         rademacher_bound=complexity + confidence,
         rademacher_complexity_term=complexity,
         rademacher_confidence_term=confidence,
         model_output_cap=out_cap,
-        variant=f"{config.model_kind.value}-{form}-{inputs.readout.value}",
+        bounded=bounded,
         stats=stats,
         inputs=inputs,
         config=config,

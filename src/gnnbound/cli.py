@@ -226,11 +226,22 @@ def _named(exc: ValueError, table: KeyTable, source: str) -> ConfigError:
     return ConfigError(f"{source}: {exc}" if key is None else f"{source}: {key}: {exc}")
 
 
+# The refusal of a setting that only shapes a generated preset, for a
+# dataset file, whose graphs are used as they are.
+_PRESET_ONLY = "only a preset dataset reads it, and {!r} is not a preset"
+
+
 def _sweep_config(path, table: KeyTable, **preset) -> SweepConfig:
     """SweepConfig from the config file at path (None: no keys), read with
-    table; preset fields hold where the file sets no key for them."""
+    table; preset fields hold where the file sets no key for them. A
+    data_seed, n_graphs or feature_dim key with a dataset file is refused."""
     source = str(path or "defaults")
     fields = {**preset, **read_config(parse_config_file(path) if path else {}, table, source)}
+    dataset = fields.get("dataset")
+    if dataset is not None and dataset not in PRESET_NAMES:
+        for key in ("data_seed", "n_graphs", "feature_dim"):
+            if key in fields:
+                raise ConfigError(f"{source}: {key}: {_PRESET_ONLY.format(dataset)}")
     train = _build(TrainConfig, fields, table, source)
     return _build(SweepConfig, {**fields, "train": train}, table, source)
 
@@ -271,7 +282,11 @@ def cmd_gen_data(args) -> int:
                 f"nor an existing generator spec file"
             )
         config = _synth_config_from_file(source_path)
-    dataset = make_dataset(_flagged(config, args, "seed", "n_graphs", "feature_dim"))
+    config = _flagged(config, args, "seed", "n_graphs", "feature_dim")
+    if Path(args.out).is_dir():
+        raise ConfigError(f"--out: {args.out} is a directory")
+    _report_dir(Path(args.out).parent)
+    dataset = make_dataset(config)
     save_dataset(dataset, args.out)
     stats = dataset_stats(dataset)
     print(
@@ -291,8 +306,9 @@ def _setup(config: SweepConfig, table: KeyTable, path):
 
 
 def _report_dir(out) -> Path:
-    """The --out directory, created if missing, before any report is built;
-    a path that cannot be a directory raises ConfigError naming it."""
+    """The --out directory (gen-data: its parent), created if missing, before
+    any output is built; a path that cannot be a directory raises ConfigError
+    naming it."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -360,6 +376,10 @@ def cmd_filters(args) -> int:
         config = _flagged(preset_config(args.dataset), args, "seed", "n_graphs", "feature_dim")
         dataset = make_dataset(config)
     else:
+        for flag in ("seed", "n_graphs", "feature_dim"):
+            if getattr(args, flag) is not None:
+                name = "--" + flag.replace("_", "-")
+                raise ConfigError(f"{name}: {_PRESET_ONLY.format(args.dataset)}")
         dataset = load_dataset(args.dataset)
     _print_json(filter_norm_report(dataset, kind))
     return 0
@@ -408,14 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     fi = sub.add_parser("filters", help="filter norm report for a dataset")
     fi.add_argument("--dataset", required=True, help="preset name or dataset JSON path")
     fi.add_argument("--kind", required=True, help="sym-norm | random-walk | mean-agg | sum-agg")
+    fi.add_argument("--seed", type=int, help=f"preset generation seed (default {SynthConfig.seed})")
+    fi.add_argument("--n-graphs", type=int, help=f"preset graph count (default {SynthConfig.n_graphs})")
     fi.add_argument(
-        "--seed",
-        type=int,
-        default=SweepConfig.data_seed,
-        help="preset generation seed (default %(default)s)",
+        "--feature-dim", type=int, help=f"preset feature dimension (default {SynthConfig.feature_dim})"
     )
-    fi.add_argument("--n-graphs", type=int, default=SweepConfig.n_graphs, dest="n_graphs")
-    fi.add_argument("--feature-dim", type=int, default=SweepConfig.feature_dim, dest="feature_dim")
     fi.set_defaults(handler=cmd_filters)
 
     rep = sub.add_parser("report", help="re-aggregate and re-plot a rows.csv")

@@ -219,7 +219,7 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     """Re-evaluate (fd_bound, rademacher_bound) from a report.json row echo.
 
     Uses only the row's echoed bound report: its stats, inputs, model config
-    and variant. A diverged row has no bounds and raises ValueError.
+    and bounded flag. A diverged row has no bounds and raises ValueError.
     """
     echo = record["bounds"]
     if echo is None:

@@ -44,7 +44,6 @@ from .filters import FilterKind, FilterNormReport, filter_norm_report
 from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
 from .synth import PRESET_NAMES, SynthConfig, make_dataset, preset_config
 from .training import (
-    RunResult,
     TrainConfig,
     TrainingDivergenceError,
     measure_generalization,
@@ -292,18 +291,19 @@ def _run_coordinate(
     nan = math.nan
     try:
         trained, _ = train(params, train_set, train_config, model_config)
-        run = measure_generalization(trained, train_set, test_set, model_config)
+        train_risk, test_risk = measure_generalization(trained, train_set, test_set, model_config)
     except TrainingDivergenceError:
-        run = None
+        train_risk = test_risk = nan
     # One verdict per row: a run that diverged in training, or whose weights
     # the risk forward cannot hold, gets NaN outcomes and no bounds.
-    if run is None or not (math.isfinite(run.train_risk) and math.isfinite(run.test_risk)):
-        run, report = RunResult(nan, nan, nan), None
-    else:
+    if math.isfinite(train_risk) and math.isfinite(test_risk):
         report = bounds_for(trained, model_config, len(train_set), stats, filter_report, config)
+    else:
+        train_risk = test_risk = nan
+        report = None
     return SweepRow(
         dataset.name, beta, model_kind.value, filter_kind.value, readout.value, width, seed,
-        **dataclasses.asdict(run),
+        train_risk, test_risk, abs(test_risk - train_risk),
         fd_bound=report.fd_bound if report else nan,
         rademacher_bound=report.rademacher_bound if report else nan,
         wall_time_s=time.perf_counter() - started,

@@ -70,15 +70,6 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Risks of one trained model, measured with the unregularized loss."""
-
-    train_risk: float
-    test_risk: float
-    abs_gen_error: float
-
-
 def logistic_loss(yhat, y):
     """log(1 + exp(-y*yhat)), overflow-safe via log1p(exp(-|z|)) + max(-z, 0)."""
     z = np.asarray(y, dtype=np.float64) * np.asarray(yhat, dtype=np.float64)
@@ -279,12 +270,9 @@ def measure_generalization(
     train_set,
     test_set,
     model_config: ModelConfig,
-) -> RunResult:
-    """Unregularized train/test risks and their absolute gap."""
-    train_risk = empirical_risk(params, train_set, model_config)
-    test_risk = empirical_risk(params, test_set, model_config)
-    return RunResult(
-        train_risk=train_risk,
-        test_risk=test_risk,
-        abs_gen_error=abs(test_risk - train_risk),
+) -> tuple[float, float]:
+    """The unregularized (train_risk, test_risk) of params."""
+    return (
+        empirical_risk(params, train_set, model_config),
+        empirical_risk(params, test_set, model_config),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 
 from gnnbound.bounds import (
     BoundInputs,
+    BoundReport,
     ModelStats,
     bound_report,
     extract_model_stats,
     max_logistic_loss,
     report_from_stats,
 )
-from gnnbound.data import to_json_value
+from gnnbound.data import from_plain, to_json_value
 from gnnbound.filters import FilterKind
 from gnnbound.models import (
     GcnParams,
@@ -26,6 +28,7 @@ from gnnbound.models import (
     Readout,
     init_params,
 )
+from gnnbound.report import recompute_bounds_from_record
 from oracles import zeros_like_params
 
 GCN = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM, width=1)
@@ -295,24 +298,27 @@ class TestBoundReport:
         assert report.rademacher_complexity_term == 0.0
         assert report.rademacher_confidence_term > 0.0
 
-    def test_variant_string(self):
-        params = init_params(GCN, 3, seed=0)
-        assert bound_report(params, GCN, inputs_for()).variant == "gcn-bounded-mean"
-        assert bound_report(params, GCN, inputs_for(), bounded=False).variant == (
-            "gcn-lipschitz-mean"
+    @pytest.mark.parametrize("bounded", [True, False])
+    @pytest.mark.parametrize("readout", list(Readout))
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_report_round_trips_through_json(self, kind, readout, bounded):
+        # b_f = 100 puts the chain past tanh's cap of 1, so the bounded flag
+        # moves both bounds and a recomputation that ignored it would differ.
+        config = ModelConfig(model_kind=kind, filter_kind=FilterKind.SYM_NORM, width=2,
+                             readout=readout)
+        params = init_params(config, 3, seed=0)
+        report = bound_report(params, config, inputs_for(b_f=100.0, readout=readout), bounded)
+        assert report.fd_bound != bound_report(
+            params, config, inputs_for(b_f=100.0, readout=readout), not bounded
+        ).fd_bound
+        plain = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert plain["config"]["model_kind"] == kind.value
+        assert plain["inputs"]["readout"] == readout.value
+        assert plain["bounded"] is bounded
+        assert from_plain(BoundReport, plain) == report
+        assert recompute_bounds_from_record({"bounds": plain}) == (
+            report.fd_bound, report.rademacher_bound
         )
-        mp = init_params(
-            ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
-                        width=2, readout=Readout.SUM),
-            3, seed=0,
-        )
-        report = bound_report(
-            mp,
-            ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
-                        width=2, readout=Readout.SUM),
-            inputs_for(readout=Readout.SUM),
-        )
-        assert report.variant == "mpgnn-bounded-sum"
 
     def test_json_value_echoes_inputs_and_stats(self):
         params = init_params(GCN, 3, seed=1)
@@ -322,7 +328,6 @@ class TestBoundReport:
         assert d["inputs"]["n_train"] == 140
         assert d["stats"]["w2_abs_max"] == report.stats.w2_abs_max
         assert d["fd_bound"] == report.fd_bound
-        assert d["variant"] == report.variant
         assert report.to_dict() == d
 
 

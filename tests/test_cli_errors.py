@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import gnnbound.cli as cli_module
 import gnnbound.sweep as sweep_module
 from gnnbound.cli import main
+from gnnbound.data import load_dataset
 from gnnbound.report import ROW_COLUMNS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +26,11 @@ TINY_SWEEP = "dataset = er5\nbetas = 0.7\nwidths = 4\nseeds = 0\nepochs = 1\n"
 
 def dataset(graph=None, **top) -> str:
     return json.dumps({"name": "x", "feature_dim": 1, "graphs": [graph or GRAPH], **top})
+
+
+TWO_GRAPHS = json.dumps({"name": "x", "feature_dim": 1, "graphs": [GRAPH, {**GRAPH, "label": -1}]})
+PARAMS = json.dumps({"model": "gcn", "w1": [[0.5]], "w2": [1.0]})
+NOT_A_PRESET = "only a preset dataset reads it, and '{dir}/d.json' is not a preset"
 
 
 # id: (files to write into the run directory, as text or as bytes, argv,
@@ -195,6 +202,34 @@ CASES = {
         {"run.cfg": TINY_SWEEP, "f": ""},
         ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/f/out"],
         "--out: cannot make directory {dir}/f/out: Not a directory"),
+    "gen-data-out-is-a-directory": (
+        {}, ["gen-data", "er5", "--out", "{dir}"], "--out: {dir} is a directory"),
+    "gen-data-out-under-a-file": (
+        {"f": ""}, ["gen-data", "er5", "--out", "{dir}/f/d.json"],
+        "--out: cannot make directory {dir}/f: File exists"),
+    "filters-seed-flag-with-file": (
+        {"d.json": TWO_GRAPHS}, FILTERS + ["{dir}/d.json", "--seed", "7"],
+        "--seed: " + NOT_A_PRESET),
+    "filters-n-graphs-flag-with-file": (
+        {"d.json": TWO_GRAPHS}, FILTERS + ["{dir}/d.json", "--n-graphs", "9"],
+        "--n-graphs: " + NOT_A_PRESET),
+    "filters-feature-dim-flag-with-file": (
+        {"d.json": TWO_GRAPHS}, FILTERS + ["{dir}/d.json", "--feature-dim", "1"],
+        "--feature-dim: " + NOT_A_PRESET),
+    "train-data-seed-with-file": (
+        {"d.json": TWO_GRAPHS, "t.cfg": "dataset = {dir}/d.json\ndata_seed = 9\nepochs = 1\n"},
+        ["train", "--config", "{dir}/t.cfg"], "{dir}/t.cfg: data_seed: " + NOT_A_PRESET),
+    "sweep-n-graphs-with-file": (
+        {"d.json": TWO_GRAPHS,
+         "run.cfg": "dataset = {dir}/d.json\nn_graphs = 50\nbetas = 0.5\nwidths = 4\n"
+                    "seeds = 0\nepochs = 1\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/run.cfg: n_graphs: " + NOT_A_PRESET),
+    "bounds-feature-dim-with-file": (
+        {"d.json": TWO_GRAPHS, "p.json": PARAMS, "run.cfg": "feature_dim = 1\n"},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json",
+         "--config", "{dir}/run.cfg"],
+        "{dir}/run.cfg: feature_dim: " + NOT_A_PRESET),
 }
 
 
@@ -223,18 +258,6 @@ def test_bad_input_is_one_error_line_naming_its_source(tmp_path, case):
 def test_filters_runs_on_one_graph(capsys):
     assert main(FILTERS + ["er5", "--n-graphs", "1", "--feature-dim", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "sym-norm"
-
-
-def test_preset_only_keys_are_not_checked_for_a_dataset_file(tmp_path, capsys):
-    # data_seed, n_graphs and feature_dim shape a preset; a file's graphs are
-    # used as they are, so values a preset refuses do not matter here.
-    data = tmp_path / "two.json"
-    assert main(["gen-data", "er5", "--n-graphs", "2", "--out", str(data)]) == 0
-    config = tmp_path / "c.cfg"
-    config.write_text(f"dataset = {data}\nn_graphs = 1\ndata_seed = -1\nfeature_dim = 0\n"
-                      "width = 4\nepochs = 2\n")
-    assert main(["train", "--config", str(config)]) == 0
-    assert "train_risk = " in capsys.readouterr().out
 
 
 def test_bounds_checks_params_before_building_a_preset(tmp_path, monkeypatch, capsys):
@@ -275,3 +298,26 @@ def test_sweep_refuses_its_out_before_any_coordinate_trains(tmp_path, monkeypatc
     error = capsys.readouterr().err
     assert error.startswith(f"error: --out: cannot make directory {tmp_path / out}: ")
     assert calls == {"train": 0}
+
+
+def test_gen_data_makes_the_directory_of_its_out(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "d.json"
+    assert main(["gen-data", "er5", "--n-graphs", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}: 2 graphs")
+    assert len(load_dataset(out)) == 2
+
+
+@pytest.mark.parametrize("out", ["", "f/d.json"])
+def test_gen_data_refuses_its_out_before_any_graph_is_drawn(tmp_path, monkeypatch, capsys, out):
+    calls = {"make_dataset": 0}
+
+    def counted(*args, **kwargs):
+        calls["make_dataset"] += 1
+        return make_dataset(*args, **kwargs)
+
+    make_dataset = cli_module.make_dataset
+    monkeypatch.setattr(cli_module, "make_dataset", counted)
+    (tmp_path / "f").write_text("")
+    assert main(["gen-data", "sbm1", "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert calls == {"make_dataset": 0}

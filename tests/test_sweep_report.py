@@ -378,6 +378,10 @@ class TestSweep:
             assert row.fd_bound >= 0
             assert math.isfinite(row.wall_time_s) and row.wall_time_s >= 0
 
+    def test_row_gap_is_abs_risk_difference(self, tiny_rows):
+        for row in tiny_rows:
+            assert row.abs_gen_error == abs(row.test_risk - row.train_risk)
+
     def test_divergent_run_yields_nan_row(self):
         config = tiny_config(
             widths=(2,), seeds=(0,),
@@ -918,7 +922,7 @@ class TestCli:
                      "--dataset", str(dataset_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["fd_bound"] == 0.0
-        assert report["variant"].startswith("gcn-")
+        assert report["config"]["model_kind"] == "gcn" and report["bounded"] is True
 
     def test_all_zero_features_give_zero_fd_bounds(self, tmp_path, capsys):
         # b_F = 0: every output is 0, so the gap and the fd bound are 0.
