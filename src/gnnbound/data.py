@@ -259,13 +259,22 @@ _type_hints = functools.cache(typing.get_type_hints)
 def from_plain(hint, value):
     """value, as to_json_value writes it or as CSV text, converted to the type
     hint: a dict to the hint's dataclass field by field, X | None as X, an
-    enum by its value; None stays None."""
+    enum by its value; None stays None. A dict with a key the dataclass has
+    no field for, or without a field that has no default, raises a
+    ValueError naming the dataclass and the field."""
     if value is None:
         return None
     if isinstance(hint, types.UnionType):
         hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
     if isinstance(value, dict):
         hints = _type_hints(hint)
+        fields = {f.name: f for f in dataclasses.fields(hint)}
+        for name in value:
+            if name not in fields:
+                raise ValueError(f"{hint.__name__} has no field {name!r}")
+        for name, f in fields.items():
+            if name not in value and f.default is f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{hint.__name__} needs a value for its field {name!r}")
         return hint(**{name: from_plain(hints[name], item) for name, item in value.items()})
     return hint(value)
 

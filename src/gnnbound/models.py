@@ -278,9 +278,8 @@ class Workspace:
     backward to read; a workspace for forwards alone has nodes = 0 and no f.
     The workspace has the lanes of blas.lane_count when it is built, each with
     scratch for one block: the product temp and, only when there is no f, an
-    out buffer that takes a block's outer outputs. A workspace with f deals
-    its own `nodes` rows to the lanes once, when it is built (runs). Lane 0
-    is the calling thread; the others run on blas.on_lanes.
+    out buffer that takes a block's outer outputs. Lane 0 is the calling
+    thread; the others run on blas.on_lanes.
     """
 
     def __init__(self, nodes: int, width: int):
@@ -292,49 +291,39 @@ class Workspace:
             (None if self.f is not None else np.empty(shape), np.empty(shape))
             for _ in range(lane_count())
         ]
-        self._own = None
-        if self.f is not None:
-            self._own = self.runs(nodes)
 
-    def runs(self, nodes: int) -> list[list[tuple[slice, np.ndarray, np.ndarray]]]:
-        """The row blocks of a step over nodes rows, dealt to the lanes in
-        contiguous runs; a workspace's own size gets the deal made when it
-        was built. Each block comes with its out buffer (its rows of f, or its
-        lane's out scratch cut to its rows when there is no f) and its lane's
-        temp cut to its rows. Each lane takes at least two blocks: with one
-        each, a full block beside a short tail and the dispatch cost more
-        than the second lane saves."""
-        if self._own is not None and nodes == len(self.f):
-            return self._own
-        blocks = _blocks(nodes, self.width)
-        lanes = max(1, min(len(self._scratch), len(blocks) // 2))
-
-        def cut(block: slice, out: np.ndarray | None, temp: np.ndarray):
-            rows = block.stop - block.start
-            return block, self.f[block] if out is None else out[:rows], temp[:rows]
-
-        return [
-            [cut(block, *scratch) for block in
-             blocks[i * len(blocks) // lanes : (i + 1) * len(blocks) // lanes]]
-            for i, scratch in zip(range(lanes), self._scratch)
-        ]
+    def lanes(self, nodes: int) -> int:
+        """The lanes a step over nodes rows runs on. Each lane can take at
+        least two blocks: with one each, a full block beside a short tail and
+        the dispatch cost more than the second lane saves."""
+        return max(1, min(len(self._scratch), len(_blocks(nodes, self.width)) // 2))
 
     def map(self, nodes: int, fn, items: list) -> list:
         """[fn(item) for item in items]. When a step over nodes rows has more
         than one lane, each call runs on its own (blas.on_lanes)."""
-        if len(self.runs(nodes)) == 1:
+        if self.lanes(nodes) == 1:
             return [fn(item) for item in items]
         return on_lanes(fn, items)
 
     def each_block(self, nodes: int, fn) -> None:
         """fn(block, out, temp) for every row block of a step over nodes
-        rows, each lane taking its run of blocks with its own scratch."""
+        rows, once each. Every lane claims the next block that no lane has
+        taken, so a lane that starts late takes fewer. out is the block's rows
+        of f, or of its lane's out scratch when there is no f, and temp its
+        lane's temp cut to the block's rows. A block's arithmetic reads only
+        its rows, the weights and its lane's scratch, so which lane runs it
+        moves no bit."""
+        # next() on a list iterator is one step under the GIL: no two lanes
+        # claim the same block.
+        blocks = iter(_blocks(nodes, self.width))
 
-        def lane(run):
-            for block, out, temp in run:
-                fn(block, out, temp)
+        def lane(scratch: tuple[np.ndarray | None, np.ndarray]) -> None:
+            out, temp = scratch
+            for block in blocks:
+                rows = block.stop - block.start
+                fn(block, self.f[block] if out is None else out[:rows], temp[:rows])
 
-        on_lanes(lane, self.runs(nodes))
+        on_lanes(lane, self._scratch[: self.lanes(nodes)])
 
 
 def forward(

@@ -219,17 +219,24 @@ def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
     """Re-evaluate (fd_bound, rademacher_bound) from a report.json row echo.
 
     Uses only the row's echoed bound report: its stats, inputs, model config
-    and bounded flag. A diverged row has no bounds and raises ValueError.
+    and bounded flag. A diverged row has no bounds, and a bound report that
+    does not parse (such as one with a field BoundReport does not have) raises
+    a ValueError naming the row's coordinates.
     """
     echo = record["bounds"]
+    row = "row " + ", ".join(f"{key}={record.get(key)}" for key in COORDINATE_COLUMNS)
     if echo is None:
-        coordinate = ", ".join(f"{key}={record[key]}" for key in COORDINATE_COLUMNS)
-        raise ValueError(f"row {coordinate} diverged: it has no bounds to recompute")
+        raise ValueError(f"{row} diverged: it has no bounds to recompute")
     # A bounded row has no NaN weight (train refuses one), but a weight norm
     # can be inf, which report.json writes as null. A GCN's w3 norm, also
     # null, is never read.
-    stats = {name: math.inf if value is None else value for name, value in echo["stats"].items()}
-    echoed = from_plain(BoundReport, {**echo, "stats": stats})
+    stats = echo.get("stats")
+    if isinstance(stats, dict):
+        echo = {**echo, "stats": {name: math.inf if v is None else v for name, v in stats.items()}}
+    try:
+        echoed = from_plain(BoundReport, echo)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{row}: its bound report does not parse: {exc}") from None
     report = report_from_stats(echoed.config, echoed.stats, echoed.inputs, echoed.bounded)
     return report.fd_bound, report.rademacher_bound
 

@@ -134,6 +134,15 @@ class SweepConfig:
             valid, rule = _COORDINATE_RULES[column]
             if not all(map(valid, getattr(self, f"{column}s"))):
                 raise ValueError(f"{column}s {rule}")
+        # Betas that round to the same millionth get the same seeds.
+        keyed = {}
+        for beta in self.betas:
+            other = keyed.setdefault(_beta_key(beta), beta)
+            if other != beta:
+                raise ValueError(
+                    f"betas {other!r} and {beta!r} round to the same millionth, "
+                    "so their runs would share every seed"
+                )
         if self.dataset in PRESET_NAMES:
             if self.data_seed < 0:
                 raise ValueError("data_seed must be >= 0")
@@ -245,6 +254,11 @@ def bounds_for(
     return bound_report(params, model_config, inputs, config.bounded_nonlinearity)
 
 
+def _beta_key(beta: float) -> int:
+    """beta to the millionth, as coordinate_seeds takes it."""
+    return int(round(beta * 1_000_000))
+
+
 def coordinate_seeds(
     dataset_name: str,
     beta: float,
@@ -262,7 +276,7 @@ def coordinate_seeds(
     entropy = [
         int(seed),
         int(width),
-        int(round(beta * 1_000_000)),
+        _beta_key(beta),
         list(ModelKind).index(model),
         list(FilterKind).index(filter_kind),
         list(Readout).index(readout),

@@ -320,6 +320,37 @@ class TestBoundReport:
             report.fd_bound, report.rademacher_bound
         )
 
+    def test_a_field_the_dataclass_lacks_or_needs_is_named(self):
+        stats = {"w1_row_norm_max": 1.0, "w2_abs_max": 0.5, "w3_row_norm_max": None}
+        with pytest.raises(ValueError, match="^ModelStats has no field 'extra'$"):
+            from_plain(ModelStats, {**stats, "extra": 1})
+        with pytest.raises(ValueError, match="^ModelStats needs a value for its field 'w2_abs_max'$"):
+            from_plain(ModelStats, {"w1_row_norm_max": 1.0, "w3_row_norm_max": None})
+        # A field with a default may be left out.
+        inputs = to_json_value(inputs_for())
+        del inputs["delta"]
+        assert from_plain(BoundInputs, inputs) == inputs_for()
+
+    def test_a_bound_report_that_does_not_parse_names_the_row(self):
+        report = bound_report(init_params(GCN, 3, seed=0), GCN, inputs_for())
+        plain = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        record = {"dataset": "sbm1", "beta": 0.7, "model": "gcn", "filter": "sym-norm",
+                  "readout": "mean", "width": 8, "seed": 3}
+        # The echo of a report.json written while BoundReport held a variant
+        # string where it now holds its bounded flag.
+        variant = {key: value for key, value in plain.items() if key != "bounded"}
+        variant["variant"] = "gcn-mean-bounded"
+        stale = (
+            ({"bounds": variant}, "has no field 'variant'"),
+            ({"bounds": {"bounded": True}}, "needs a value for its field 'fd_bound'"),
+        )
+        for echo, field in stale:
+            with pytest.raises(ValueError, match=(
+                r"^row dataset=sbm1, beta=0\.7, model=gcn, filter=sym-norm, readout=mean, "
+                rf"width=8, seed=3: its bound report does not parse: BoundReport {field}$"
+            )):
+                recompute_bounds_from_record({**record, **echo})
+
     def test_json_value_echoes_inputs_and_stats(self):
         params = init_params(GCN, 3, seed=1)
         report = bound_report(params, GCN, inputs_for(g_max=1.5))

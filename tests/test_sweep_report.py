@@ -191,7 +191,7 @@ class TestSweep:
             return run_coordinate(*args)
 
         def recording_step(params, stacked, config, grads, workspace):
-            steps.append((threads(), len(workspace.runs(len(stacked.rows["w1"])))))
+            steps.append((threads(), workspace.lanes(len(stacked.rows["w1"]))))
             return risk_and_loss_grads(params, stacked, config, grads, workspace)
 
         monkeypatch.setattr(sweep_module, "_run_coordinate", recording)
@@ -309,7 +309,7 @@ class TestSweep:
         risk_and_loss_grads = training_module._risk_and_loss_grads
 
         def recording_step(params, stacked, config, grads, workspace):
-            steps.append((threads(), len(workspace.runs(len(stacked.rows["w1"])))))
+            steps.append((threads(), workspace.lanes(len(stacked.rows["w1"]))))
             return risk_and_loss_grads(params, stacked, config, grads, workspace)
 
         monkeypatch.setattr(training_module, "_risk_and_loss_grads", recording_step)
@@ -452,6 +452,16 @@ class TestSweepConfigValidation:
         # A repeated value would run identical rows and count them as seeds.
         with pytest.raises(ValueError, match=f"^{name} "):
             tiny_config(**{name: values})
+
+    def test_betas_the_coordinate_seeds_cannot_tell_apart_rejected(self):
+        # 0.7 and 0.7000004 round to the same millionth, so they would run
+        # the same split, init and shuffle seeds as two groups.
+        with pytest.raises(ValueError, match=(
+            r"^betas 0\.7 and 0\.7000004 round to the same millionth, "
+            r"so their runs would share every seed$"
+        )):
+            tiny_config(betas=(0.7, 0.5, 0.7000004))
+        assert tiny_config(betas=(0.7, 0.700001)).betas == (0.7, 0.700001)
 
     @pytest.mark.parametrize("name, values", [
         ("models", ("gcn",)),
@@ -741,6 +751,13 @@ class TestEmitReports:
         fd, rad = recompute_bounds_from_record(record)
         assert fd == pytest.approx(report.fd_bound, rel=1e-12)
         assert rad == pytest.approx(report.rademacher_bound, rel=1e-12)
+
+    def test_betas_equal_to_six_digits_keep_distinct_svgs(self, tmp_path):
+        # A sweep refuses such betas (they share their seeds), but a rows.csv
+        # given to `gnnbound report` may hold them.
+        paths = emit_reports([sweep_row(beta=0.5), sweep_row(beta=0.5000001)], tmp_path)
+        assert sorted(name for name in paths if name.endswith(".svg")) == [
+            "d_beta0.5000001_gcn_mean.svg", "d_beta0.5_gcn_mean.svg"]
 
     def test_sanitised_dataset_names_keep_distinct_svgs(self, tmp_path):
         paths = emit_reports([sweep_row(dataset="a/b"), sweep_row(dataset="a_b")], tmp_path)

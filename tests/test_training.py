@@ -6,6 +6,8 @@ import dataclasses
 import math
 import os
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -604,36 +606,80 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, [], TrainConfig(), config)
 
-    def test_full_minibatches_take_the_deal_built_with_the_workspace(self, rng, monkeypatch):
+    def test_each_step_runs_every_block_once(self, rng, monkeypatch):
         # 7 graphs of 5 nodes in batches of 3: full minibatches of 15 nodes
-        # and a tail of 5. Blocks of 2 rows on two lanes, so a deal has runs.
+        # and a tail of 5. Blocks of 2 rows on two lanes, so a full step's
+        # blocks are claimed by both.
         monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
         block_rows(monkeypatch, 2, 4)
         config = ModelConfig(model_kind=ModelKind.GCN, filter_kind=FilterKind.SYM_NORM,
                              width=4)
         samples = [random_sample(rng, 5, 2) for _ in range(7)]
         params = init_params(config, 2, seed=3)
-        dealt = []
-        runs = Workspace.runs
+        passes = []
+        each_block = Workspace.each_block
 
-        def recording(workspace, nodes):
-            result = runs(workspace, nodes)
-            dealt.append((nodes, len(workspace.f), result))
-            return result
+        def recording(workspace, nodes, fn):
+            ran = []
 
-        monkeypatch.setattr(Workspace, "runs", recording)
+            def block_fn(block, out, temp):
+                ran.append((block.start, block.stop))
+                fn(block, out, temp)
+
+            each_block(workspace, nodes, block_fn)
+            passes.append((nodes, workspace.lanes(nodes), sorted(ran)))
+
+        monkeypatch.setattr(Workspace, "each_block", recording)
         train(params, samples, TrainConfig(epochs=4, batch_size=3, seed=4), config)
-        full = [result for nodes, own, result in dealt if nodes == own]
-        tail = [result for nodes, own, result in dealt if nodes != own]
-        # The deal made when the workspace is built, then three dispatches
-        # (forward, backward, input-side sums) per step: each of 4 epochs has
-        # 2 full steps and a tail step.
-        assert {nodes for nodes, _, _ in dealt} == {15, 5} and len(full[0]) == 2
-        assert len(full) == 1 + 4 * 2 * 3 and all(result is full[0] for result in full)
-        assert len(tail) == 4 * 3 and len({id(result) for result in tail + full[:1]}) == 13
+        # A forward and a backward pass per step: each of 4 epochs has 2 full
+        # steps and a tail step.
+        assert [nodes for nodes, _, _ in passes] == ([15] * 4 + [5] * 2) * 4
+        for nodes, lanes, ran in passes:
+            blocks = models_module._blocks(nodes, config.width)
+            assert ran == [(block.start, block.stop) for block in blocks]
+            assert lanes == (2 if nodes == 15 else 1)
+
+    def test_a_late_lane_leaves_its_blocks_to_the_caller(self, rng, monkeypatch):
+        # Every lane but the caller sleeps before it starts, so the caller
+        # claims every block of a pass before another lane wakes.
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 2)
+        block_rows(monkeypatch, 2, 4)
+        caller = threading.current_thread()
+        on_lanes = models_module.on_lanes
+
+        def late(fn, items):
+            def start(item):
+                if threading.current_thread() is not caller:
+                    time.sleep(0.1)
+                return fn(item)
+
+            return on_lanes(start, items)
+
+        monkeypatch.setattr(models_module, "on_lanes", late)
+        workspace = Workspace(40, 4)
+        ran = []
+        workspace.each_block(40, lambda block, out, temp: ran.append(
+            (block.start, threading.current_thread())))
+        assert sorted(start for start, _ in ran) == list(range(0, 40, 2))
+        assert all(thread is caller for _, thread in ran)
+        assert workspace.lanes(40) == 2
+
+        # A train on a late second lane has the bits of a train on one.
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
+                             width=4)
+        samples = [random_sample(rng, 5, 2) for _ in range(6)]
+        params = init_params(config, 2, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=6, seed=4)
+        late_lane = train(params, samples, cfg, config)
+        monkeypatch.setattr(blas_module, "_usable_cpus", lambda: 1)
+        one_lane = train(params, samples, cfg, config)
+        assert late_lane[1] == one_lane[1]
+        for field in dataclasses.fields(one_lane[0]):
+            assert np.array_equal(getattr(late_lane[0], field.name),
+                                  getattr(one_lane[0], field.name))
 
     def test_graphs_of_many_sizes_train_alike_on_two_lanes_and_one(self, rng, monkeypatch):
-        # Blocks of 2 rows, so every minibatch is dealt to both lanes.
+        # Blocks of 2 rows, so every minibatch runs on both lanes.
         block_rows(monkeypatch, 2, 4)
         config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM,
                              width=4)
@@ -641,14 +687,14 @@ class TestTrain:
         params = init_params(config, 2, seed=3)
         cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, seed=4)
         lanes_used = []
-        runs = Workspace.runs
+        lanes_of = Workspace.lanes
 
         def recording(workspace, nodes):
-            result = runs(workspace, nodes)
-            lanes_used.append(len(result))
+            result = lanes_of(workspace, nodes)
+            lanes_used.append(result)
             return result
 
-        monkeypatch.setattr(Workspace, "runs", recording)
+        monkeypatch.setattr(Workspace, "lanes", recording)
         trained = {}
         for lanes in (1, 2):
             monkeypatch.setattr(blas_module, "_usable_cpus", lambda lanes=lanes: lanes)
