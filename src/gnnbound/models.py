@@ -222,8 +222,8 @@ def prepared_with(config: ModelConfig) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Stacked:
-    """The node rows of several graphs, concatenated in graph order: graph q's
-    rows are rows[name][starts[q] : starts[q] + node_counts[q]]."""
+    """A minibatch's node rows: its graphs' rows concatenated in batch order,
+    so graph q's rows are rows[name][starts[q] : starts[q] + node_counts[q]]."""
 
     rows: dict[str, np.ndarray]
     labels: np.ndarray
@@ -232,15 +232,6 @@ class Stacked:
     @functools.cached_property
     def starts(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.node_counts)[:-1]))
-
-    def gather(self, graphs: np.ndarray) -> "Stacked":
-        """A new stack of the graphs at these indices, in this order."""
-        gathered = Stacked({}, self.labels[graphs], self.node_counts[graphs])
-        nodes = np.repeat(self.starts[graphs] - gathered.starts, gathered.node_counts)
-        nodes += np.arange(len(nodes))
-        for name, rows in self.rows.items():
-            gathered.rows[name] = np.take(rows, nodes, axis=0)
-        return gathered
 
 
 def readout_scale(stacked: Stacked, readout: Readout) -> np.ndarray:
@@ -390,7 +381,12 @@ def load_params(path) -> Params:
     record = read_json(path, ValueError)
     try:
         cls = _CONTAINERS[ModelKind(record["model"])]
-        params = cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
+        names = [f.name for f in dataclasses.fields(cls)]
+        # A field the container lacks would be dropped without a word.
+        extra = sorted(record.keys() - {"model", *names})
+        if extra:
+            raise ValueError(f"{cls.__name__} has no field {extra[0]!r}")
+        params = cls(**{name: record[name] for name in names})
         for f in dataclasses.fields(params):
             if not np.isfinite(getattr(params, f.name)).all():
                 raise ValueError(f"{f.name} holds a weight that is not finite")

@@ -40,6 +40,9 @@ class SummaryRow:
 
     Means and stds are taken over the n_seeds - n_diverged seeds that did not
     diverge; a group in which every seed diverged has NaN means and stds.
+    mean_gen_error is the mean signed gap test_risk - train_risk and
+    se_gen_error its standard error (sample std over sqrt(seeds)), NaN below
+    2 seeds.
     """
 
     dataset: str
@@ -53,6 +56,8 @@ class SummaryRow:
     mean_train_risk: float
     mean_test_risk: float
     mean_abs_gen_error: float
+    mean_gen_error: float
+    se_gen_error: float
     std_abs_gen_error: float
     mean_fd_bound: float
     std_fd_bound: float
@@ -72,9 +77,12 @@ def _format_cell(value) -> str:
 
 
 def _mean(values: Sequence[float]) -> float:
+    """The mean, summed from the smallest magnitude up: nonnegative values
+    in ascending order, and signed ones so that |_mean(v)| never exceeds
+    _mean of their magnitudes, in floats too."""
     if not values:
         return math.nan
-    ordered = sorted(values)
+    ordered = sorted(values, key=lambda v: (abs(v), v))
     return sum(ordered) / len(ordered)
 
 
@@ -90,6 +98,13 @@ def _sample_std(values: Sequence[float]) -> float:
         # A deviation whose square is beyond float64: factor the largest out.
         scale = max(abs(v - center) for v in ordered)
         return scale * _sample_std([v / scale for v in ordered])
+
+
+def _standard_error(values: Sequence[float]) -> float:
+    """Sample standard deviation over sqrt(count); NaN below 2 values."""
+    if len(values) < 2:
+        return math.nan
+    return _sample_std(values) / math.sqrt(len(values))
 
 
 def _csv_line(cells) -> str:
@@ -172,6 +187,7 @@ def aggregate(rows: Sequence[SweepRow]) -> list[SummaryRow]:
     for key in sorted(groups):
         members = groups[key]
         kept = [r for r in members if not r.diverged]
+        gaps = [r.test_risk - r.train_risk for r in kept]
         summary.append(
             SummaryRow(
                 *key,
@@ -180,6 +196,8 @@ def aggregate(rows: Sequence[SweepRow]) -> list[SummaryRow]:
                 mean_train_risk=_mean([r.train_risk for r in kept]),
                 mean_test_risk=_mean([r.test_risk for r in kept]),
                 mean_abs_gen_error=_mean([r.abs_gen_error for r in kept]),
+                mean_gen_error=_mean(gaps),
+                se_gen_error=_standard_error(gaps),
                 std_abs_gen_error=_sample_std([r.abs_gen_error for r in kept]),
                 mean_fd_bound=_mean([r.fd_bound for r in kept]),
                 std_fd_bound=_sample_std([r.fd_bound for r in kept]),

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -44,6 +46,7 @@ from .filters import FilterKind, FilterNormReport, filter_norm_report
 from .models import ModelConfig, ModelKind, Params, Readout, check_shapes, init_params
 from .synth import PRESET_NAMES, SynthConfig, make_dataset, preset_config
 from .training import (
+    PreparedDataset,
     TrainConfig,
     TrainingDivergenceError,
     measure_generalization,
@@ -344,19 +347,32 @@ def run_sweep_on(
     """Run the sweep grid against an already-resolved dataset, with the
     stats and filter reports that setup built for it.
 
-    The graphs are prepared into one stack per (model, filter), and every
-    coordinate's split indexes into it. The main thread pins OpenBLAS for
-    the call.
+    The graphs are prepared once per (model, filter) pair, and every
+    coordinate's split indexes into its pair's rows. A pair is prepared when
+    its first coordinate starts and dropped once its last one finishes, at
+    any worker count, so the sweep holds only the rows of pairs it is
+    running. The main thread pins OpenBLAS for the call.
     """
-    prepared = {
-        (model, kind): prepare_dataset(dataset, ModelConfig(model, kind, width=1))
-        for model, kind in product(dict.fromkeys(config.models), dict.fromkeys(config.filters))
-    }
     coords = sweep_coordinates(config)
+    # Per pair: its coordinates not yet finished, and a lock under which it
+    # is prepared once and dropped once.
+    left = Counter((coord[1], coord[2]) for coord in coords)
+    locks = {pair: threading.Lock() for pair in left}
+    prepared: dict[tuple[ModelKind, FilterKind], PreparedDataset] = {}
 
     def one(coord: tuple) -> SweepRow:
-        model, kind = coord[1], coord[2]
-        return _run_coordinate(prepared[model, kind], stats, filter_reports[kind], coord, config)
+        pair = (coord[1], coord[2])
+        with locks[pair]:
+            if pair not in prepared:
+                prepared[pair] = prepare_dataset(dataset, ModelConfig(*pair, width=1))
+            data = prepared[pair]
+        try:
+            return _run_coordinate(data, stats, filter_reports[coord[2]], coord, config)
+        finally:
+            with locks[pair]:
+                left[pair] -= 1
+                if not left[pair]:
+                    del prepared[pair]
 
     if config.workers == 1:
         return [one(coord) for coord in coords]

@@ -129,36 +129,39 @@ def _risk_and_loss_grads(
 @dataclass(frozen=True)
 class PreparedDataset(GraphDataset):
     """A dataset with its graphs' node rows prepared under the config fields
-    in prepared_with (models.prepared_with). stack holds the rows of every
-    graph prepared together, and graphs[q] is the index of samples[q] into
-    it, so a split (take) copies no rows; stack.gather(graphs) copies them
-    out in sample order.
+    in prepared_with (models.prepared_with): rows[q] is samples[q]'s dict of
+    prepare_sample, whose arrays may be the sample's own (an MPGNN's w3 rows
+    are its features). A split (take) copies no rows; gather copies a
+    batch's rows out.
     """
 
-    stack: Stacked
-    graphs: np.ndarray
+    rows: tuple[dict[str, np.ndarray], ...]
     prepared_with: dict[str, str]
 
     def take(self, indices) -> "PreparedDataset":
-        return dataclasses.replace(super().take(indices), graphs=self.graphs[indices])
+        return dataclasses.replace(super().take(indices), rows=tuple(self.rows[i] for i in indices))
+
+    def gather(self, graphs) -> Stacked:
+        """The rows of the graphs at these indices, concatenated in this
+        order. The fields keep prepare_sample's order: forward adds the later
+        fields' products to the first field's, so the order decides the bits."""
+        picked = [self.rows[q] for q in graphs]
+        return Stacked(
+            rows={name: np.concatenate([rows[name] for rows in picked]) for name in picked[0]},
+            labels=np.array([self.samples[q].label for q in graphs], dtype=np.float64),
+            node_counts=np.array([len(rows["w1"]) for rows in picked]),
+        )
 
 
 def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> PreparedDataset:
     """dataset prepared for training and risks under any config that agrees
     with model_config on the fields prepare_sample reads (prepared_with): each
-    graph's rows are computed once and stacked once."""
-    rows = [prepare_sample(sample, model_config) for sample in dataset]
-    stack = Stacked(
-        rows={name: np.concatenate([r[name] for r in rows]) for name in rows[0]},
-        labels=np.array([sample.label for sample in dataset], dtype=np.float64),
-        node_counts=np.array([sample.node_count for sample in dataset]),
-    )
+    graph's rows are computed once."""
     return PreparedDataset(
         dataset.samples,
         dataset.feature_dim,
         dataset.name,
-        stack,
-        np.arange(len(dataset)),
+        tuple(prepare_sample(sample, model_config) for sample in dataset),
         prepared_with(model_config),
     )
 
@@ -187,7 +190,7 @@ def empirical_risk(params: Params, samples, model_config: ModelConfig) -> float:
     non-finite risk without a NumPy warning, as they do in train.
     """
     prepared = _prepared(params, samples, model_config)
-    stacked = prepared.stack.gather(prepared.graphs)
+    stacked = prepared.gather(range(len(prepared)))
     with np.errstate(over="ignore", invalid="ignore"):
         yhat = forward(params, stacked, model_config, Workspace(0, params.width))
         return float(logistic_loss(yhat, stacked.labels).mean())
@@ -213,7 +216,7 @@ def train(
 ) -> tuple[Params, list[float]]:
     """Momentum SGD over shuffled minibatches; deterministic given config.seed.
 
-    Each step gathers its minibatch's rows from the prepared stack, in the
+    Each step gathers its minibatch's rows from the prepared dataset, in the
     order of the epoch's permutation, writes into one workspace sized for the
     largest minibatch, and updates weights, velocity and gradients in arrays
     allocated once; the weights become a Params on return. The main thread
@@ -234,17 +237,17 @@ def train(
     grads = ParamArrays.like(params, np.empty_like)
     decay = params.width * config.alpha
     history: list[float] = []
-    counts = prepared.stack.node_counts[prepared.graphs]
+    counts = np.array([sample.node_count for sample in prepared])
     largest_batch = int(np.sort(counts)[-config.batch_size :].sum())
     # Float overflow on a diverging run is reported via the explicit
     # non-finite check below, not as numpy warnings.
     with single_threaded_blas(), np.errstate(over="ignore", invalid="ignore"):
         workspace = Workspace(largest_batch, params.width)
         for epoch in range(config.epochs):
-            order = prepared.graphs[rng.permutation(n)]
+            order = rng.permutation(n)
             epoch_loss = 0.0
             for index, lo in enumerate(range(0, n, config.batch_size)):
-                batch = prepared.stack.gather(order[lo : lo + config.batch_size])
+                batch = prepared.gather(order[lo : lo + config.batch_size])
                 risk = _risk_and_loss_grads(weights, batch, model_config, grads, workspace)
                 if not np.isfinite(risk):
                     raise TrainingDivergenceError(

@@ -6,8 +6,8 @@ instead of an SVD, the forward and backward passes over the whole batch at
 once with a new array for every temporary (a risk too), where the library
 runs them in row blocks on lanes and overwrites a workspace, the penalty
 gradient and the momentum step as new containers instead of arrays updated
-in place, a batch's stack by concatenating its graphs' rows one graph at
-a time instead of gathering them from a prepared dataset, a random graph
+in place, a batch's stack from rows prepared anew for each of its graphs
+instead of gathered from a prepared dataset, a random graph
 from its full edge-probability matrix and pairs made for it alone instead of
 from a pair table made once per dataset, a filter norm report with one
 SVD for every graph instead of only for those that can raise its largest
@@ -268,7 +268,7 @@ def empirical_risk_one_call(params: Params, samples, config: ModelConfig) -> flo
     """training.empirical_risk as one gather, one out-of-place forward over
     the whole set and one mean."""
     prepared = _prepared(params, samples, config)
-    stacked = prepared.stack.gather(prepared.graphs)
+    stacked = prepared.gather(range(len(prepared)))
     yhat, _ = forward_out_of_place(params, stacked, config)
     return float(logistic_loss(yhat, stacked.labels).mean())
 

@@ -86,6 +86,14 @@ CASES = {
         {"p.json": '{"model": "gcn", "w1": [[1.0]], "w2": [Infinity]}', "d.json": dataset()},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
         "{dir}/p.json: not a valid parameter file: w2 "),
+    "params-field-of-another-model": (
+        {"p.json": json.dumps({**json.loads(PARAMS), "w3": [[0.5]]}), "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not a valid parameter file: GcnParams has no field 'w3'"),
+    "params-unknown-field": (
+        {"p.json": json.dumps({**json.loads(PARAMS), "bias": [0.0]}), "d.json": dataset()},
+        ["bounds", "--params", "{dir}/p.json", "--dataset", "{dir}/d.json"],
+        "{dir}/p.json: not a valid parameter file: GcnParams has no field 'bias'"),
     "bounds-params-feature-dim": (
         {"p.json": json.dumps({"model": "gcn", "w1": [[0.5, 0.5, 0.5]], "w2": [1.0]})},
         ["bounds", "--params", "{dir}/p.json", "--dataset", "er5"],

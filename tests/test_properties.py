@@ -303,7 +303,7 @@ def test_minibatches_equal_the_concatenated_graphs(data):
     samples = [random_sample(rng, n, 2) for n in sizes]
     config = ModelConfig(model, FilterKind.SYM_NORM, width=1)
     prepared = prepare_dataset(GraphDataset.from_samples(samples, "g"), config)
-    # A split: some graphs of the stack, in drawn order, then shuffled as an epoch.
+    # A split: some graphs of the dataset, in drawn order, then shuffled as an epoch.
     chosen = data.draw(st.lists(st.sampled_from(range(len(samples))), min_size=1, unique=True))
     split = prepared.take(np.array(chosen))
     m = len(chosen)
@@ -313,10 +313,9 @@ def test_minibatches_equal_the_concatenated_graphs(data):
 
     # Each minibatch gathered as train gathers it: one call per step, on a
     # run of the epoch's order.
-    shuffled = split.graphs[order]
     for size in (1, non_divisor, m + 1):
         for k, lo in enumerate(range(0, m, size)):
-            batch = split.stack.gather(shuffled[lo : lo + size])
+            batch = split.gather(order[lo : lo + size])
             part = [samples[i] for i in graphs[k * size : (k + 1) * size]]
             want = stack([prepare_sample(s, config) for s in part], [s.label for s in part])
             assert batch.rows.keys() == want.rows.keys()
@@ -518,6 +517,10 @@ def test_any_tiny_sweep_writes_valid_artifacts(sweep):
             # A diverged seed's NaN gap is counted, never averaged in.
             for group in aggregate(rows):
                 assert math.isnan(group.mean_abs_gen_error) == (group.n_diverged == group.n_seeds)
+                assert math.isnan(group.se_gen_error) == (group.n_seeds - group.n_diverged < 2)
+                # The signed mean gap is no larger than the mean |gap|, in floats too.
+                if group.n_diverged < group.n_seeds:
+                    assert abs(group.mean_gen_error) <= group.mean_abs_gen_error
 
             document = json.loads((out / "report.json").read_text())
             assert len(document["rows"]) == len(rows)

@@ -10,6 +10,8 @@ import re
 import sys
 import threading
 import warnings
+import weakref
+from collections import Counter
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -172,6 +174,68 @@ class TestSweep:
         for workers in (2, 3, len(sequential) + 1):
             parallel = run_sweep(dataclasses.replace(config, workers=workers))
             assert [row_key(r) for r in parallel] == sequential, workers
+
+    @staticmethod
+    def _watch_preparation(monkeypatch) -> tuple[list, dict]:
+        """Record the sweep's preparations and coordinate starts, in order, as
+        (thread, event, (model, filter)), and keep a weakref to each prepared
+        dataset by its pair."""
+        events, prepared = [], {}
+        prepare_dataset = sweep_module.prepare_dataset
+        run_coordinate = sweep_module._run_coordinate
+
+        def preparing(dataset, model_config):
+            data = prepare_dataset(dataset, model_config)
+            pair = (model_config.model_kind, model_config.filter_kind)
+            events.append((threading.get_ident(), "prepare", pair))
+            prepared.setdefault(pair, []).append(weakref.ref(data))
+            return data
+
+        def starting(dataset, stats, filter_report, coord, config):
+            events.append((threading.get_ident(), "start", (coord[1], coord[2])))
+            return run_coordinate(dataset, stats, filter_report, coord, config)
+
+        monkeypatch.setattr(sweep_module, "prepare_dataset", preparing)
+        monkeypatch.setattr(sweep_module, "_run_coordinate", starting)
+        return events, prepared
+
+    def test_a_sequential_sweep_holds_one_prepared_pair_at_a_time(self, monkeypatch):
+        alive = []
+        events, prepared = self._watch_preparation(monkeypatch)
+        run_coordinate = sweep_module._run_coordinate
+
+        def counting(*args):
+            alive.append(sum(ref() is not None for refs in prepared.values() for ref in refs))
+            return run_coordinate(*args)
+
+        monkeypatch.setattr(sweep_module, "_run_coordinate", counting)
+        rows = run_sweep(tiny_config(models=(ModelKind.GCN, ModelKind.MPGNN)))
+        assert len(rows) == 8 and alive == [1] * 8
+        assert [event for _, event, _ in events] == ["prepare"] + ["start"] * 4 + (
+            ["prepare"] + ["start"] * 4
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_pair_is_prepared_once_as_its_first_coordinate_starts(
+        self, monkeypatch, workers
+    ):
+        # Two betas, so at workers 1 each pair's coordinates come in two runs.
+        config = tiny_config(
+            betas=(0.5, 0.7), models=(ModelKind.GCN, ModelKind.MPGNN),
+            filters=(FilterKind.SYM_NORM, FilterKind.SUM_AGG), seeds=(0,), workers=workers,
+        )
+        events, prepared = self._watch_preparation(monkeypatch)
+        run_sweep(config)
+        pairs = Counter((coord[1], coord[2]) for coord in sweep_coordinates(config))
+        assert {pair: len(refs) for pair, refs in prepared.items()} == dict.fromkeys(pairs, 1)
+        # A pair is prepared on the thread that then starts one of its coordinates.
+        for index, (thread, event, pair) in enumerate(events):
+            if event == "prepare":
+                after = [e for e in events[index + 1 :] if e[0] == thread][:1]
+                assert after == [(thread, "start", pair)]
+        assert sum(event == "start" for _, event, _ in events) == pairs.total()
+        # Each is dropped once its last coordinate is done.
+        assert all(ref() is None for refs in prepared.values() for ref in refs)
 
     def test_pool_threads_pin_blas_and_the_caller_keeps_its_count(self, monkeypatch, tiny_rows):
         threads = openblas_thread_count()
@@ -632,6 +696,28 @@ class TestAggregate:
     def test_single_seed_std_is_zero(self):
         summary = aggregate([self._row(4, 0, 1.0)])
         assert summary[0].std_abs_gen_error == 0.0
+        assert math.isnan(summary[0].se_gen_error)
+
+    def test_signed_gap_mean_and_standard_error_by_hand(self, tmp_path):
+        # Gaps +0.25, -0.5 and +1.0 (exact in binary): mean 0.25, deviations
+        # 0, -0.75 and +0.75, sample std sqrt(1.125 / 2) = 0.75.
+        rows = [dataclasses.replace(self._row(4, seed, abs(gap)), train_risk=0.5,
+                                    test_risk=0.5 + gap)
+                for seed, gap in enumerate((0.25, -0.5, 1.0))]
+        [s] = aggregate(rows)
+        assert s.mean_gen_error == 0.25
+        assert s.se_gen_error == 0.75 / math.sqrt(3)
+        assert s.mean_abs_gen_error == 1.75 / 3
+        # The diverged seed of a group counts in neither.
+        [s] = aggregate(rows[:1] + [diverged_row(seed=5)])
+        assert s.mean_gen_error == 0.25 and math.isnan(s.se_gen_error)
+        # summary.csv carries both right after mean_abs_gen_error.
+        path = write_summary_csv(aggregate(rows), tmp_path / "summary.csv")
+        header, line = path.read_text().splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert header.split(",")[10:13] == ["mean_abs_gen_error", "mean_gen_error", "se_gen_error"]
+        assert cells["mean_gen_error"] == "0.25"
+        assert cells["se_gen_error"] == repr(0.75 / math.sqrt(3))
 
     def test_row_order_does_not_change_output(self):
         rows = [self._row(4, 0, 1.0), self._row(4, 1, 3.0),
@@ -789,7 +875,8 @@ class TestTrendSvg:
         return SummaryRow(dataset="d", beta=0.7, model="gcn", filter="sym-norm",
                           readout="mean", width=width, n_seeds=2, n_diverged=0,
                           mean_train_risk=0.1, mean_test_risk=0.2,
-                          mean_abs_gen_error=mean, std_abs_gen_error=std,
+                          mean_abs_gen_error=mean, mean_gen_error=mean,
+                          se_gen_error=std, std_abs_gen_error=std,
                           mean_fd_bound=0.5, std_fd_bound=0.0,
                           mean_rademacher_bound=1.0, std_rademacher_bound=0.0)
 

@@ -35,13 +35,13 @@ from gnnbound.models import (
     Nonlinearity,
     ParamArrays,
     Readout,
-    Stacked,
     UnitRows,
     Workspace,
     forward,
     init_params,
 )
 from gnnbound.training import (
+    PreparedDataset,
     TrainConfig,
     TrainingDivergenceError,
     empirical_risk,
@@ -269,7 +269,7 @@ class TestInPlaceKernel:
         # 128 graphs of 100 nodes, cut into blocks of the kernel's own size.
         config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=256)
         prepared = prepare_dataset(make_dataset(preset_config("sbm1", seed=0)), config)
-        stacked = prepared.stack.gather(prepared.graphs[:128])
+        stacked = prepared.gather(range(128))
         params = init_params(config, prepared.feature_dim, seed=3)
         assert_kernel_matches_out_of_place(monkeypatch, params, stacked, config, lanes)
 
@@ -525,6 +525,16 @@ class TestTrain:
             a, train_prep, test_prep, config
         )
 
+    def test_mpgnn_w3_rows_are_the_samples_own_features(self, rng):
+        config = ModelConfig(model_kind=ModelKind.MPGNN, filter_kind=FilterKind.SYM_NORM, width=1)
+        prepared = prepare_dataset(random_dataset(rng, 4, 2), config)
+        split = prepared.take([3, 1])
+        for data in (prepared, split):
+            assert len(data.rows) == len(data)
+            for sample, rows in zip(data, data.rows):
+                assert np.shares_memory(rows["w3"], sample.features)
+                assert not np.shares_memory(rows["w1"], sample.features)
+
     @pytest.mark.parametrize("prepared_for", [
         {"model_kind": ModelKind.GCN},
         {"filter_kind": FilterKind.RANDOM_WALK},
@@ -553,13 +563,13 @@ class TestTrain:
     def test_each_step_gathers_its_own_minibatch(self, rng, monkeypatch):
         params, samples, config = self._setup(rng, n_samples=5)
         calls = []
-        gather = Stacked.gather
+        gather = PreparedDataset.gather
 
         def counting(self, graphs):
             calls.append(len(graphs))
             return gather(self, graphs)
 
-        monkeypatch.setattr(Stacked, "gather", counting)
+        monkeypatch.setattr(PreparedDataset, "gather", counting)
         train(params, samples, TrainConfig(epochs=4, batch_size=2), config)
         assert calls == [2, 2, 1] * 4
 
