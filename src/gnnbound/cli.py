@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .data import dataset_stats, load_dataset, save_dataset, to_json_value, train_size
+from .data import dataset_stats, load_dataset, read_text, save_dataset, to_json_value, train_size
 from .filters import FilterKind, filter_norm_report
 from .models import ModelConfig, ModelKind, Readout, ShapeError, check_shapes, load_params
 from .report import ROW_COLUMNS, emit_reports, read_rows_csv
@@ -65,8 +65,7 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    path = Path(path)
-    return parse_config_text(path.read_text(), source=str(path))
+    return parse_config_text(read_text(path, ConfigError), source=str(path))
 
 
 class Parser(NamedTuple):
@@ -320,8 +319,12 @@ def cmd_train(args) -> int:
     config = _sweep_config(args.config, TRAIN_TABLE, **_TRAIN_DEFAULTS)
     dataset, stats, filter_reports = _setup(config, TRAIN_TABLE, args.config)
     row = run_sweep_on(dataset, config, stats=stats, filter_reports=filter_reports)[0]
+    # A dataset name stdout cannot encode is written in backslash escapes, as
+    # Python writes stderr.
+    encoding = sys.stdout.encoding or "utf-8"
     for column in ROW_COLUMNS:
-        print(f"{column} = {getattr(row, column)}")
+        line = f"{column} = {getattr(row, column)}"
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

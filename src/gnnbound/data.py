@@ -15,6 +15,9 @@ Datasets persist as a single JSON document:
 with 0-based edge pairs i < j. Floats are written with shortest round-trip
 formatting, so save -> load reproduces feature values bit-identically.
 
+Every file the package reads or writes goes through read_text and
+write_text: UTF-8 whatever the locale, with line ends as they are.
+
 `to_json_value` is the package's one JSON codec for its result dataclasses
 (report.json, the bounds and filters command output); `from_plain` is its
 inverse, which also reads CSV cells.
@@ -31,7 +34,8 @@ import math
 import types
 import typing
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -109,7 +113,6 @@ class GraphDataset:
     """Nonempty ordered collection of samples with a common feature dimension."""
 
     samples: tuple[GraphSample, ...]
-    feature_dim: int
     name: str
 
     def __post_init__(self):
@@ -123,12 +126,10 @@ class GraphDataset:
                     f"!= dataset feature_dim {self.feature_dim}"
                 )
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[GraphSample], name: str) -> "GraphDataset":
-        samples = tuple(samples)
-        if not samples:
-            raise ValidationError("dataset must contain at least one sample")
-        return cls(samples=samples, feature_dim=samples[0].feature_dim, name=name)
+    @property
+    def feature_dim(self) -> int:
+        """The feature dimension every sample shares."""
+        return self.samples[0].feature_dim
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -297,9 +298,7 @@ def save_dataset(dataset: GraphDataset, path) -> None:
     }
     # One json.dumps and one write: json.dump writes the same text in many
     # small pieces, about three times slower.
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document))
-        handle.write("\n")
+    write_text(path, json.dumps(document) + "\n")
 
 
 def _is_int(value) -> bool:
@@ -376,15 +375,29 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """The text of the file at path, read as UTF-8 with its line ends as they
+    are; bytes that are not UTF-8 raise error naming the path and the byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def write_text(path, text: str) -> Path:
+    """Write text to path as UTF-8, its line ends as they are; returns the path."""
+    path = Path(path)
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
 def read_json(path, error: type[ValueError] = DatasetFormatError):
     """The JSON document in path; text that is not UTF-8 or not JSON raises
     error naming the path (and, for JSON, the line and column where parsing
     failed)."""
+    text = read_text(path, error)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -412,4 +425,4 @@ def load_dataset(path) -> GraphDataset:
         _record_to_sample(record, feature_dim, f"{path}: graph {idx}")
         for idx, record in enumerate(graphs)
     ]
-    return GraphDataset(samples=tuple(samples), feature_dim=feature_dim, name=document["name"])
+    return GraphDataset(samples, document["name"])

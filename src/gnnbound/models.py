@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .blas import lane_count, on_lanes
-from .data import GraphSample, frozen_array, read_json
+from .data import GraphSample, frozen_array, read_json, write_text
 from .filters import FilterKind, apply_filter
 
 
@@ -372,9 +372,7 @@ def save_params(params: Params, path) -> None:
     """Write parameters as a JSON document (exact float round-trip)."""
     record = {f.name: getattr(params, f.name).tolist() for f in dataclasses.fields(params)}
     record["model"] = params.kind.value
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle)
-        handle.write("\n")
+    write_text(path, json.dumps(record) + "\n")
 
 
 def load_params(path) -> Params:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bounds import BoundReport, report_from_stats
-from .data import DatasetStats, from_plain, to_json_value
+from .data import DatasetStats, from_plain, read_text, to_json_value, write_text
 from .filters import FilterKind, FilterNormReport
 from .sweep import COORDINATE_COLUMNS, ROW_COLUMNS, SweepConfig, SweepRow
 
@@ -119,12 +120,8 @@ def _csv_line(cells) -> str:
 
 
 def _write_csv(rows, columns: tuple[str, ...], path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        handle.write(_csv_line(columns))
-        for row in rows:
-            handle.write(_csv_line(_format_cell(getattr(row, column)) for column in columns))
-    return path
+    lines = [_csv_line(_format_cell(getattr(row, column)) for column in columns) for row in rows]
+    return write_text(path, _csv_line(columns) + "".join(lines))
 
 
 def write_rows_csv(rows: Sequence[SweepRow], path) -> Path:
@@ -138,33 +135,29 @@ def write_summary_csv(summary: Sequence[SummaryRow], path) -> Path:
 def read_rows_csv(path) -> list[SweepRow]:
     """The rows of a rows.csv. A line whose values SweepRow refuses, or that
     repeats an earlier line's coordinate, raises ReportFormatError naming it."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != ROW_COLUMNS:
-            raise ReportFormatError(
-                f"{path}: expected header {','.join(ROW_COLUMNS)}, got {header}"
-            )
-        rows = []
-        # Each coordinate's line: a sweep writes one row per coordinate, and
-        # a second would count as another seed.
-        lines: dict[tuple, int] = {}
-        # A record is numbered by the file line it starts on: a quoted cell
-        # may hold line breaks.
-        next_line = reader.line_num + 1
-        for record in reader:
-            line_no, next_line = next_line, reader.line_num + 1
-            if len(record) != len(ROW_COLUMNS):
-                raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
-            try:
-                row = from_plain(SweepRow, dict(zip(ROW_COLUMNS, record)))
-            except ValueError as exc:
-                raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
-            first = lines.setdefault(tuple(getattr(row, c) for c in COORDINATE_COLUMNS), line_no)
-            if first != line_no:
-                raise ReportFormatError(f"{path}:{line_no}: repeats the coordinate of line {first}")
-            rows.append(row)
+    reader = csv.reader(io.StringIO(read_text(path, ReportFormatError), newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != ROW_COLUMNS:
+        raise ReportFormatError(f"{path}: expected header {','.join(ROW_COLUMNS)}, got {header}")
+    rows = []
+    # Each coordinate's line: a sweep writes one row per coordinate, and a
+    # second would count as another seed.
+    lines: dict[tuple, int] = {}
+    # A record is numbered by the file line it starts on: a quoted cell may
+    # hold line breaks.
+    next_line = reader.line_num + 1
+    for record in reader:
+        line_no, next_line = next_line, reader.line_num + 1
+        if len(record) != len(ROW_COLUMNS):
+            raise ReportFormatError(f"{path}:{line_no}: expected {len(ROW_COLUMNS)} cells")
+        try:
+            row = from_plain(SweepRow, dict(zip(ROW_COLUMNS, record)))
+        except ValueError as exc:
+            raise ReportFormatError(f"{path}:{line_no}: {exc}") from exc
+        first = lines.setdefault(tuple(getattr(row, c) for c in COORDINATE_COLUMNS), line_no)
+        if first != line_no:
+            raise ReportFormatError(f"{path}:{line_no}: repeats the coordinate of line {first}")
+        rows.append(row)
     if not rows:
         raise ReportFormatError(f"{path}: no rows")
     return rows
@@ -221,7 +214,6 @@ def write_report_json(
     so both bounds can be recomputed from this file alone. Non-finite values,
     such as the risks of a diverged run, are written as null.
     """
-    path = Path(path)
     document = {
         "config": config,
         "dataset_stats": stats,
@@ -229,8 +221,7 @@ def write_report_json(
         "rows": list(rows),
     }
     text = json.dumps(to_json_value(document), indent=2, allow_nan=False)
-    path.write_text(text + "\n")
-    return path
+    return write_text(path, text + "\n")
 
 
 def recompute_bounds_from_record(record: dict) -> tuple[float, float]:
@@ -420,8 +411,7 @@ def write_trend_svgs(summary: Sequence[SummaryRow], out_dir) -> list[Path]:
         dataset, beta, model, readout = key
         title = f"{dataset}  beta={beta:g}  {model}  {readout} readout"
         path = out_dir / _svg_filename(dataset, beta, model, readout)
-        path.write_text(trend_svg(groups[key], title))
-        paths.append(path)
+        paths.append(write_text(path, trend_svg(groups[key], title)))
     return paths
 
 

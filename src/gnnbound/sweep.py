@@ -349,13 +349,15 @@ def run_sweep_on(
 
     The graphs are prepared once per (model, filter) pair, and every
     coordinate's split indexes into its pair's rows. A pair is prepared when
-    its first coordinate starts and dropped once its last one finishes, at
-    any worker count, so the sweep holds only the rows of pairs it is
-    running. The main thread pins OpenBLAS for the call.
+    its first coordinate starts and taken out of the sweep's table by its
+    last one to start, at any worker count. Each running coordinate holds
+    its own reference, so the rows are freed when the last of them returns,
+    and the sweep holds only the rows of pairs it is running. The main
+    thread pins OpenBLAS for the call.
     """
     coords = sweep_coordinates(config)
-    # Per pair: its coordinates not yet finished, and a lock under which it
-    # is prepared once and dropped once.
+    # Per pair: its coordinates not yet started, and a lock under which it
+    # is prepared once and taken out once.
     left = Counter((coord[1], coord[2]) for coord in coords)
     locks = {pair: threading.Lock() for pair in left}
     prepared: dict[tuple[ModelKind, FilterKind], PreparedDataset] = {}
@@ -365,14 +367,9 @@ def run_sweep_on(
         with locks[pair]:
             if pair not in prepared:
                 prepared[pair] = prepare_dataset(dataset, ModelConfig(*pair, width=1))
-            data = prepared[pair]
-        try:
-            return _run_coordinate(data, stats, filter_reports[coord[2]], coord, config)
-        finally:
-            with locks[pair]:
-                left[pair] -= 1
-                if not left[pair]:
-                    del prepared[pair]
+            left[pair] -= 1
+            data = prepared[pair] if left[pair] else prepared.pop(pair)
+        return _run_coordinate(data, stats, filter_reports[coord[2]], coord, config)
 
     if config.workers == 1:
         return [one(coord) for coord in coords]

@@ -96,7 +96,12 @@ class SynthConfig:
 def _adjacency_draw(model: SbmSpec | ErSpec) -> Callable[[np.random.Generator], np.ndarray]:
     """The model's draw of one bool adjacency, rng -> n x n matrix: each i<j
     pair is an edge, independently, with its probability. The pairs and their
-    probabilities are computed once, here, for every draw."""
+    probabilities are computed once, here, for every draw.
+
+    For an SBM, nodes are assigned to blocks contiguously by index (the first
+    block_sizes[0] nodes form block 0, and so on); pair (i, j) has
+    probability edge_prob[block(i)][block(j)]. For ER, edge_prob.
+    """
     n = model.node_count
     rows, cols = np.triu_indices(n, k=1)
     pairs = rows * n + cols
@@ -113,17 +118,6 @@ def _adjacency_draw(model: SbmSpec | ErSpec) -> Callable[[np.random.Generator], 
         return upper | upper.T
 
     return draw
-
-
-def generate_adjacency(model: SbmSpec | ErSpec, seed) -> np.ndarray:
-    """Bool adjacency matrix of one draw of the model.
-
-    For an SBM, nodes are assigned to blocks contiguously by index (the first
-    block_sizes[0] nodes form block 0, and so on); each unordered pair (i, j)
-    is an edge independently with probability edge_prob[block(i)][block(j)].
-    For ER, with probability edge_prob.
-    """
-    return _adjacency_draw(model)(np.random.default_rng(seed))
 
 
 def generate_features(n: int, k: int, seed) -> np.ndarray:
@@ -149,7 +143,7 @@ def make_dataset(config: SynthConfig) -> GraphDataset:
         features = generate_features(adjacency.shape[0], config.feature_dim, rng)
         label = int(rng.integers(0, 2)) * 2 - 1
         samples.append(GraphSample(adjacency=adjacency, features=features, label=label))
-    return GraphDataset(samples=tuple(samples), feature_dim=config.feature_dim, name=config.name)
+    return GraphDataset(samples, config.name)
 
 
 _PRESET_MODELS: dict[str, SbmSpec | ErSpec] = {

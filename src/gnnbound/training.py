@@ -139,7 +139,11 @@ class PreparedDataset(GraphDataset):
     prepared_with: dict[str, str]
 
     def take(self, indices) -> "PreparedDataset":
-        return dataclasses.replace(super().take(indices), rows=tuple(self.rows[i] for i in indices))
+        return dataclasses.replace(
+            self,
+            samples=tuple(self.samples[i] for i in indices),
+            rows=tuple(self.rows[i] for i in indices),
+        )
 
     def gather(self, graphs) -> Stacked:
         """The rows of the graphs at these indices, concatenated in this
@@ -159,7 +163,6 @@ def prepare_dataset(dataset: GraphDataset, model_config: ModelConfig) -> Prepare
     graph's rows are computed once."""
     return PreparedDataset(
         dataset.samples,
-        dataset.feature_dim,
         dataset.name,
         tuple(prepare_sample(sample, model_config) for sample in dataset),
         prepared_with(model_config),
@@ -171,7 +174,7 @@ def _prepared(params: Params, data, model_config: ModelConfig) -> PreparedDatase
     GraphDataset or a sequence of GraphSamples is prepared here; a
     PreparedDataset must have been prepared for model_config."""
     if not isinstance(data, PreparedDataset):
-        data = prepare_dataset(GraphDataset.from_samples(data, name=""), model_config)
+        data = prepare_dataset(GraphDataset(data, name=""), model_config)
     wanted = prepared_with(model_config)
     if data.prepared_with != wanted:
         raise ValueError(f"dataset was prepared for {data.prepared_with}, the model needs {wanted}")

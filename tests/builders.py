@@ -15,8 +15,14 @@ from gnnbound.data import GraphDataset, GraphSample
 from gnnbound.filters import FilterKind
 from gnnbound.models import ModelConfig, ModelKind, Params, Readout, init_params
 from gnnbound.sweep import SweepRow
-from gnnbound.synth import generate_features
+from gnnbound.synth import ErSpec, SbmSpec, _adjacency_draw, generate_features
 from oracles import regularized_risk
+
+
+def generate_adjacency(model: SbmSpec | ErSpec, seed) -> np.ndarray:
+    """Bool adjacency matrix of one draw of the model (synth._adjacency_draw);
+    seed is an int or a Generator that it draws from."""
+    return _adjacency_draw(model)(np.random.default_rng(seed))
 
 
 def sample_from_edges(n, edges, features=None, label=1) -> GraphSample:
@@ -50,7 +56,7 @@ def random_dataset(
     samples = [
         random_sample(rng, int(rng.integers(n_lo, n_hi + 1)), k) for _ in range(n_graphs)
     ]
-    return GraphDataset.from_samples(samples, name=name)
+    return GraphDataset(samples, name=name)
 
 
 def has_one_verdict(row: SweepRow) -> bool:

@@ -19,6 +19,7 @@ import pytest
 
 from builders import (
     finite_diff_grads,
+    generate_adjacency,
     gradcheck_case,
     gradcheck_margin,
     random_dataset,
@@ -49,7 +50,7 @@ from gnnbound.models import (
 from gnnbound.bounds import BoundInputs, ModelStats, report_from_stats
 from gnnbound.report import emit_reports, recompute_bounds_from_record
 from gnnbound.sweep import SweepConfig, run_sweep_on, setup
-from gnnbound.synth import generate_adjacency, preset_config
+from gnnbound.synth import preset_config
 from gnnbound.blas import single_threaded_blas
 from gnnbound.training import TrainConfig
 from oracles import forward_graph, grad_regularized_risk, permute_sample, spectral_norm

@@ -190,6 +190,14 @@ CASES = {
         {"one.json": dataset(), "t.cfg": "dataset = {dir}/one.json\n"},
         ["train", "--config", "{dir}/t.cfg"],
         "{dir}/one.json: a run needs at least 2 graphs to split, the dataset has 1"),
+    "sweep-config-not-utf8": (
+        {"run.cfg": b"dataset = er5\n# \xff\n"},
+        ["sweep", "--config", "{dir}/run.cfg", "--out", "{dir}/out"],
+        "{dir}/run.cfg: not UTF-8 text: invalid start byte at byte 16"),
+    "report-rows-not-utf8": (
+        {"rows.csv": ROWS_HEADER.encode() + b"\xff,0.7\n"},
+        ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
+        f"{{dir}}/rows.csv: not UTF-8 text: invalid start byte at byte {len(ROWS_HEADER)}"),
     "report-rows-empty": (
         {"rows.csv": ROWS_HEADER}, ["report", "--rows", "{dir}/rows.csv", "--out", "{dir}/out"],
         "{dir}/rows.csv: no rows"),

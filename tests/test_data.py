@@ -207,7 +207,7 @@ class TestPermutation:
 
 class TestStats:
     def test_triangle_and_path_stats(self, triangle, path4):
-        ds = GraphDataset.from_samples([triangle, path4], name="pair")
+        ds = GraphDataset([triangle, path4], name="pair")
         stats = dataset_stats(ds)
         assert stats.n_graphs == 2
         assert stats.n_max == 4
@@ -220,29 +220,29 @@ class TestStats:
         # The squares of 1e308 overflow, the row's norm sqrt(2) * 1e308 does not.
         for features in ([[3.0, 4.0], [0.0, 1.0]], [[1e308, 1e308], [3.0, 4.0]]):
             sample = sample_from_edges(2, [(0, 1)], features=features)
-            stats = dataset_stats(GraphDataset.from_samples([sample], name="x"))
+            stats = dataset_stats(GraphDataset([sample], name="x"))
             assert stats.b_f == math.hypot(*features[0])
 
     def test_b_f_beyond_float64_is_refused(self):
         sample = sample_from_edges(2, [(0, 1)], features=[[1.5e308, -1.5e308], [3.0, 4.0]])
         with pytest.raises(ValidationError, match="feature row norm"):
-            dataset_stats(GraphDataset.from_samples([sample], name="x"))
+            dataset_stats(GraphDataset([sample], name="x"))
 
     def test_stats_invariant_under_node_permutation(self, rng):
         ds = random_dataset(rng, 10, 2)
-        permuted = GraphDataset.from_samples(
+        permuted = GraphDataset(
             [permute_sample(s, rng.permutation(s.node_count)) for s in ds], name=ds.name
         )
         assert dataset_stats(permuted) == dataset_stats(ds)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
-            GraphDataset.from_samples([], name="empty")
+            GraphDataset([], name="empty")
 
     def test_mixed_feature_dim_rejected(self, triangle):
         other = sample_from_edges(2, [(0, 1)], features=np.ones((2, 3)))
         with pytest.raises(ValidationError):
-            GraphDataset.from_samples([triangle, other], name="mixed")
+            GraphDataset([triangle, other], name="mixed")
 
 
 class TestSplit:
@@ -308,7 +308,7 @@ class TestPersistence:
         samples.append(sample_from_edges(4, [(0, 3), (1, 3)], features=np.ones((4, 2))))
         samples.append(sample_from_edges(1, [], features=[[0.5, -0.0]]))
         samples.extend(make_dataset(preset_config("sbm1", n_graphs=2, feature_dim=2)))
-        dataset = GraphDataset.from_samples(samples, name="written")
+        dataset = GraphDataset(samples, name="written")
         path = tmp_path / "ds.json"
         save_dataset(dataset, path)
         document = {

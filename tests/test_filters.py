@@ -223,7 +223,7 @@ class TestTheoreticalBounds:
 
 class TestNormReport:
     def test_triangle_sum_agg_report(self, triangle):
-        ds = GraphDataset.from_samples([triangle], name="k3")
+        ds = GraphDataset([triangle], name="k3")
         report = filter_norm_report(ds, FilterKind.SUM_AGG)
         assert report.inf_norm_max == 3.0
         assert report.fro_norm_max == pytest.approx(3.0, rel=1e-15)
@@ -233,7 +233,7 @@ class TestNormReport:
         assert report.fro_bound is None
 
     def test_edgeless_sym_norm_report(self):
-        ds = GraphDataset.from_samples([sample_from_edges(2, [])], name="empty2")
+        ds = GraphDataset([sample_from_edges(2, [])], name="empty2")
         report = filter_norm_report(ds, FilterKind.SYM_NORM)
         assert report.inf_norm_max == 1.0
         assert report.fro_norm_max == pytest.approx(math.sqrt(2), rel=1e-12)
@@ -242,7 +242,7 @@ class TestNormReport:
         assert report.rank_max == 2
 
     def test_g_max_is_min_of_measured_maxima(self, rng):
-        ds = GraphDataset.from_samples(
+        ds = GraphDataset(
             [random_sample(rng, int(rng.integers(2, 8)), 1) for _ in range(6)], name="r"
         )
         for kind in ALL_KINDS:
@@ -250,7 +250,7 @@ class TestNormReport:
             assert report.g_max == min(report.inf_norm_max, report.fro_norm_max)
 
     def test_json_value_round_trips_values(self, triangle):
-        ds = GraphDataset.from_samples([triangle], name="k3")
+        ds = GraphDataset([triangle], name="k3")
         report = filter_norm_report(ds, FilterKind.SYM_NORM)
         d = to_json_value(report)
         assert d["kind"] == "sym-norm"
@@ -271,7 +271,7 @@ class TestNormReportRuns:
 
     @classmethod
     def mixed_dataset(cls, rng) -> GraphDataset:
-        return GraphDataset.from_samples(
+        return GraphDataset(
             [random_sample(rng, n, 2, edge_prob=0.4) for n in cls.MIXED_SIZES], name="mixed"
         )
 
@@ -279,7 +279,7 @@ class TestNormReportRuns:
     def path_dataset(sizes) -> GraphDataset:
         """Path graphs, whose random-walk filters each have rank n - 1: a path
         is bipartite, so D^{-1}A has the eigenvalue -1."""
-        return GraphDataset.from_samples(
+        return GraphDataset(
             [sample_from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in sizes],
             name="paths",
         )
@@ -297,7 +297,7 @@ class TestNormReportRuns:
                 adjacency[-1, :] = adjacency[:, -1] = 0.0
             samples.append(GraphSample(adjacency=adjacency, features=sample.features,
                                        label=sample.label))
-        return GraphDataset.from_samples(samples, name=dataset.name)
+        return GraphDataset(samples, name=dataset.name)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_report_equals_the_per_graph_oracle(self, rng, monkeypatch, cpus):

@@ -62,6 +62,24 @@ def test_only_the_lane_threads_and_the_sweep_pool_start_threads():
     assert constructed == [("blas.py", "ThreadPoolExecutor"), ("sweep.py", "ThreadPoolExecutor")]
 
 
+def test_only_data_opens_a_file():
+    # data.read_text and data.write_text decide every file's encoding and
+    # line ends; a second opener would decide them again.
+    opened = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                opened.append((path.name, "open"))
+            elif isinstance(func, ast.Attribute) and func.attr in (
+                "open", "read_text", "write_text", "read_bytes", "write_bytes"
+            ):
+                opened.append((path.name, func.attr))
+    assert {name for name, _ in opened} == {"data.py"}
+
+
 def _names(tree: ast.AST) -> set[str]:
     """Every name tree reads, imports or calls, attributes included."""
     names = set()

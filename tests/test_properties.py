@@ -161,7 +161,7 @@ def graph_samples(draw, feature_dim: int) -> GraphSample:
 def datasets(draw) -> GraphDataset:
     feature_dim = draw(st.integers(1, 3))
     samples = draw(st.lists(graph_samples(feature_dim), min_size=1, max_size=4))
-    return GraphDataset.from_samples(samples, name=draw(st.text()))
+    return GraphDataset(samples, name=draw(st.text()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +302,7 @@ def test_minibatches_equal_the_concatenated_graphs(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     samples = [random_sample(rng, n, 2) for n in sizes]
     config = ModelConfig(model, FilterKind.SYM_NORM, width=1)
-    prepared = prepare_dataset(GraphDataset.from_samples(samples, "g"), config)
+    prepared = prepare_dataset(GraphDataset(samples, "g"), config)
     # A split: some graphs of the dataset, in drawn order, then shuffled as an epoch.
     chosen = data.draw(st.lists(st.sampled_from(range(len(samples))), min_size=1, unique=True))
     split = prepared.take(np.array(chosen))
@@ -366,7 +366,7 @@ def graph_of(spec: tuple) -> GraphSample:
 @example([("drawn", 3, (True,) * 3, ()), ("path", 6), ("bipartite", 2, 2),
           ("drawn", 6, (True,) * 15, ())])
 def test_filter_report_equals_the_per_graph_oracle(specs):
-    dataset = GraphDataset.from_samples([graph_of(spec) for spec in specs], name="g")
+    dataset = GraphDataset([graph_of(spec) for spec in specs], name="g")
     for kind in FilterKind:
         assert filter_norm_report(dataset, kind) == filter_norm_report_per_graph(dataset, kind)
 
@@ -488,7 +488,7 @@ def test_any_tiny_sweep_writes_valid_artifacts(sweep):
             generated = make_dataset(
                 preset_config("er5", seed=config.data_seed, n_graphs=config.n_graphs)
             )
-            save_dataset(GraphDataset.from_samples(generated.samples, name), tmp / "data.json")
+            save_dataset(GraphDataset(generated.samples, name), tmp / "data.json")
             config = dataclasses.replace(config, dataset=str(tmp / "data.json"))
         outcomes = {}
         for workers in (1, 2):

@@ -790,7 +790,7 @@ class TestEmitReports:
         features = first.features.copy()
         features[0] = 1e308
         huge = GraphSample(adjacency=first.adjacency, features=features, label=first.label)
-        save_dataset(GraphDataset.from_samples([huge, *rest], name="huge"), tmp_path / "huge.json")
+        save_dataset(GraphDataset([huge, *rest], name="huge"), tmp_path / "huge.json")
         config = tiny_config(dataset=str(tmp_path / "huge.json"), seeds=(0,))
         dataset, stats, filter_reports = setup(config)
         assert stats.b_f == pytest.approx(math.hypot(1e308, 1e308), rel=1e-15)

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from builders import generate_adjacency
 from gnnbound.data import dataset_stats
 from gnnbound.synth import (
     PRESET_NAMES,
     ErSpec,
     SbmSpec,
     SynthConfig,
-    generate_adjacency,
     generate_features,
     make_dataset,
     preset_config,
