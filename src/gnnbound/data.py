@@ -1,10 +1,11 @@
 """Graph samples and datasets: validation, statistics, splitting, persistence.
 
-A sample is one undirected simple graph (a dense, read-only bool adjacency,
-no self-loops) with a real node-feature matrix and a binary label in
-{-1, +1}. Node identity is positional: node j is row/column j of the
-adjacency and row j of the feature matrix. A dataset is an ordered,
-immutable collection of samples sharing one feature dimension.
+A sample is one undirected simple graph (an adjacency without self-loops,
+kept packed at one bit per entry and read as a dense bool matrix) with a
+real node-feature matrix and a binary label in {-1, +1}. Node identity is
+positional: node j is row/column j of the adjacency and row j of the
+feature matrix. A dataset is an ordered, immutable collection of samples
+sharing one feature dimension.
 
 Datasets persist as a single JSON document:
 
@@ -16,7 +17,8 @@ with 0-based edge pairs i < j. Floats are written with shortest round-trip
 formatting, so save -> load reproduces feature values bit-identically.
 
 Every file the package reads or writes goes through read_text and
-write_text: UTF-8 whatever the locale, with line ends as they are.
+write_text: UTF-8 whatever the locale, with line ends as they are, and a
+path that the locale cannot encode is opened by its UTF-8 bytes.
 
 `to_json_value` is the package's one JSON codec for its result dataclasses
 (report.json, the bounds and filters command output); `from_plain` is its
@@ -31,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass
@@ -55,27 +58,29 @@ def frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphSample:
     """One undirected graph: N x N adjacency, N x k features, label in {-1,+1}.
 
-    The adjacency is kept as a read-only bool matrix, one byte per entry; the
-    features as a read-only float64 matrix. Construction takes a bool, integer
-    or float adjacency, checks every invariant of the module docstring on the
-    given values and raises ValidationError listing each one that is violated.
+    GraphSample(adjacency, features, label) takes a bool, integer or float
+    adjacency, checks every invariant of the module docstring on the given
+    values and raises ValidationError listing each one that is violated. It
+    keeps the adjacency packed, one bit per entry (adjacency_bits, N x
+    ceil(N/8) read-only bytes, rows as np.packbits packs them), and the
+    features as a read-only float64 matrix.
     """
 
-    adjacency: np.ndarray
+    adjacency_bits: np.ndarray
     features: np.ndarray
     label: int
 
-    def __post_init__(self):
+    def __init__(self, adjacency, features, label):
         # Checked before the cast: astype(bool) would turn 0.5, 2 or NaN into True.
-        adj = np.asarray(self.adjacency)
+        adj = np.asarray(adjacency)
         if adj.dtype != bool:
             adj = adj.astype(np.float64, copy=False)
-        object.__setattr__(self, "features", frozen_array(self.features))
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "features", frozen_array(features))
+        object.__setattr__(self, "label", int(label))
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValidationError("adjacency must be a square matrix")
         if adj.shape[0] == 0:
@@ -95,13 +100,20 @@ class GraphSample:
             violations.append("label must be -1 or +1")
         if violations:
             raise ValidationError("; ".join(violations))
-        adj = adj.astype(bool)
+        bits = np.packbits(adj.astype(bool, copy=False), axis=1)
+        bits.setflags(write=False)
+        object.__setattr__(self, "adjacency_bits", bits)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The N x N bool adjacency, unpacked into a new read-only array."""
+        adj = np.unpackbits(self.adjacency_bits, axis=1, count=self.node_count).view(bool)
         adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        return adj
 
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -375,20 +387,33 @@ def _record_to_sample(record, feature_dim: int, context: str) -> GraphSample:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
+def _open(path, mode: str, **kwargs):
+    """open(path, mode), but a path that the file system encoding cannot
+    encode (a non-ASCII name under an ASCII locale) is opened by its UTF-8
+    bytes, the bytes a UTF-8 program writes for that name."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        path = os.fspath(path).encode("utf-8")
+    return open(path, mode, **kwargs)
+
+
 def read_text(path, error: type[ValueError]) -> str:
     """The text of the file at path, read as UTF-8 with its line ends as they
     are; bytes that are not UTF-8 raise error naming the path and the byte."""
+    with _open(path, "rb") as file:
+        data = file.read()
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def write_text(path, text: str) -> Path:
     """Write text to path as UTF-8, its line ends as they are; returns the path."""
-    path = Path(path)
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
+    with _open(path, "w", encoding="utf-8", newline="") as file:
+        file.write(text)
+    return Path(path)
 
 
 def read_json(path, error: type[ValueError] = DatasetFormatError):

@@ -13,8 +13,9 @@ and are checked against central finite differences in the test suite.
 SGD uses classical momentum: v <- momentum*v + g; p <- p - lr*v, with g the
 gradient of the regularized objective (so L2 weight decay 1/(h alpha) is part
 of g). Minibatch indices are reshuffled every epoch from the run PRNG, and
-each step gathers its minibatch's rows. A train call keeps its weights,
-velocity and gradients in arrays it allocates once and updates in place.
+each step gathers its minibatch's rows. A train call keeps its minibatch
+rows, weights, velocity and gradients in arrays it allocates once and
+updates in place.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class PreparedDataset(GraphDataset):
     in prepared_with (models.prepared_with): rows[q] is samples[q]'s dict of
     prepare_sample, whose arrays may be the sample's own (an MPGNN's w3 rows
     are its features). A split (take) copies no rows; gather copies a
-    batch's rows out.
+    batch's rows out, into new arrays or a caller's buffers.
     """
 
     rows: tuple[dict[str, np.ndarray], ...]
@@ -145,15 +146,23 @@ class PreparedDataset(GraphDataset):
             rows=tuple(self.rows[i] for i in indices),
         )
 
-    def gather(self, graphs) -> Stacked:
+    def gather(self, graphs, out: dict[str, np.ndarray] | None = None) -> Stacked:
         """The rows of the graphs at these indices, concatenated in this
-        order. The fields keep prepare_sample's order: forward adds the later
+        order: into new arrays, or, given out (an array per field with at
+        least the batch's node count of rows), into each field's leading rows.
+        The fields keep prepare_sample's order: forward adds the later
         fields' products to the first field's, so the order decides the bits."""
         picked = [self.rows[q] for q in graphs]
+        node_counts = np.array([len(rows["w1"]) for rows in picked])
+        nodes = int(node_counts.sum())
+        stacked = {}
+        for name in picked[0]:
+            into = None if out is None else out[name][:nodes]
+            stacked[name] = np.concatenate([rows[name] for rows in picked], out=into)
         return Stacked(
-            rows={name: np.concatenate([rows[name] for rows in picked]) for name in picked[0]},
+            rows=stacked,
             labels=np.array([self.samples[q].label for q in graphs], dtype=np.float64),
-            node_counts=np.array([len(rows["w1"]) for rows in picked]),
+            node_counts=node_counts,
         )
 
 
@@ -220,13 +229,13 @@ def train(
     """Momentum SGD over shuffled minibatches; deterministic given config.seed.
 
     Each step gathers its minibatch's rows from the prepared dataset, in the
-    order of the epoch's permutation, writes into one workspace sized for the
-    largest minibatch, and updates weights, velocity and gradients in arrays
-    allocated once; the weights become a Params on return. The main thread
-    owns the cores: there OpenBLAS is pinned for the call
-    (blas.single_threaded_blas) and the steps' row blocks run on one lane
-    per usable CPU, elsewhere (a sweep pool's thread) on the calling thread
-    alone.
+    order of the epoch's permutation, into one array per prepared field sized
+    for the largest minibatch, writes into one workspace of that size, and
+    updates weights, velocity and gradients in arrays allocated once; the
+    weights become a Params on return. The main thread owns the cores: there
+    OpenBLAS is pinned for the call (blas.single_threaded_blas) and the
+    steps' row blocks run on one lane per usable CPU, elsewhere (a sweep
+    pool's thread) on the calling thread alone.
     Returns the final parameters and the per-epoch training risk (the
     graph-count-weighted mean of minibatch losses seen during that epoch).
     Aborts with TrainingDivergenceError the moment a batch loss is not
@@ -246,11 +255,13 @@ def train(
     # non-finite check below, not as numpy warnings.
     with single_threaded_blas(), np.errstate(over="ignore", invalid="ignore"):
         workspace = Workspace(largest_batch, params.width)
+        shape = (largest_batch, prepared.feature_dim)
+        batch_rows = {name: np.empty(shape) for name in prepared.rows[0]}
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
             for index, lo in enumerate(range(0, n, config.batch_size)):
-                batch = prepared.gather(order[lo : lo + config.batch_size])
+                batch = prepared.gather(order[lo : lo + config.batch_size], batch_rows)
                 risk = _risk_and_loss_grads(weights, batch, model_config, grads, workspace)
                 if not np.isfinite(risk):
                     raise TrainingDivergenceError(

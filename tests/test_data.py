@@ -94,8 +94,8 @@ class TestValidation:
 
 
 class TestBoolAdjacency:
-    """A sample keeps its adjacency as a read-only bool matrix, whichever
-    path built it, and checks the given values before the cast."""
+    """A sample's adjacency reads as a read-only bool matrix, whichever path
+    built it, and the sample checks the given values before the cast."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_sample_is_bool(self, name):
@@ -148,6 +148,51 @@ class TestBoolAdjacency:
             tracemalloc.stop()
         assert len(dataset) == 200
         assert live < 6e6
+
+
+class TestPackedAdjacency:
+    """A sample stores its adjacency at one bit per entry and gives back the
+    matrix it was built from, whatever the node count's remainder mod 8."""
+
+    @staticmethod
+    def _symmetric(n: int, dtype) -> np.ndarray:
+        upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.4, k=1)
+        return (upper | upper.T).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 100])
+    def test_adjacency_is_the_given_matrix(self, n, dtype):
+        given = self._symmetric(n, dtype)
+        sample = GraphSample(adjacency=given, features=np.ones((n, 2)), label=1)
+        assert_bool_and_read_only(sample)
+        assert sample.adjacency.shape == (n, n)
+        assert np.array_equal(sample.adjacency, given)
+        assert sample.node_count == n
+        assert np.array_equal(degrees(sample), given.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 100])
+    def test_save_load_save_writes_the_same_bytes(self, n, tmp_path):
+        sample = GraphSample(adjacency=self._symmetric(n, np.bool_),
+                             features=np.arange(2.0 * n).reshape(n, 2) / 3, label=-1)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_dataset(GraphDataset([sample], name="packed"), first)
+        save_dataset(load_dataset(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_sbm1_dataset_keeps_under_three_and_a_half_mb_alive(self):
+        # Features are 200 x 100 x 16 float64 (2.56 MB) and the packed
+        # adjacencies 200 x 100 x 13 bytes (0.26 MB); as bool they were 2 MB.
+        # A first, one-graph draw keeps the imports a first call makes (about
+        # 0.7 MB of modules) out of the trace.
+        make_dataset(preset_config("sbm1", n_graphs=1))
+        tracemalloc.start()
+        try:
+            dataset = make_dataset(preset_config("sbm1"))
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 200
+        assert live < 3.5e6
 
 
 class TestDegrees:

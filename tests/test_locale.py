@@ -1,5 +1,6 @@
 """The command line reads and writes UTF-8 whatever the locale: under an
-ASCII locale it writes the same files as under UTF-8."""
+ASCII locale it writes the same files as under UTF-8, and opens a non-ASCII
+path that a UTF-8 config names."""
 
 from __future__ import annotations
 
@@ -85,3 +86,18 @@ def test_train_prints_a_name_its_stdout_cannot_encode_in_escapes(
     config.write_text(f"dataset = {dataset_file}\nwidth = 2\nepochs = 1\n", encoding="utf-8")
     stdout = gnnbound("train", "--config", config, utf8=utf8).stdout
     assert f"dataset = {shown}\n" in stdout.decode("utf-8")
+
+
+def test_a_config_names_a_dataset_path_the_locale_cannot_encode(tmp_path):
+    # Under the ASCII locale the file system encoding cannot encode größe, so
+    # the path is opened by its UTF-8 bytes, the ones this process wrote.
+    dataset = tmp_path / f"{NAME}.json"
+    save_dataset(make_dataset(preset_config("er5", n_graphs=8, feature_dim=2)), dataset)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"dataset = {dataset}\nwidth = 2\nepochs = 1\n", encoding="utf-8")
+    printed = {}
+    for utf8 in (True, False):
+        lines = gnnbound("train", "--config", config, utf8=utf8).stdout.splitlines()
+        printed[utf8] = [line for line in lines if not line.startswith(b"wall_time_s = ")]
+    assert b"train_risk = " in b"\n".join(printed[False])
+    assert printed[False] == printed[True]

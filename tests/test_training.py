@@ -39,6 +39,7 @@ from gnnbound.models import (
     Workspace,
     forward,
     init_params,
+    prepare_sample,
 )
 from gnnbound.training import (
     PreparedDataset,
@@ -565,13 +566,31 @@ class TestTrain:
         calls = []
         gather = PreparedDataset.gather
 
-        def counting(self, graphs):
+        def counting(self, graphs, *out):
             calls.append(len(graphs))
-            return gather(self, graphs)
+            return gather(self, graphs, *out)
 
         monkeypatch.setattr(PreparedDataset, "gather", counting)
         train(params, samples, TrainConfig(epochs=4, batch_size=2), config)
         assert calls == [2, 2, 1] * 4
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_every_step_gathers_into_the_same_rows(self, rng, model, monkeypatch):
+        steps = []
+        risk_and_loss_grads = training_module._risk_and_loss_grads
+
+        def recording_step(params, stacked, config, grads, workspace):
+            steps.append(stacked.rows)
+            return risk_and_loss_grads(params, stacked, config, grads, workspace)
+
+        monkeypatch.setattr(training_module, "_risk_and_loss_grads", recording_step)
+        config = ModelConfig(model_kind=model, filter_kind=FilterKind.SYM_NORM, width=3)
+        samples = [random_sample(rng, 5, 2) for _ in range(5)]
+        train(init_params(config, 2, seed=0), samples, TrainConfig(epochs=1, batch_size=2),
+              config)
+        first, second = steps[:2]
+        assert list(first) == list(second) == list(prepare_sample(samples[0], config))
+        assert all(np.shares_memory(first[name], second[name]) for name in first)
 
     def test_divergence_raises(self, rng):
         config = ModelConfig(
